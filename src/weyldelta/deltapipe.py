@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import modular_inverse, panel_rule, unit_phases
+from .numerics import PanelGrid, modular_inverse, panel_rule, unit_phases
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor, holomorphic_kind
 from .statphase import sharp_weight
@@ -63,12 +63,24 @@ def _window_u() -> SmoothWindow:
     return make_window_u()
 
 
+def _window_fourier(window: SmoothWindow, theta: float) -> complex:
+    """int e(theta x) window(x) dx over the support.
+
+    Raises BudgetExceededError instead of returning the truncated value of
+    an exhausted cell budget, so no caller (or cache) keeps it.
+    """
+    res = integrate_1d(lambda x: window(x), lambda x: theta * x, *window.support, tol=1e-13)
+    if res.budget_exhausted:
+        raise BudgetExceededError(
+            f"window Fourier integral at theta = {theta:.6g} exhausted {res.cells} cells"
+        )
+    return complex(res.value)
+
+
 @functools.lru_cache(maxsize=4096)
 def _fourier_v(theta: float) -> complex:
     """int e(theta x) V(x) dx over the V support."""
-    v = _window_v()
-    res = integrate_1d(lambda x: v(x), lambda x: theta * x, *v.support, tol=1e-13)
-    return complex(res.value)
+    return _window_fourier(_window_v(), theta)
 
 
 @dataclass
@@ -155,9 +167,7 @@ def trivial_delta(n: int, q: int, X: float, window: Optional[SmoothWindow] = Non
         raise PreconditionError(f"q = {q} must exceed X^(1+eps) = {X ** (1 + EPS_RANGE):.2f}")
     if n % q != 0:
         return 0.0 + 0.0j
-    v = window or _window_v()
-    res = integrate_1d(lambda x: v(x), lambda x: (n / X) * x, *v.support, tol=1e-13)
-    return complex(res.value)
+    return _window_fourier(window or _window_v(), n / X)
 
 
 def trivial_delta_alpha_sum(n: int, q: int, X: float, window: Optional[SmoothWindow] = None) -> complex:
@@ -165,8 +175,7 @@ def trivial_delta_alpha_sum(n: int, q: int, X: float, window: Optional[SmoothWin
     v = window or _window_v()
     alpha = np.arange(q)
     gate = np.sum(np.exp(2j * np.pi * ((n * alpha) % q) / q)) / q
-    res = integrate_1d(lambda x: v(x), lambda x: (n / X) * x, *v.support, tol=1e-13)
-    return complex(gate * res.value)
+    return complex(gate * _window_fourier(v, n / X))
 
 
 def averaged_delta(r: int, n: int, cfg: PipelineConfig) -> complex:
@@ -332,10 +341,13 @@ class DualKernel:
     """Precomputed quadrature tables for Istar / I_delta at fixed (cfg, c).
 
     Udag values depend on (r, x) but not on s, Vdag values on (x, tau) but
-    not on r, so both are tabulated once; each I_delta(m, r) afterwards is a
-    weighted dot product over the tau grid. Grid densities scale with the
-    oscillation rates (~K cycles across supp V for the x-integral, O(1)
-    cycles per unit tau).
+    not on r, so both are tabulated once; each Istar row is then one
+    matrix-vector product over the x grid and each I_delta(m, r) a weighted
+    dot product over the tau grid. The Vdag table costs n_x * n_u * n_tau
+    multiply-adds but only n_u * (tau panels + 16) complex exponentials,
+    since the tau grid is a factored :class:`PanelGrid`. Grid densities
+    scale with the oscillation rates (~K cycles across supp V for the
+    x-integral, O(1) cycles per unit tau).
     """
 
     def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind, level: int = 1):
@@ -349,7 +361,8 @@ class DualKernel:
 
         self.x_nodes, self.x_weights = _x_rule(cfg)
         tau_panels = max(24, int(math.ceil(self.tau_cut * scale)))
-        self.tau_nodes, self.tau_weights = panel_rule(-self.tau_cut, self.tau_cut, tau_panels, 16)
+        self.tau_grid = PanelGrid(-self.tau_cut, self.tau_cut, tau_panels, 16)
+        self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
         self._vdag = None
 
         # Udag(N r / c - K x, 1 - it) rows, cached per r with row-sized grids
@@ -376,15 +389,8 @@ class DualKernel:
         uv, wv = panel_rule(va, vb, v_panels, 16)
         amp_v = wv * v(uv) * uv ** (-0.5)
         t1 = np.exp(-2j * np.pi * cfg.K * np.outer(self.x_nodes, uv)) * amp_v[None, :]
-        log_u = np.log(uv)
-        n_tau = len(self.tau_nodes)
-        vdag = np.empty((len(self.x_nodes), n_tau), dtype=complex)
-        chunk = max(256, int(2e7 // max(len(uv), 1)))
-        for i in range(0, n_tau, chunk):
-            hi = min(i + chunk, n_tau)
-            t2 = np.exp(-0.5j * np.outer(log_u, self.tau_nodes[i:hi]))
-            vdag[:, i:hi] = t1 @ t2
-        self._vdag = vdag
+        # u^(-i tau/2) = exp(-i (log u / 2) tau)
+        self._vdag = self.tau_grid.sums_at_nodes(t1, 0.5 * np.log(uv))
 
     @property
     def vdag(self) -> np.ndarray:
@@ -438,8 +444,7 @@ class DualKernel:
     def istar_row(self, r: int) -> np.ndarray:
         """Istar(r, c, 1 + i tau) over the tau grid (x-integral done)."""
         if r not in self._istar_cache:
-            integrand = self.vx[:, None] * self.vdag * self.udag_row(r)[:, None]
-            self._istar_cache[r] = integrand.sum(axis=0)
+            self._istar_cache[r] = (self.vx * self.udag_row(r)) @ self.vdag
         return self._istar_cache[r]
 
     def istar_value(self, r: int, tau: float) -> complex:
@@ -605,24 +610,22 @@ def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
     return complex(total / (pstar * c))
 
 
-def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, tau_nodes: np.ndarray):
-    """T_b(tau) = sum_{m <= n_cut, m = b mod c} lambda(m) m^(-(1+i tau)/2).
+def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
+    """T_b(tau) = sum_{m <= n_cut, m = b mod c} lambda(m) m^(-(1+i tau)/2)
+    at the nodes of the tau grid.
 
     Splitting the dual m-sum by residue class lets the additive twists
-    e(-m conj(rM)/c) come out of the tau-integral, so the heavy m x tau
-    array is built once for all r.
+    e(-m conj(rM)/c) come out of the tau-integral, so the sums are built
+    once for all r. Each class is one (16 x M_b) @ (M_b x panels) product
+    on the factored grid: n_cut * (panels + 16) complex exponentials and
+    16 * n_cut * panels multiply-adds in all.
     """
-    lam = form.lam_slice(n_cut)
-    ms = np.arange(1, n_cut + 1)
-    logm = np.log(ms.astype(float))
-    t_class = np.zeros((c, len(tau_nodes)), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(tau_nodes), 1)))
-    for i in range(0, n_cut, chunk):
-        sl = slice(i, min(i + chunk, n_cut))
-        block = np.exp(np.outer(-0.5 * logm[sl], 1.0 + 1j * tau_nodes)) * lam[sl, None]
-        classes = ms[sl] % c
-        for b in np.unique(classes):
-            t_class[b] += block[classes == b].sum(axis=0)
+    logm = np.log(np.arange(1, n_cut + 1, dtype=float))
+    coeffs = form.lam_slice(n_cut) * np.exp(-0.5 * logm)
+    t_class = np.zeros((c, len(grid.nodes)), dtype=complex)
+    for b in range(c):
+        sel = slice((b - 1) % c, n_cut, c)  # index m - 1 of the m = b mod c
+        t_class[b] = grid.sums_at_nodes(coeffs[sel], 0.5 * logm[sel])
     return t_class
 
 
@@ -637,8 +640,10 @@ def s_c_dual(
     """S_c(N) through the dual (Voronoi + Poisson) representation.
 
     The m-sum is folded into the tau-integral through residue-class
-    Dirichlet partial sums, so the cost is O(n_cut * n_tau + r_cut * n_tau)
-    rather than per-(m, r) quadratures.
+    Dirichlet partial sums, so the cost is O(n_cut * n_tau) multiply-adds
+    (with n_cut * (n_tau / 16 + 16) complex exponentials) plus
+    O(r_cut * n_x * n_tau) for the Istar rows, rather than per-(m, r)
+    quadratures.
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
@@ -659,7 +664,7 @@ def s_c_dual(
     inv_rm = {r: modular_inverse(r * form.level, c) for r in rs} if c > 1 else {r: 0 for r in rs}
 
     taus = kernel.tau_nodes
-    t_class = _dirichlet_class_sums(form, c, n_cut, taus)
+    t_class = _dirichlet_class_sums(form, c, n_cut, kernel.tau_grid)
     # m-independent part of (sqrt(mN)/(c sqrt(M)))^(-s) on Re s = 1
     base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / TWO_PI

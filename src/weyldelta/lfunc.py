@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CoefficientRangeError, PreconditionError
 from .forms import CuspForm
-from .numerics import loglog_fit, panel_rule
+from .numerics import PanelGrid, loglog_fit
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
@@ -106,25 +106,23 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     """V_s(y) for an array of positive y, by contour quadrature.
 
     The u-integral runs on Re u = abscissa, truncated where the even weight
-    has decayed to ~1e-20; the gamma ratio is computed in log space.
+    has decayed to ~1e-20; the gamma ratio is computed in log space. With
+    y^(-u) = y^(-a) exp(-i v log y) the v-integral for every y is a sum over
+    the factored v grid: per y, 16 + v_panels complex exponentials and one
+    row of a (len(ys) x 16) @ (16 x v_panels) product.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys <= 0):
         raise PreconditionError("V_s arguments must be positive")
     a = cfg.abscissa
-    vs, ws = panel_rule(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
-    u = a + 1j * vs
+    grid = PanelGrid(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
+    u = a + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])
-    core = ws * np.asarray(cfg.weight(u)) * ratio / u
+    core = grid.weights * np.asarray(cfg.weight(u)) * ratio / u
     # (1/2 pi i) int du = (1/2 pi) int dv along u = a + iv
-    out = np.empty(len(ys), dtype=complex)
     log_y = np.log(ys)
-    chunk = max(64, int(8e6 // max(len(u), 1)))
-    for i in range(0, len(ys), chunk):
-        phases = np.exp(-np.outer(log_y[i : i + chunk], u))
-        out[i : i + chunk] = (phases @ core) / TWO_PI
-    return out
+    return np.exp(-a * log_y) * grid.sums_at_freqs(log_y, core) / TWO_PI
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Shared quadrature rules and small fitting helpers.
 
 Everything here is deliberately plain: cached Gauss-Legendre nodes, composite
-panels, one adaptive scalar quadrature for smooth (non-oscillatory)
-integrands, and a least-squares log-log slope. The oscillatory machinery
+panels (with a factored equal-panel grid for exponential sums over its
+nodes), and a least-squares log-log slope. The oscillatory machinery
 lives in :mod:`weyldelta.oscillate` and builds on these pieces.
 """
 
@@ -26,13 +26,7 @@ def panel_rule(a: float, b: float, panels: int, order: int = 16):
     """Composite Gauss-Legendre nodes/weights on [a, b] with equal panels."""
     if panels < 1:
         raise ValueError("panels must be >= 1")
-    x0, w0 = gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = np.diff(edges) / 2.0
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mids[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights
+    return edges_rule(np.linspace(a, b, panels + 1), order)
 
 
 def edges_rule(edges, order: int = 16):
@@ -46,41 +40,77 @@ def edges_rule(edges, order: int = 16):
     return nodes, weights
 
 
-def fixed_quad(f, a: float, b: float, panels: int = 8, order: int = 16):
-    """Composite fixed-order quadrature of a vectorized callable."""
-    x, w = panel_rule(a, b, panels, order)
-    return np.sum(w * np.asarray(f(x)))
+class PanelGrid:
+    """The equal-panel Gauss-Legendre rule on [a, b], kept in factored form.
 
+    Node (p, k) is mids[p] + offsets[k], stored panel-major like
+    :func:`panel_rule` (the two agree to rounding: here every panel has the
+    same half-width). Because every node splits the same way,
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-12, max_depth: int = 48):
-    """Adaptive quadrature for smooth scalar integrands.
+        exp(-i f tau_(p,k)) = exp(-i f mids[p]) * exp(-i f offsets[k]),
 
-    Bisects until the GL16-vs-GL8 discrepancy on a panel is below the
-    proportionally allocated tolerance. `f` must accept numpy arrays.
+    the phase table E[j, n] = exp(-i freqs[j] nodes[n]) needs P + order
+    complex exponentials per frequency instead of P * order, and a product
+    with it is one GEMM per block of frequencies.
     """
-    x16, w16 = gauss_legendre(16)
-    x8, w8 = gauss_legendre(8)
 
-    def panel(lo, hi):
-        h = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        coarse = h * np.sum(w8 * np.asarray(f(mid + h * x8)))
-        fine = h * np.sum(w16 * np.asarray(f(mid + h * x16)))
-        return fine, abs(fine - coarse)
+    # complex elements per temporary (64 MB)
+    CHUNK = 4_000_000
 
-    total = 0.0
-    stack = [(float(a), float(b), 0)]
-    span = float(b) - float(a)
-    while stack:
-        lo, hi, depth = stack.pop()
-        fine, err = panel(lo, hi)
-        if err <= tol * max((hi - lo) / span, 1e-300) or depth >= max_depth:
-            total += fine
-        else:
-            mid = (lo + hi) / 2.0
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-    return total
+    def __init__(self, a: float, b: float, panels: int, order: int = 16):
+        if panels < 1:
+            raise ValueError("panels must be >= 1")
+        x0, w0 = gauss_legendre(order)
+        edges = np.linspace(a, b, panels + 1)
+        half = (float(b) - float(a)) / (2.0 * panels)
+        self.mids = (edges[:-1] + edges[1:]) / 2.0
+        self.offsets = half * x0
+        self.nodes = (self.mids[:, None] + self.offsets[None, :]).ravel()
+        self.weights = np.tile(half * w0, panels)
+
+    def _phase_blocks(self, freqs):
+        """(slice, exp(-i f mids), exp(-i f offsets)) over blocks of freqs."""
+        step = max(1, int(self.CHUNK // len(self.mids)))
+        for i in range(0, len(freqs), step):
+            f = freqs[i : i + step]
+            mid = np.exp(-1j * np.outer(f, self.mids))
+            off = np.exp(-1j * np.outer(f, self.offsets))
+            yield slice(i, i + len(f)), mid, off
+
+    def sums_at_nodes(self, coeffs, freqs) -> np.ndarray:
+        """coeffs @ E: sum_j coeffs[..., j] exp(-i freqs[j] tau) at every node.
+
+        `coeffs` is (J,) or (R, J); the result is (n_nodes,) or (R, n_nodes).
+        Per block of frequencies, a single row is one (order x J) @
+        (J x panels) product; R >= order rows take one (R x J) @ (J x panels)
+        product per Gauss offset.
+        """
+        coeffs = np.asarray(coeffs)
+        freqs = np.asarray(freqs, dtype=float)
+        rows = np.atleast_2d(coeffs)
+        n_mid, n_off = len(self.mids), len(self.offsets)
+        out = np.zeros((len(rows), n_mid, n_off), dtype=complex)
+        for sl, mid, off in self._phase_blocks(freqs):
+            if len(rows) < n_off:
+                for r, row in enumerate(rows):
+                    out[r] += ((row[sl, None] * off).T @ mid).T
+            else:
+                for k in range(n_off):
+                    out[:, :, k] += (rows[:, sl] * off[:, k]) @ mid
+        return out.reshape(coeffs.shape[:-1] + (n_mid * n_off,))
+
+    def sums_at_freqs(self, freqs, values) -> np.ndarray:
+        """E @ values: sum over nodes of values(tau) exp(-i f tau), for each f.
+
+        Per block of frequencies it is one (J, order) @ (order, panels)
+        product followed by a row-wise product with exp(-i f mids).
+        """
+        freqs = np.asarray(freqs, dtype=float)
+        table = np.asarray(values).reshape(len(self.mids), len(self.offsets)).T
+        out = np.empty(len(freqs), dtype=complex)
+        for sl, mid, off in self._phase_blocks(freqs):
+            out[sl] = np.sum((off @ table) * mid, axis=1)
+        return out
 
 
 def loglog_slope(xs, ys):

@@ -1,13 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import weyldelta
 from weyldelta.cli import main
 from weyldelta.forms import delta_form, export_form
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def run_cli_process(args, **env):
+    """`python -m weyldelta.cli` in a fresh interpreter that imports this checkout."""
+    src = str(Path(weyldelta.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "weyldelta.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 def test_export_import_roundtrip(tmp_path, capsys):
@@ -42,6 +55,30 @@ def test_verify_delta_suite(tmp_path):
     for check in report["checks"]:
         assert check["anchor"]
         assert "residual" in check and "tolerance" in check
+
+
+def test_verify_afe_suite(tmp_path):
+    report_path = tmp_path / "report.json"
+    assert run_cli(["verify", "afe", "--output", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["all_passed"] is True
+    names = {c["name"] for c in report["checks"]}
+    for name in (
+        "afe-two-weight-agreement",
+        "afe-conjugate-symmetry",
+        "afe-truncation-stability",
+        "hecke-multiplicativity",
+    ):
+        assert name in names
+
+
+def test_exhausted_budget_exits_2(tmp_path):
+    # a subprocess: main() sets the cell budget for the rest of its process
+    proc = run_cli_process(
+        ["verify", "delta", "--output", str(tmp_path / "r.json")], WEYL_DELTA_BUDGET="3"
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["budget_exhausted"] is True
 
 
 def test_verify_report_deterministic(tmp_path):
@@ -85,8 +122,6 @@ def test_calibrate_subcommand(tmp_path):
 
 
 def test_console_entry_point_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "weyldelta.cli", "--help"], capture_output=True, text=True
-    )
+    proc = run_cli_process(["--help"])
     assert proc.returncode == 0
     assert "verify" in proc.stdout

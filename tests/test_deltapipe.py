@@ -1,10 +1,13 @@
 
+import math
+
 import numpy as np
 import pytest
 
+from weyldelta import deltapipe, oscillate
 from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.forms import constant_form, delta_form
-from weyldelta.numerics import loglog_slope, primes_in
+from weyldelta.numerics import loglog_slope, panel_rule, primes_in
 from weyldelta.deltapipe import (
     DualKernel,
     PipelineConfig,
@@ -67,6 +70,16 @@ def test_trivial_delta_decay_probe():
 def test_trivial_delta_requires_large_modulus():
     with pytest.raises(PreconditionError):
         trivial_delta(0, 5, 10.0)
+
+
+def test_exhausted_budget_raises_and_caches_nothing(monkeypatch):
+    deltapipe._fourier_v.cache_clear()
+    monkeypatch.setattr(oscillate, "DEFAULT_CELL_BUDGET", 3)
+    with pytest.raises(BudgetExceededError):
+        deltapipe._fourier_v(6.1)
+    assert deltapipe._fourier_v.cache_info().currsize == 0
+    with pytest.raises(BudgetExceededError):
+        trivial_delta(104, 13, 10.0)
 
 
 def test_averaged_delta_exact_cases(cfg_split):
@@ -192,6 +205,24 @@ def test_kernel_udag_row_matches_pointwise(form):
         assert row[idx] == pytest.approx(ref.value, abs=1e-9)
 
 
+def _vdag_per_node(kernel):
+    """The Vdag table by one complex exponential per (u, tau) node (oracle)."""
+    cfg = kernel.cfg
+    v = make_window_v()
+    va, vb = v.support
+    v_cycles = 2 * abs(cfg.K) * (vb - va) + kernel.tau_cut * math.log(vb / va) / (4 * math.pi)
+    uv, wv = panel_rule(va, vb, max(12, int(math.ceil(1.6 * v_cycles * cfg.grid_scale))), 16)
+    t1 = np.exp(-2j * np.pi * cfg.K * np.outer(kernel.x_nodes, uv)) * (wv * v(uv) * uv ** (-0.5))
+    return t1 @ np.exp(-0.5j * np.outer(np.log(uv), kernel.tau_nodes))
+
+
+def test_kernel_vdag_matches_per_node_table(form):
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
+    kernel = DualKernel(cfg, 11, form.kind)
+    ref = _vdag_per_node(kernel)
+    assert np.max(np.abs(kernel.vdag - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_kernel_istar_consistency(form):
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=200.0)
     kernel = DualKernel(cfg, 11, form.kind)
@@ -305,6 +336,31 @@ def test_s_c_direct_zero_form():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
     val = s_c_direct(constant_form(400, 0.0), cfg, 11)
     assert val == 0
+
+
+def _class_sums_blocked(form, c, n_cut, tau_nodes):
+    """T_b(tau) by one complex exponential per (m, tau) pair (oracle)."""
+    lam = form.lam_slice(n_cut)
+    ms = np.arange(1, n_cut + 1)
+    logm = np.log(ms.astype(float))
+    t_class = np.zeros((c, len(tau_nodes)), dtype=complex)
+    chunk = max(1, int(4e6 // max(len(tau_nodes), 1)))
+    for i in range(0, n_cut, chunk):
+        sl = slice(i, min(i + chunk, n_cut))
+        block = np.exp(np.outer(-0.5 * logm[sl], 1.0 + 1j * tau_nodes)) * lam[sl, None]
+        classes = ms[sl] % c
+        for b in np.unique(classes):
+            t_class[b] += block[classes == b].sum(axis=0)
+    return t_class
+
+
+@pytest.mark.parametrize("c", [11, 1])
+def test_dirichlet_class_sums_match_blocked_loop(form, c):
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
+    kernel = DualKernel(cfg, c, form.kind)
+    got = deltapipe._dirichlet_class_sums(form, c, 3000, kernel.tau_grid)
+    ref = _class_sums_blocked(form, c, 3000, kernel.tau_nodes)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_dual_identity_desk_scale():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from weyldelta.lfunc import (
     afe_value,
     afe_weight,
     growth_scan,
+    log_gamma_quotient_factor,
     tail_check,
     weight_quartic,
 )
+from weyldelta.numerics import panel_rule
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,40 @@ def test_coefficient_shortfall_detected():
     short = delta_form(100)
     with pytest.raises(CoefficientRangeError):
         afe_value(short, 0.0)
+
+
+def _afe_weight_contour(form, s, ys, cfg):
+    """V_s(y) by one complex exponential per (y, contour node) pair (oracle)."""
+    vs, ws = panel_rule(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
+    u = cfg.abscissa + 1j * vs
+    lg_s = log_gamma_quotient_factor(form, s)
+    ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])
+    core = ws * np.asarray(cfg.weight(u)) * ratio / u
+    log_y = np.log(ys)
+    out = np.empty(len(ys), dtype=complex)
+    for i in range(0, len(ys), 2000):
+        out[i : i + 2000] = np.exp(-np.outer(log_y[i : i + 2000], u)) @ core / (2 * math.pi)
+    return out
+
+
+@pytest.mark.parametrize("t", [0.0, 5.0])
+@pytest.mark.parametrize("weight_cfg", [AfeConfig(), AfeConfig(weight=weight_quartic)])
+def test_weight_matches_contour_loop(form, t, weight_cfg):
+    ys = np.arange(1, weight_cfg.resolved_n_afe(form, t) + 1, dtype=float)
+    for s in {0.5 + 1j * t, 0.5 - 1j * t}:
+        ref = _afe_weight_contour(form, s, ys, weight_cfg)
+        got = afe_weight(form, s, ys, weight_cfg)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_weight_matches_contour_loop_high_t(form):
+    # both routes carry rounding of order eps * sum|core|, which grows like
+    # t^3 e^9 on Re u = 3, so the comparison is absolute
+    cfg = AfeConfig(weight_floor=3e-4)  # the scan configuration
+    ys = np.arange(1, cfg.resolved_n_afe(form, 250.0) + 1, dtype=float)
+    for s in (0.5 + 250j, 0.5 - 250j):
+        ref = _afe_weight_contour(form, s, ys, cfg)
+        assert np.max(np.abs(afe_weight(form, s, ys, cfg) - ref)) <= 1e-7
 
 
 def test_weight_approaches_one_at_origin(form):
