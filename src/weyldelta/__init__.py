@@ -14,6 +14,8 @@ Submodules:
 * :mod:`weyldelta.deltapipe` - delta-method identities and the dual-sum
   pipeline
 * :mod:`weyldelta.lfunc`     - approximate functional equation, growth scan
+* :mod:`weyldelta.checks`    - the checks `weyl-delta verify` and the
+  acceptance gate share
 * :mod:`weyldelta.cli`       - experiment harness (`weyl-delta`)
 """
 

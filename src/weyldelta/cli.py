@@ -9,13 +9,17 @@ calibrate    fit the dual-summation constant eta for a form
 export-form  write the built-in discriminant form to a coefficient file
 import-form  parse and validate a coefficient file
 
-Reports are JSON with stable key order; everything under the "timing" key
-is wall-clock and excluded from the determinism guarantee (identical spec
-and seed reproduce the rest byte for byte). Scan/probe points go to CSV
-with a header row and plain decimal formatting. The env variable
-WEYL_DELTA_BUDGET overrides the oscillatory-quadrature cell budget.
-Exit codes: 0 all checks pass, 1 check failure, 2 budget exhausted,
-3 input/parse error.
+The checks are defined once, in :mod:`weyldelta.checks`; `verify <suite>`
+runs that suite's entries of the list (`all`: every suite, in the order
+delta, statphase, voronoi, pipeline, afe, scan) and the acceptance gate
+asserts the same entries. Reports are JSON with stable key order;
+everything under the "timing" key (each check's wall clock) is excluded
+from the determinism guarantee (identical suite and seed reproduce the
+rest byte for byte). Scan/probe points go to CSV with a header row and
+plain decimal formatting. The env variable WEYL_DELTA_BUDGET (or
+`--budget`) caps the oscillatory-quadrature cell count and the
+stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
+failure, 2 budget exhausted, 3 input/parse error.
 """
 
 from __future__ import annotations
@@ -23,33 +27,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import oscillate
-from .errors import BudgetExceededError, FormFileError, HeckeViolationError, ToolkitError
-from .forms import CuspForm, delta_form, export_form, hecke_verify, load_form, rankin_average
-from .lfunc import AfeConfig, afe_value, growth_scan, weight_quartic
-from .numerics import loglog_fit, loglog_slope, primes_in
-from .specialfn import gamma_factor, residual_derivative, stirling_profile
-from .statphase import u_dagger_asymptotic, u_dagger_direct
-from .testfn import make_window_u, make_window_v
-from .voronoi import VoronoiInstance, WhatTransform, calibrate_eta, voronoi_check
-from .deltapipe import (
-    PipelineConfig,
-    averaged_delta,
-    averaged_delta_alpha_sum,
-    dual_identity_check,
-    s_split,
-    trivial_delta,
-    trivial_delta_alpha_sum,
-)
+from .checks import SUITES, CheckContext, CheckResult, calibrate, checks_for, fmt_complex
+from .errors import BudgetExceededError, FormFileError, HeckeViolationError
+from .forms import delta_form, export_form, load_form
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,439 +43,37 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class ExperimentSpec:
-    suite: str
-    config_path: Optional[str] = None
-    output_path: Optional[str] = None
-    csv_path: Optional[str] = None
-    form_path: Optional[str] = None
-    seed: int = 0
-    budget: Optional[int] = None  # None: library defaults everywhere
-    t_min: float = 10.0
-    t_max: float = 500.0
-    samples: int = 200
-    overrides: Dict[str, float] = field(default_factory=dict)
+def run_suite(suite: str, ctx: CheckContext):
+    """(results, status) of the suite's checks, stopping at an exhausted budget."""
+    results: List[CheckResult] = []
+    try:
+        for check in checks_for(suite):
+            results.append(check.run(ctx))
+    except BudgetExceededError:
+        return results, EXIT_BUDGET
+    return results, EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
-@dataclass
-class CheckResult:
-    name: str
-    anchor: str  # stable identifier of the mathematical claim being checked
-    residual: float
-    tolerance: float
-    passed: bool
-    values: Dict[str, object] = field(default_factory=dict)
-    runtime: float = 0.0
-
-
-def _parse_config_file(path: str) -> Dict[str, float]:
-    """Flat key-value text: one `key = value` (or `key value`) per line."""
-    out: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, value = (part.strip() for part in line.split("=", 1))
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise FormFileError(f"bad config line {raw!r}", line=line_no)
-                key, value = parts
-            try:
-                out[key] = float(value)
-            except ValueError as exc:
-                raise FormFileError(f"non-numeric config value {value!r}", line=line_no) from exc
-    return out
-
-
-def _fmt_complex(z: complex) -> List[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-class SuiteRunner:
-    """Collects CheckResult entries while tracking runtimes and budget flags."""
-
-    def __init__(self, spec: ExperimentSpec):
-        self.spec = spec
-        self.checks: List[CheckResult] = []
-        self.calibration: Dict[str, object] = {}
-        self.budget_exhausted = False
-        self._form: Optional[CuspForm] = None
-        self._transform: Optional[WhatTransform] = None
-
-    def add(self, name, anchor, residual, tolerance, values=None):
-        self.checks.append(
-            CheckResult(
-                name=name,
-                anchor=anchor,
-                residual=float(residual),
-                tolerance=float(tolerance),
-                passed=bool(residual <= tolerance),
-                values=values or {},
-                runtime=0.0,
-            )
-        )
-
-    def timed(self, fn):
-        start = time.perf_counter()
-        out = fn()
-        elapsed = time.perf_counter() - start
-        if self.checks:
-            self.checks[-1].runtime = elapsed
-        return out
-
-    # -- shared fixtures ----------------------------------------------------
-
-    def form(self, n_max: int = 30000) -> CuspForm:
-        if self.spec.form_path:
-            # external forms run at their stored depth; suites that need
-            # more coefficients will raise a range error against them
-            if self._form is None:
-                self._form = load_form(self.spec.form_path)
-            return self._form
-        if self._form is None or self._form.n_max < n_max:
-            self._form = delta_form(n_max)
-        return self._form
-
-    def transform(self, form: CuspForm) -> WhatTransform:
-        if self._transform is None:
-            self._transform = WhatTransform(form.kind, make_window_v())
-        return self._transform
-
-    # -- suites ---------------------------------------------------------------
-
-    def run_voronoi(self):
-        form = self.form()
-        window = make_window_v()
-        transform = self.transform(form)
-        t0 = time.perf_counter()
-        probes = [
-            VoronoiInstance(form, a=1, c=1, window=window, scale=20.0),
-            VoronoiInstance(form, a=1, c=3, window=window, scale=50.0),
-        ]
-        form.eta = None
-        eta = calibrate_eta(form, probes, transform=transform)
-        self.add(
-            "eta-calibration",
-            "dual-sum-constant-modulus-one",
-            abs(form.eta_modulus_raw - 1.0),
-            1e-6,
-            values={"eta": _fmt_complex(eta), "probe_spread": form.eta_probe_spread},
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        self.calibration["eta"] = _fmt_complex(eta)
-        self.calibration["eta_modulus_raw"] = form.eta_modulus_raw
-        for scale in (5.0, 20.0, 50.0):
-            for a, c in ((1, 1), (1, 2), (1, 3), (2, 3), (1, 5)):
-                t0 = time.perf_counter()
-                chk = voronoi_check(
-                    VoronoiInstance(form, a=a, c=c, window=window, scale=scale),
-                    transform=transform,
-                )
-                self.add(
-                    f"voronoi-N{scale:g}-a{a}-c{c}",
-                    "dual-summation-identity",
-                    chk.residual,
-                    1e-6,
-                    values={
-                        "lhs": _fmt_complex(chk.lhs),
-                        "rhs": _fmt_complex(chk.rhs),
-                        "rhs_terms": chk.rhs_terms,
-                    },
-                )
-                self.checks[-1].runtime = time.perf_counter() - t0
-
-    def run_delta(self):
-        rng = np.random.default_rng(self.spec.seed)
-        # single-modulus detector
-        t0 = time.perf_counter()
-        val0 = trivial_delta(0, 13, 10.0)
-        self.add("trivial-delta-diagonal", "delta-detector-normalization", abs(val0 - 1.0), 1e-12)
-        self.checks[-1].runtime = time.perf_counter() - t0
-        bad = max(abs(trivial_delta(n, 13, 10.0)) for n in range(1, 13))
-        self.add("trivial-delta-offdiagonal", "delta-detector-exact-zero", bad, 0.0)
-        agree = max(
-            abs(trivial_delta(n, 13, 10.0) - trivial_delta_alpha_sum(n, 13, 10.0))
-            for n in (0, 13, 26, 39)
-        )
-        self.add("trivial-delta-character-sum", "character-sum-equals-gate", agree, 1e-8)
-        ns = [13 * 2**k for k in range(6)]
-        vals = [abs(trivial_delta(n, 13, 10.0)) for n in ns]
-        slope = loglog_slope([n / 10.0 for n in ns], vals)
-        self.add(
-            "trivial-delta-decay",
-            "oscillatory-integral-ibp-decay",
-            slope,
-            -2.8,
-            values={"slope": slope, "points": vals},
-        )
-        # averaged detector, random exactness suite
-        cfg = PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120)))
-        t0 = time.perf_counter()
-        worst = 0.0
-        for _ in range(1000):
-            r = int(rng.integers(1, 160))
-            n = int(rng.integers(1, 160))
-            worst = max(worst, abs(averaged_delta(r, n, cfg) - averaged_delta_alpha_sum(r, n, cfg)))
-        self.add("averaged-delta-exactness", "averaged-delta-closed-form", worst, 1e-8)
-        self.checks[-1].runtime = time.perf_counter() - t0
-
-    def run_statphase(self):
-        window_u = make_window_u()
-        rng = np.random.default_rng(self.spec.seed)
-        t0 = time.perf_counter()
-        rel_errors = []
-        betas = []
-        for _ in range(40):
-            beta = float(rng.uniform(50.0, 800.0))
-            x0 = float(rng.uniform(1.0, 2.0))
-            r = beta / (2 * math.pi * x0)
-            s = complex(1.0, beta)
-            direct = u_dagger_direct(window_u, r, s, tol=1e-12)
-            asym = u_dagger_asymptotic(window_u, r, s)
-            rel_errors.append(abs(direct.value - asym.value) / abs(direct.value))
-            betas.append(beta)
-        slope, _, _ = loglog_fit(betas, rel_errors)
-        self.add(
-            "fourier-mellin-two-method",
-            "twisted-mellin-stationary-expansion",
-            slope,
-            -1.8,
-            values={"slope": slope, "max_rel_err": max(rel_errors)},
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        no_stat = u_dagger_direct(window_u, -1000.0 / (2 * math.pi * 1.5), complex(1.0, 1000.0), tol=1e-12)
-        self.add(
-            "fourier-mellin-no-stationary",
-            "twisted-mellin-rapid-decay",
-            abs(no_stat.value),
-            1e-6,
-        )
-        # phase profiles of the archimedean factors
-        form = self.form(100)
-        t0 = time.perf_counter()
-        worst = 0.0
-        for tau in (1e2, 1e3, 1e4):
-            prof = stirling_profile(form.kind, tau)
-            worst = max(
-                worst,
-                abs(prof.leading_phase * prof.residual - gamma_factor(form.kind, 1 + 1j * tau)),
-            )
-        self.add("stirling-profile-identity", "leading-phase-factorization", worst, 1e-10)
-        taus = np.geomspace(1e2, 1e4, 9)
-        derivs = [abs(residual_derivative(form.kind, float(tt))) for tt in taus]
-        slope = loglog_slope(taus, derivs)
-        self.add(
-            "stirling-residual-derivative",
-            "residual-derivative-decay",
-            slope,
-            -0.9,
-            values={"slope": slope},
-        )
-        ratio_worst = 0.0
-        for sigma in (0.25, 0.5, 1.0):
-            for tau in np.geomspace(10, 1e4, 13):
-                val = abs(gamma_factor(form.kind, complex(sigma, tau)))
-                ratio_worst = max(ratio_worst, val / (1.0 + tau ** (sigma - 1.0)))
-        self.add(
-            "gamma-factor-growth-bound",
-            "factor-polynomial-growth",
-            ratio_worst,
-            10.0,
-            values={"max_ratio": ratio_worst},
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-
-    def run_pipeline(self):
-        form = self.form(60000)  # the dual-sum doubling sweep reaches 2 x n_cut
-        t0 = time.perf_counter()
-        kwargs = dict(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120)))
-        if self.spec.budget is not None:
-            # an explicit ceiling also caps the stratum-sum evaluation count
-            kwargs["eval_budget"] = float(self.spec.budget)
-        cfg = PipelineConfig(**kwargs)
-        split = s_split(form, cfg)
-        self.add(
-            "smoothed-sum-decomposition",
-            "averaged-delta-stratification",
-            split.residual,
-            1e-6,
-            values={
-                "s_star": _fmt_complex(split.s_star),
-                "s_flat": _fmt_complex(split.s_flat),
-                "diagonal_gap": split.diagonal_gap,
-            },
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        if form.eta is None:
-            window = make_window_v()
-            calibrate_eta(
-                form,
-                [
-                    VoronoiInstance(form, a=1, c=1, window=window, scale=20.0),
-                    VoronoiInstance(form, a=1, c=3, window=window, scale=50.0),
-                ],
-                transform=self.transform(form),
-            )
-        dual_cfg = PipelineConfig(
-            N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=30000, tau_cut=1500.0, r_cut=24
-        )
-        res = dual_identity_check(form, dual_cfg, sweep=True)
-        stable = max(res.stability.values()) if res.stability else 0.0
-        self.add(
-            "dual-summation-identity",
-            "voronoi-poisson-dual-representation",
-            res.residual,
-            1e-3,
-            values={
-                "direct": _fmt_complex(res.s_c_direct),
-                "dual": _fmt_complex(res.s_c_dual),
-                "stability": res.stability,
-            },
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        # doubling moves must sit two decades below the claimed tolerance
-        self.add(
-            "dual-summation-stability",
-            "truncation-doubling-stability",
-            stable,
-            1e-3 / 20,
-        )
-
-    def run_afe(self):
-        form = self.form()
-        t0 = time.perf_counter()
-        base = afe_value(form, 0.0)
-        other = afe_value(form, 0.0, AfeConfig(weight=weight_quartic))
-        self.add(
-            "afe-two-weight-agreement",
-            "weight-independence-of-central-value",
-            abs(base.value - other.value),
-            1e-6,
-            values={"central_value": _fmt_complex(base.value), "n_used": base.n_used},
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        self.add(
-            "afe-central-reality",
-            "self-dual-central-reality",
-            abs(base.value.imag),
-            1e-8,
-        )
-        plus = afe_value(form, 5.0)
-        minus = afe_value(form, -5.0)
-        self.add(
-            "afe-conjugate-symmetry",
-            "reflection-symmetry-on-critical-line",
-            abs(minus.value - np.conj(plus.value)),
-            1e-8,
-        )
-        doubled = afe_value(form, 5.0, AfeConfig(n_afe=2 * plus.n_used))
-        self.add(
-            "afe-truncation-stability",
-            "weight-decay-past-effective-length",
-            abs(plus.value - doubled.value),
-            1e-8,
-        )
-        # Hecke and Rankin checks live here as coefficient-side validation
-        t0 = time.perf_counter()
-        report = hecke_verify(form, 10000)
-        self.add(
-            "hecke-multiplicativity",
-            "eigenvalue-multiplicative-relations",
-            report.max_violation,
-            1e-12,
-            values={"pairs": report.pairs_checked, "prime_powers": report.prime_power_checked},
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        avgs = rankin_average(form, [100, 1000, 10000])
-        slope = loglog_slope([x for x, _ in avgs], [x * a for x, a in avgs])
-        self.add(
-            "rankin-average-growth",
-            "second-moment-linear-growth",
-            abs(slope - 1.0),
-            0.15,
-            values={"slope": slope, "averages": [[x, a] for x, a in avgs]},
-        )
-
-    def run_scan(self):
-        form = self.form()
-        grid = np.linspace(self.spec.t_min, self.spec.t_max, self.spec.samples)
-        t0 = time.perf_counter()
-        scan = growth_scan(form, grid)
-        self.add(
-            "growth-scan-exponent",
-            "critical-line-growth-envelope",
-            scan.exponent,
-            0.5,
-            values={
-                "exponent": scan.exponent,
-                "stderr": scan.exponent_stderr,
-                "samples": len(scan.records),
-                "flagged_records": sum(r.flagged for r in scan.records),
-                "disclaimer": scan.disclaimer,
-            },
-        )
-        self.checks[-1].runtime = time.perf_counter() - t0
-        self._scan = scan
-        return scan
-
-    def run(self) -> int:
-        suite = self.spec.suite
-        suites = {
-            "voronoi": [self.run_voronoi],
-            "delta": [self.run_delta],
-            "statphase": [self.run_statphase],
-            "pipeline": [self.run_pipeline],
-            "afe": [self.run_afe],
-            "scan": [self.run_scan],
-            "all": [
-                self.run_delta,
-                self.run_statphase,
-                self.run_voronoi,
-                self.run_pipeline,
-                self.run_afe,
-                self.run_scan,
-            ],
-        }
-        if suite not in suites:
-            raise ToolkitError(f"unknown suite {suite!r}")
-        try:
-            for fn in suites[suite]:
-                fn()
-        except BudgetExceededError:
-            self.budget_exhausted = True
-        return (
-            EXIT_BUDGET
-            if self.budget_exhausted
-            else (EXIT_OK if all(c.passed for c in self.checks) else EXIT_CHECK_FAILED)
-        )
-
-    def report(self) -> Dict:
-        deterministic = {
-            "suite": self.spec.suite,
-            "seed": self.spec.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "anchor": c.anchor,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "values": c.values,
-                }
-                for c in self.checks
-            ],
-            "calibration": self.calibration,
-            "all_passed": all(c.passed for c in self.checks),
-            "budget_exhausted": self.budget_exhausted,
-        }
-        deterministic["timing"] = {c.name: c.runtime for c in self.checks}
-        return deterministic
+def suite_report(suite: str, ctx: CheckContext, results: List[CheckResult], status: int) -> Dict:
+    return {
+        "suite": suite,
+        "seed": ctx.seed,
+        "checks": [
+            {
+                "name": r.name,
+                "anchor": r.anchor,
+                "residual": r.residual,
+                "tolerance": r.tolerance,
+                "passed": r.passed,
+                "values": r.values,
+            }
+            for r in results
+        ],
+        "calibration": ctx.calibration,
+        "all_passed": all(r.passed for r in results),
+        "budget_exhausted": status == EXIT_BUDGET,
+        "timing": {r.name: r.runtime for r in results},
+    }
 
 
 def _write_report(report: Dict, path: Optional[str]):
@@ -514,9 +98,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=["voronoi", "delta", "statphase", "pipeline", "afe", "scan", "all"])
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
     p_verify.add_argument("--form", dest="form_path")
-    p_verify.add_argument("--config", dest="config_path")
     p_verify.add_argument("--output", dest="output_path")
     p_verify.add_argument("--csv", dest="csv_path")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -553,8 +136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         budget = int(budget_env)
     if getattr(args, "budget", None):
         budget = args.budget
-    if budget is not None:
-        oscillate.DEFAULT_CELL_BUDGET = budget
 
     try:
         if args.command == "export-form":
@@ -570,62 +151,32 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
         if args.command == "calibrate":
             form = load_form(args.form_path) if args.form_path else delta_form(20000)
-            window = make_window_v()
-            eta = calibrate_eta(
-                form,
-                [
-                    VoronoiInstance(form, a=1, c=1, window=window, scale=20.0),
-                    VoronoiInstance(form, a=1, c=3, window=window, scale=50.0),
-                ],
-            )
+            eta = calibrate(form)
             report = {
-                "eta": _fmt_complex(eta),
+                "eta": fmt_complex(eta),
                 "eta_modulus_raw": form.eta_modulus_raw,
                 "probe_spread": form.eta_probe_spread,
             }
             _write_report(report, args.output_path)
             return EXIT_OK
+        # verify and scan
+        suite = "scan" if args.command == "scan" else args.suite
+        ctx = CheckContext(
+            seed=args.seed,
+            budget=budget,
+            form_path=args.form_path,
+            scan_grid=np.linspace(args.t_min, args.t_max, args.samples),
+        )
+        results, status = run_suite(suite, ctx)
+        if args.csv_path and "scan" in ctx.cache:
+            _write_scan_csv(ctx.cache["scan"], args.csv_path)
+        _write_report(suite_report(suite, ctx, results, status), args.output_path)
         if args.command == "scan":
-            spec = ExperimentSpec(
-                suite="scan",
-                form_path=args.form_path,
-                output_path=args.output_path,
-                csv_path=args.csv_path,
-                seed=args.seed,
-                t_min=args.t_min,
-                t_max=args.t_max,
-                samples=args.samples,
-            )
-            runner = SuiteRunner(spec)
-            status = runner.run()
-            if args.csv_path:
-                _write_scan_csv(runner._scan, args.csv_path)
-            _write_report(runner.report(), args.output_path)
             # the scan command is a data product: the exponent sanity check
             # is recorded in the report but only `verify scan` gates on it
             return status if status == EXIT_BUDGET else EXIT_OK
-        # verify
-        overrides = _parse_config_file(args.config_path) if args.config_path else {}
-        spec = ExperimentSpec(
-            suite=args.suite,
-            form_path=args.form_path,
-            output_path=args.output_path,
-            csv_path=args.csv_path,
-            seed=args.seed,
-            budget=budget,
-            t_min=args.t_min,
-            t_max=args.t_max,
-            samples=args.samples,
-            overrides=overrides,
-        )
-        runner = SuiteRunner(spec)
-        status = runner.run()
-        if args.csv_path and hasattr(runner, "_scan"):
-            _write_scan_csv(runner._scan, args.csv_path)
-        _write_report(runner.report(), args.output_path)
-        for c in runner.checks:
-            flag = "PASS" if c.passed else "FAIL"
-            print(f"[{flag}] {c.name}: residual {c.residual:.3e} vs tol {c.tolerance:.3e}")
+        for r in results:
+            print(r.line())
         return status
     except (FormFileError, HeckeViolationError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

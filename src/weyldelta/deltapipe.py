@@ -63,13 +63,15 @@ def _window_u() -> SmoothWindow:
     return make_window_u()
 
 
-def _window_fourier(window: SmoothWindow, theta: float) -> complex:
-    """int e(theta x) window(x) dx over the support.
+def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = None) -> complex:
+    """int e(theta x) window(x) dx over the support, in at most `budget` cells.
 
     Raises BudgetExceededError instead of returning the truncated value of
     an exhausted cell budget, so no caller (or cache) keeps it.
     """
-    res = integrate_1d(lambda x: window(x), lambda x: theta * x, *window.support, tol=1e-13)
+    res = integrate_1d(
+        lambda x: window(x), lambda x: theta * x, *window.support, tol=1e-13, budget=budget
+    )
     if res.budget_exhausted:
         raise BudgetExceededError(
             f"window Fourier integral at theta = {theta:.6g} exhausted {res.cells} cells"
@@ -78,9 +80,9 @@ def _window_fourier(window: SmoothWindow, theta: float) -> complex:
 
 
 @functools.lru_cache(maxsize=4096)
-def _fourier_v(theta: float) -> complex:
-    """int e(theta x) V(x) dx over the V support."""
-    return _window_fourier(_window_v(), theta)
+def _fourier_v(theta: float, budget: Optional[int] = None) -> complex:
+    """int e(theta x) V(x) dx over the V support (the budget is part of the cache key)."""
+    return _window_fourier(_window_v(), theta, budget)
 
 
 @dataclass
@@ -155,30 +157,35 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def trivial_delta(n: int, q: int, X: float, window: Optional[SmoothWindow] = None) -> complex:
+def trivial_delta(
+    n: int, q: int, X: float, window: Optional[SmoothWindow] = None, budget: Optional[int] = None
+) -> complex:
     """Single-modulus delta detector for the event n = 0.
 
     Exactly [q | n] * int e(n x / X) V(x) dx: the full additive character
     sum over alpha mod q is an integer divisibility gate, evaluated as such
     (so 0 < |n| < q returns complex zero bit-exactly), while the x-integral
-    is an oscillatory quadrature. Requires q > X^(1+eps).
+    is an oscillatory quadrature in at most `budget` cells. Requires
+    q > X^(1+eps).
     """
     if q <= X ** (1 + EPS_RANGE):
         raise PreconditionError(f"q = {q} must exceed X^(1+eps) = {X ** (1 + EPS_RANGE):.2f}")
     if n % q != 0:
         return 0.0 + 0.0j
-    return _window_fourier(window or _window_v(), n / X)
+    return _window_fourier(window or _window_v(), n / X, budget)
 
 
-def trivial_delta_alpha_sum(n: int, q: int, X: float, window: Optional[SmoothWindow] = None) -> complex:
+def trivial_delta_alpha_sum(
+    n: int, q: int, X: float, window: Optional[SmoothWindow] = None, budget: Optional[int] = None
+) -> complex:
     """Same quantity with the character sum evaluated numerically (oracle)."""
     v = window or _window_v()
     alpha = np.arange(q)
     gate = np.sum(np.exp(2j * np.pi * ((n * alpha) % q) / q)) / q
-    return complex(gate * _window_fourier(v, n / X))
+    return complex(gate * _window_fourier(v, n / X, budget))
 
 
-def averaged_delta(r: int, n: int, cfg: PipelineConfig) -> complex:
+def averaged_delta(r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None) -> complex:
     """Averaged delta detector for r = n over the prime set.
 
     Closed form: (#{p in PP : p | r-n} / P*) * int e(K(r-n)x/N) V(x) dx,
@@ -194,10 +201,12 @@ def averaged_delta(r: int, n: int, cfg: PipelineConfig) -> complex:
     count = sum(1 for p in cfg.prime_set if d % p == 0)
     if count == 0:
         return 0.0 + 0.0j
-    return (count / len(cfg.prime_set)) * _fourier_v(cfg.K * d / cfg.N)
+    return (count / len(cfg.prime_set)) * _fourier_v(cfg.K * d / cfg.N, budget)
 
 
-def averaged_delta_alpha_sum(r: int, n: int, cfg: PipelineConfig) -> complex:
+def averaged_delta_alpha_sum(
+    r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None
+) -> complex:
     """Averaged delta with every character sum carried out numerically."""
     if not cfg.prime_set:
         raise PreconditionError("prime_set is empty")
@@ -207,7 +216,7 @@ def averaged_delta_alpha_sum(r: int, n: int, cfg: PipelineConfig) -> complex:
         alpha = np.arange(p)
         gate += np.sum(np.exp(2j * np.pi * ((d * alpha) % p) / p)) / p
     gate /= len(cfg.prime_set)
-    integral = 1.0 + 0.0j if d == 0 else _fourier_v(cfg.K * d / cfg.N)
+    integral = 1.0 + 0.0j if d == 0 else _fourier_v(cfg.K * d / cfg.N, budget)
     return gate * integral
 
 
@@ -257,48 +266,56 @@ def _x_rule(cfg: PipelineConfig):
     return panel_rule(1.0, 2.0, panels, 16)
 
 
-def s_split(form: CuspForm, cfg: PipelineConfig) -> SplitResult:
+class _Strata:
+    """The (alphas, modulus) strata of the delta-expanded S(N) at one config.
+
+    A stratum is sum_alpha int V(x) A(x; alpha) B(x; alpha) dx, with A the
+    r-side sum of r^(-it) U(r/N) e(alpha r / modulus + K r x / N) and B the
+    n-side sum of lambda(n) V(n/N) e(-alpha n / modulus - K n x / N), so
+    each stratum is two matrix products. The x-dependent factors are built
+    once per config and shared by every stratum (alpha = 0 mod 1 is the
+    flat one).
+    """
+
+    def __init__(self, form: CuspForm, cfg: PipelineConfig):
+        self.n_range, self.r_range = (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
+        v, u = _window_v(), _window_u()
+        self.ns = np.arange(n_lo, n_hi + 1)
+        self.rs = np.arange(r_lo, r_hi + 1)
+        self.lam_n = form.lam[n_lo - 1 : n_hi] * v(self.ns / cfg.N)
+        self.amp_r = np.exp(-1j * cfg.t * np.log(self.rs.astype(float))) * u(self.rs / cfg.N)
+        xs, ws = _x_rule(cfg)
+        self.n_x = len(xs)
+        # x-dependent oscillation factors with the amplitudes folded in: (r, x) and (n, x)
+        self.ar = self.amp_r[:, None] * np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(self.rs, xs))
+        self.bn = self.lam_n[:, None] * np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(self.ns, xs))
+        self.vx = v(xs) * ws
+
+    def __call__(self, alphas, modulus: int) -> complex:
+        er = np.exp(2j * np.pi * np.outer(alphas, self.rs % modulus) / modulus)  # (alpha, r)
+        en = np.exp(-2j * np.pi * np.outer(alphas, self.ns % modulus) / modulus)  # (alpha, n)
+        return complex(np.sum(self.vx[None, :] * (er @ self.ar) * (en @ self.bn)))
+
+
+def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -> SplitResult:
     """Evaluate S_star + S_flat and compare against the delta-expanded sum.
 
     S_star runs the nonzero residues alpha mod p with the x-integral kept
-    inside; the integrand factorizes as A(x; alpha, p) * B(x; alpha, p) *
-    V(x) with A the r-side and B the n-side sum, so each stratum is two
-    matrix products. S_flat is the alpha = 0 stratum. The reference double
-    sum applies the closed-form averaged delta termwise.
+    inside, S_flat is the alpha = 0 stratum (see :class:`_Strata`). The
+    reference double sum applies the closed-form averaged delta termwise,
+    its window Fourier integrals in at most `budget` cells each.
     """
     cfg.validate(level=form.level, need_primes=True)
-    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
-    v, u = _window_v(), _window_u()
+    strata = _Strata(form, cfg)
+    (n_lo, n_hi), (r_lo, r_hi) = strata.n_range, strata.r_range
+    lam_n, amp_r = strata.lam_n, strata.amp_r
     pstar = len(cfg.prime_set)
-    ns = np.arange(n_lo, n_hi + 1)
-    rs = np.arange(r_lo, r_hi + 1)
-    lam_n = form.lam[n_lo - 1 : n_hi] * v(ns / cfg.N)
-    amp_r = np.exp(-1j * cfg.t * np.log(rs.astype(float))) * u(rs / cfg.N)
+    evaluations = strata.n_x * (len(strata.ns) + len(strata.rs)) * sum(cfg.prime_set)
+    if evaluations > cfg.eval_budget:
+        raise BudgetExceededError(f"stratum sums need ~{evaluations:.2e} evaluations")
 
-    xs, ws = _x_rule(cfg)
-    budget = len(xs) * (len(ns) + len(rs)) * sum(cfg.prime_set)
-    if budget > cfg.eval_budget:
-        raise BudgetExceededError(f"stratum sums need ~{budget:.2e} evaluations")
-
-    # x-dependent oscillation factors, shared by all strata
-    fr = np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(rs, xs))  # (r, x)
-    fn = np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(ns, xs))  # (n, x)
-    vx = v(xs) * ws
-
-    a0 = amp_r @ fr  # (x,)
-    b0 = lam_n @ fn
-    flat_integral = np.sum(vx * a0 * b0)
-    s_flat = flat_integral / pstar * sum(1.0 / p for p in cfg.prime_set)
-
-    s_star = 0.0 + 0.0j
-    for p in cfg.prime_set:
-        alphas = np.arange(1, p)
-        er = np.exp(2j * np.pi * np.outer(alphas, rs % p) / p)  # (alpha, r)
-        en = np.exp(-2j * np.pi * np.outer(alphas, ns % p) / p)  # (alpha, n)
-        a_mat = er @ (amp_r[:, None] * fr)  # (alpha, x)
-        b_mat = en @ (lam_n[:, None] * fn)
-        s_star += np.sum(vx[None, :] * a_mat * b_mat) / p
-    s_star /= pstar
+    s_flat = strata([0], 1) / pstar * sum(1.0 / p for p in cfg.prime_set)
+    s_star = sum(strata(np.arange(1, p), p) / p for p in cfg.prime_set) / pstar
 
     # closed-form reference: group by difference d = r - n
     double = 0.0 + 0.0j
@@ -311,7 +328,7 @@ def s_split(form: CuspForm, cfg: PipelineConfig) -> SplitResult:
             if count == 0:
                 continue
             gate = count / pstar
-            integral = _fourier_v(cfg.K * d / cfg.N)
+            integral = _fourier_v(cfg.K * d / cfg.N, budget)
         lo = max(n_lo, r_lo - d)
         hi = min(n_hi, r_hi - d)
         if lo > hi:
@@ -585,29 +602,11 @@ def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
     """S_c(N) from its definition: nonzero residues alpha mod c, both sums
     and the coupling x-integral evaluated directly (c = 1 means the single
     alpha = 0 stratum)."""
-    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
-    v, u = _window_v(), _window_u()
+    strata = _Strata(form, cfg)
     pstar = max(len(cfg.prime_set), 1)
-    ns = np.arange(n_lo, n_hi + 1)
-    rs = np.arange(r_lo, r_hi + 1)
-    lam_n = form.lam[n_lo - 1 : n_hi] * v(ns / cfg.N)
-    amp_r = np.exp(-1j * cfg.t * np.log(rs.astype(float))) * u(rs / cfg.N)
-    xs, ws = _x_rule(cfg)
-    fr = np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(rs, xs))
-    fn = np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(ns, xs))
-    vx = v(xs) * ws
     if c == 1:
-        a0 = amp_r @ fr
-        b0 = lam_n @ fn
-        total = np.sum(vx * a0 * b0)
-        return complex(total / pstar * sum(1.0 / p for p in cfg.prime_set or (1,)))
-    alphas = np.arange(1, c)
-    er = np.exp(2j * np.pi * np.outer(alphas, rs % c) / c)
-    en = np.exp(-2j * np.pi * np.outer(alphas, ns % c) / c)
-    a_mat = er @ (amp_r[:, None] * fr)
-    b_mat = en @ (lam_n[:, None] * fn)
-    total = np.sum(vx[None, :] * a_mat * b_mat)
-    return complex(total / (pstar * c))
+        return strata([0], 1) / pstar * sum(1.0 / p for p in cfg.prime_set or (1,))
+    return strata(np.arange(1, c), c) / (pstar * c)
 
 
 def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):

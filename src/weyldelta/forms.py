@@ -24,6 +24,7 @@ from .errors import (
     HeckeViolationError,
     PreconditionError,
 )
+from .numerics import primes_in
 from .specialfn import GammaFactorKind, holomorphic_kind, maass_kind
 
 MAX_TAU_RANGE = 10**6
@@ -192,7 +193,7 @@ def hecke_verify(form: CuspForm, n_max: Optional[int] = None) -> HeckeReport:
                     first = (m, n, diff)
     # p-power recursion
     ppow = 0
-    for p in _primes_upto(n_hi):
+    for p in primes_in(2, n_hi):
         chi_p = form.chi_at(p)
         k = 1
         while p ** (k + 1) <= n_hi:
@@ -211,17 +212,6 @@ def hecke_verify(form: CuspForm, n_max: Optional[int] = None) -> HeckeReport:
         prime_power_checked=ppow,
         first_violation=first,
     )
-
-
-def _primes_upto(n: int):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i, v in enumerate(sieve) if v]
 
 
 def rankin_average(form: CuspForm, x_values: Sequence[int]):
@@ -399,7 +389,7 @@ def multiplicative_extension(prime_values: dict, chi: np.ndarray, level: int, n_
     lam = np.zeros(n_max, dtype=complex)
     lam[0] = 1.0
     spf = np.zeros(n_max + 1, dtype=int)
-    for p in _primes_upto(n_max):
+    for p in primes_in(2, n_max):
         spf[p::p][spf[p::p] == 0] = p
     for n in range(2, n_max + 1):
         p = int(spf[n])

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .numerics import gauss_legendre, loglog_slope
 
 DEFAULT_CELL_BUDGET = 10**6
@@ -167,6 +167,7 @@ def decay_probe(
     |f'| >= B on its interval (verified by sampling; violation raises).
     Realizing the integration-by-parts gain means the fitted log-log slope
     is <= -j + 0.2 for j differentiations; j = 0 probes the trivial bound.
+    Raises BudgetExceededError when a quadrature exhausts its cell budget.
     """
     if j < 0 or j > 4:
         raise PreconditionError("decay probe implemented for 0 <= j <= 4")
@@ -180,6 +181,8 @@ def decay_probe(
                 f"|f'| dips to {fp.min():.3g} below declared B = {b_val}"
             )
         res = integrate_1d(lambda x: prof.g(x, 0), lambda x: prof.f(x, 0), prof.a, prof.b, tol=tol)
+        if res.budget_exhausted:
+            raise BudgetExceededError(f"decay probe at B = {b_val} exhausted {res.cells} cells")
         values.append(res.value)
     slope = loglog_slope(b_values, values)
     return slope, values

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .oscillate import OscillatoryResult, PhaseProfile, integrate_1d
 from .testfn import SmoothWindow
 
@@ -179,7 +179,11 @@ def expand_stationary(profile: PhaseProfile, order: int = 1) -> StationaryExpans
 def u_dagger_direct(
     window: SmoothWindow, r: float, s: complex, tol: float = 1e-11, budget=None
 ) -> DaggerValue:
-    """W_dagger(r, s) by adaptive oscillatory quadrature over supp W."""
+    """W_dagger(r, s) by adaptive oscillatory quadrature over supp W.
+
+    Raises BudgetExceededError when the quadrature needs more than `budget`
+    cells, rather than returning the truncated value.
+    """
     a, b = window.support
     if a <= 0:
         raise PreconditionError("window must be supported in (0, infinity)")
@@ -192,6 +196,8 @@ def u_dagger_direct(
         return -r * x + beta * np.log(x) / (2 * math.pi)
 
     res: OscillatoryResult = integrate_1d(g, f, a, b, tol=tol, budget=budget)
+    if res.budget_exhausted:
+        raise BudgetExceededError(f"W_dagger at r = {r:.6g}, s = {s} exhausted {res.cells} cells")
     return DaggerValue(
         r=float(r),
         s=complex(s),

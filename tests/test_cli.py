@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import weyldelta
+from weyldelta.checks import CHECKS, SUITES, checks_for
 from weyldelta.cli import main
 from weyldelta.forms import delta_form, export_form
 
@@ -73,12 +74,32 @@ def test_verify_afe_suite(tmp_path):
 
 
 def test_exhausted_budget_exits_2(tmp_path):
-    # a subprocess: main() sets the cell budget for the rest of its process
-    proc = run_cli_process(
-        ["verify", "delta", "--output", str(tmp_path / "r.json")], WEYL_DELTA_BUDGET="3"
-    )
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert json.loads((tmp_path / "r.json").read_text())["budget_exhausted"] is True
+    # delta exhausts it in the window Fourier integrals, statphase in W_dagger
+    for suite in ("delta", "statphase"):
+        report_path = tmp_path / f"{suite}.json"
+        proc = run_cli_process(
+            ["verify", suite, "--output", str(report_path)], WEYL_DELTA_BUDGET="3"
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert json.loads(report_path.read_text())["budget_exhausted"] is True
+
+
+def test_budget_does_not_outlive_main(monkeypatch, tmp_path):
+    monkeypatch.setenv("WEYL_DELTA_BUDGET", "3")
+    assert run_cli(["verify", "delta", "--output", str(tmp_path / "r1.json")]) == 2
+    monkeypatch.delenv("WEYL_DELTA_BUDGET")
+    assert run_cli(["verify", "delta", "--output", str(tmp_path / "r2.json")]) == 0
+
+
+def test_registry_entries_and_suites():
+    names = [check.name for check in CHECKS]
+    assert len(names) == len(set(names))
+    assert all(check.anchor for check in CHECKS)
+    documented = ("delta", "statphase", "voronoi", "pipeline", "afe", "scan")  # `verify all` order
+    assert SUITES == documented
+    for suite in documented:
+        assert checks_for(suite)
+    assert checks_for("all") == [check for suite in documented for check in checks_for(suite)]
 
 
 def test_verify_report_deterministic(tmp_path):
@@ -88,9 +109,12 @@ def test_verify_report_deterministic(tmp_path):
     assert run_cli(["verify", "delta", "--output", str(p2), "--seed", "7"]) == 0
     r1 = json.loads(p1.read_text())
     r2 = json.loads(p2.read_text())
-    r1.pop("timing")
+    timing = r1.pop("timing")
     r2.pop("timing")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    # the runner times every check itself
+    assert sorted(timing) == sorted(check["name"] for check in r1["checks"])
+    assert all(runtime > 0 for runtime in timing.values())
 
 
 def test_scan_writes_csv_and_report(tmp_path):

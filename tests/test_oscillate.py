@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weyldelta.errors import PreconditionError
+from weyldelta import oscillate
+from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.oscillate import (
     PhaseProfile,
     decay_probe,
@@ -117,6 +118,12 @@ def test_decay_probe_degenerate_j_zero():
     # still steep for these integrals but must satisfy the trivial bound
     slope, _ = decay_probe(_linear_phase_profile, [16.0, 32.0], j=0)
     assert slope <= 0.2
+
+
+def test_decay_probe_raises_on_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(oscillate, "DEFAULT_CELL_BUDGET", 3)
+    with pytest.raises(BudgetExceededError):
+        decay_probe(_linear_phase_profile, [16.0, 32.0], j=2)
 
 
 def test_decay_probe_detects_precondition_violation():
