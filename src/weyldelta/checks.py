@@ -70,7 +70,6 @@ class CheckContext:
         self,
         seed: int = 0,
         budget: Optional[int] = None,
-        form: Optional[CuspForm] = None,
         form_path: Optional[str] = None,
         scan_grid: Sequence[float] = tuple(np.linspace(10.0, 500.0, 200)),
     ):
@@ -80,7 +79,7 @@ class CheckContext:
         self.scan_grid = scan_grid
         self.cache: Dict[str, object] = {}
         self.calibration: Dict[str, object] = {}
-        self._form = form
+        self._form: Optional[CuspForm] = None
 
     def form(self, n_max: int = 30000) -> CuspForm:
         if self.form_path:

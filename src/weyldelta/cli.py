@@ -134,7 +134,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     budget_env = os.environ.get("WEYL_DELTA_BUDGET")
     if budget_env:
         budget = int(budget_env)
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         budget = args.budget
 
     try:

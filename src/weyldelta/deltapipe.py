@@ -266,6 +266,17 @@ def _x_rule(cfg: PipelineConfig):
     return panel_rule(1.0, 2.0, panels, 16)
 
 
+def _amplitudes(form: CuspForm, cfg: PipelineConfig):
+    """(ns, lambda(n) V(n/N), rs, r^(-it) U(r/N)) over the index ranges."""
+    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
+    v, u = _window_v(), _window_u()
+    ns = np.arange(n_lo, n_hi + 1)
+    rs = np.arange(r_lo, r_hi + 1)
+    lam_n = form.lam[n_lo - 1 : n_hi] * v(ns / cfg.N)
+    amp_r = np.exp(-1j * cfg.t * np.log(rs.astype(float))) * u(rs / cfg.N)
+    return ns, lam_n, rs, amp_r
+
+
 class _Strata:
     """The (alphas, modulus) strata of the delta-expanded S(N) at one config.
 
@@ -277,19 +288,13 @@ class _Strata:
     flat one).
     """
 
-    def __init__(self, form: CuspForm, cfg: PipelineConfig):
-        self.n_range, self.r_range = (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
-        v, u = _window_v(), _window_u()
-        self.ns = np.arange(n_lo, n_hi + 1)
-        self.rs = np.arange(r_lo, r_hi + 1)
-        self.lam_n = form.lam[n_lo - 1 : n_hi] * v(self.ns / cfg.N)
-        self.amp_r = np.exp(-1j * cfg.t * np.log(self.rs.astype(float))) * u(self.rs / cfg.N)
+    def __init__(self, cfg: PipelineConfig, ns, lam_n, rs, amp_r):
         xs, ws = _x_rule(cfg)
-        self.n_x = len(xs)
+        self.ns, self.rs = ns, rs
         # x-dependent oscillation factors with the amplitudes folded in: (r, x) and (n, x)
-        self.ar = self.amp_r[:, None] * np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(self.rs, xs))
-        self.bn = self.lam_n[:, None] * np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(self.ns, xs))
-        self.vx = v(xs) * ws
+        self.ar = amp_r[:, None] * np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(rs, xs))
+        self.bn = lam_n[:, None] * np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(ns, xs))
+        self.vx = _window_v()(xs) * ws
 
     def __call__(self, alphas, modulus: int) -> complex:
         er = np.exp(2j * np.pi * np.outer(alphas, self.rs % modulus) / modulus)  # (alpha, r)
@@ -306,14 +311,14 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
     its window Fourier integrals in at most `budget` cells each.
     """
     cfg.validate(level=form.level, need_primes=True)
-    strata = _Strata(form, cfg)
-    (n_lo, n_hi), (r_lo, r_hi) = strata.n_range, strata.r_range
-    lam_n, amp_r = strata.lam_n, strata.amp_r
+    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
+    ns, lam_n, rs, amp_r = _amplitudes(form, cfg)
     pstar = len(cfg.prime_set)
-    evaluations = strata.n_x * (len(strata.ns) + len(strata.rs)) * sum(cfg.prime_set)
+    evaluations = len(_x_rule(cfg)[0]) * (len(ns) + len(rs)) * sum(cfg.prime_set)
     if evaluations > cfg.eval_budget:
         raise BudgetExceededError(f"stratum sums need ~{evaluations:.2e} evaluations")
 
+    strata = _Strata(cfg, ns, lam_n, rs, amp_r)
     s_flat = strata([0], 1) / pstar * sum(1.0 / p for p in cfg.prime_set)
     s_star = sum(strata(np.arange(1, p), p) / p for p in cfg.prime_set) / pstar
 
@@ -602,7 +607,7 @@ def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
     """S_c(N) from its definition: nonzero residues alpha mod c, both sums
     and the coupling x-integral evaluated directly (c = 1 means the single
     alpha = 0 stratum)."""
-    strata = _Strata(form, cfg)
+    strata = _Strata(cfg, *_amplitudes(form, cfg))
     pstar = max(len(cfg.prime_set), 1)
     if c == 1:
         return strata([0], 1) / pstar * sum(1.0 / p for p in cfg.prime_set or (1,))

@@ -12,14 +12,15 @@ and 99.
 import pytest
 
 from weyldelta.checks import CHECKS, CheckContext
-from weyldelta.forms import delta_form
 
 ELAPSED_BOUNDS = {1: 600.0, 6: 300.0, 7: 1800.0, 10: 3600.0}  # seconds
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return CheckContext(form=delta_form(60000))
+    ctx = CheckContext()
+    ctx.form(60000)
+    return ctx
 
 
 def gate(criterion, ctx):

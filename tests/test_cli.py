@@ -89,6 +89,8 @@ def test_budget_does_not_outlive_main(monkeypatch, tmp_path):
     assert run_cli(["verify", "delta", "--output", str(tmp_path / "r1.json")]) == 2
     monkeypatch.delenv("WEYL_DELTA_BUDGET")
     assert run_cli(["verify", "delta", "--output", str(tmp_path / "r2.json")]) == 0
+    # --budget 0 is a budget, as WEYL_DELTA_BUDGET=0 is
+    assert run_cli(["verify", "delta", "--budget", "0", "--output", str(tmp_path / "r3.json")]) == 2
 
 
 def test_registry_entries_and_suites():

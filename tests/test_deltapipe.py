@@ -181,9 +181,14 @@ def test_s_split_large_k_observation(form):
     assert res.residual <= 1e-6
 
 
-def test_s_split_budget_guard(form, cfg_split):
+def test_s_split_budget_guard(form, cfg_split, monkeypatch):
     import dataclasses
 
+    def no_tables(*args, **kwargs):
+        raise AssertionError("stratum tables built before the budget guard")
+
+    # the guard must fire before the (r x x) and (n x x) phase tables exist
+    monkeypatch.setattr(deltapipe, "_Strata", no_tables)
     tiny = dataclasses.replace(cfg_split, eval_budget=10.0)
     with pytest.raises(BudgetExceededError):
         s_split(form, tiny)
