@@ -319,7 +319,13 @@ def _voronoi_cell(ctx, scale, a, c):
     form = ctx.form()
     inst = VoronoiInstance(form, a=a, c=c, window=ctx.window_v, scale=scale)
     chk = voronoi_check(inst, transform=ctx.transform(form))
-    values = {"lhs": fmt_complex(chk.lhs), "rhs": fmt_complex(chk.rhs), "rhs_terms": chk.rhs_terms}
+    values = {
+        "lhs": fmt_complex(chk.lhs),
+        "rhs": fmt_complex(chk.rhs),
+        "rhs_terms": chk.rhs_terms,
+        "n_cut_wanted": chk.n_cut_wanted,
+        "n_cut_capped": chk.rhs_terms < chk.n_cut_wanted,
+    }
     return chk.residual, 1e-6, values
 
 

@@ -425,7 +425,8 @@ class DualKernel:
 
         Each row carries its own u quadrature sized by that row's maximal
         twist frequency, so large t or large |r| only inflate the rows that
-        need it.
+        need it. A row is one `PanelGrid.sums_at_freqs` at the frequencies
+        2 pi rho, i.e. (panels + 16) complex exponentials per x node.
         """
         if r not in self._udag_rows:
             cfg = self.cfg
@@ -434,13 +435,9 @@ class DualKernel:
             rho = cfg.N * r / self.c - cfg.K * self.x_nodes
             cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
             panels = max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
-            uu, wu = panel_rule(ua, ub, panels, 16)
-            amp = wu * u(uu) * np.exp(-1j * cfg.t * np.log(uu))
-            row = np.empty(len(rho), dtype=complex)
-            chunk = max(16, int(4e6 // max(len(uu), 1)))
-            for i in range(0, len(rho), chunk):
-                row[i : i + chunk] = np.exp(-2j * np.pi * np.outer(rho[i : i + chunk], uu)) @ amp
-            self._udag_rows[r] = row
+            grid = PanelGrid(ua, ub, panels, 16)
+            amp = grid.weights * u(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
+            self._udag_rows[r] = grid.sums_at_freqs(TWO_PI * rho, amp)
         return self._udag_rows[r]
 
     def gamma_on_grid(self, delta: int) -> np.ndarray:

@@ -55,7 +55,3 @@ class HeckeViolationError(ToolkitError, ValueError):
 
 class CalibrationError(ToolkitError, RuntimeError):
     """Calibration probes disagree beyond the consistency threshold."""
-
-
-class TruncationWarning(UserWarning):
-    """A truncated tail estimate exceeds the requested accuracy budget."""

@@ -68,9 +68,12 @@ class PanelGrid:
         self.nodes = (self.mids[:, None] + self.offsets[None, :]).ravel()
         self.weights = np.tile(half * w0, panels)
 
-    def _phase_blocks(self, freqs):
-        """(slice, exp(-i f mids), exp(-i f offsets)) over blocks of freqs."""
-        step = max(1, int(self.CHUNK // len(self.mids)))
+    def _phase_blocks(self, freqs, width: int = 1):
+        """(slice, exp(-i f mids), exp(-i f offsets)) over blocks of freqs.
+
+        A block's (freqs x panels x width) temporaries stay under CHUNK.
+        """
+        step = max(1, int(self.CHUNK // (len(self.mids) * width)))
         for i in range(0, len(freqs), step):
             f = freqs[i : i + step]
             mid = np.exp(-1j * np.outer(f, self.mids))
@@ -102,14 +105,26 @@ class PanelGrid:
     def sums_at_freqs(self, freqs, values) -> np.ndarray:
         """E @ values: sum over nodes of values(tau) exp(-i f tau), for each f.
 
-        Per block of frequencies it is one (J, order) @ (order, panels)
-        product followed by a row-wise product with exp(-i f mids).
+        `values` is (n_nodes,) or (n_nodes, C); the result is (J,) or (J, C).
+        Per block of frequencies it is one (J, order) @ (order, panels * C)
+        product followed by a row-wise product with exp(-i f mids), so all
+        C columns share one phase table.
         """
         freqs = np.asarray(freqs, dtype=float)
-        table = np.asarray(values).reshape(len(self.mids), len(self.offsets)).T
-        out = np.empty(len(freqs), dtype=complex)
-        for sl, mid, off in self._phase_blocks(freqs):
-            out[sl] = np.sum((off @ table) * mid, axis=1)
+        values = np.asarray(values)
+        n_mid, n_off = len(self.mids), len(self.offsets)
+        if values.ndim == 1:
+            table = values.reshape(n_mid, n_off).T
+            out = np.empty(len(freqs), dtype=complex)
+            for sl, mid, off in self._phase_blocks(freqs):
+                out[sl] = np.sum((off @ table) * mid, axis=1)
+            return out
+        width = values.shape[1]
+        table = values.reshape(n_mid, n_off, width).transpose(1, 0, 2).reshape(n_off, -1)
+        out = np.empty((len(freqs), width), dtype=complex)
+        for sl, mid, off in self._phase_blocks(freqs, width):
+            inner = (off @ table).reshape(len(mid), n_mid, width)
+            out[sl] = np.matmul(mid[:, None, :], inner)[:, 0, :]
         return out
 
 

@@ -17,8 +17,9 @@ against the archimedean factor of the form:
 with m_W(s) = int W(x) x^(-s/2) dx and the contour differential ds = i dtau.
 The inner x-integral is evaluated first (it decays superpolynomially in the
 contour height because W is smooth), then the tau-integral is truncated
-where that decay beats the tolerance. Panel widths shrink like
-1/log(tau) to track the accelerating gamma-factor phase.
+where that decay beats the tolerance. The tau panels all have the width
+that the gamma-factor phase needs at the top of the contour, where it turns
+fastest.
 
 eta has modulus one but is otherwise measured, not assumed:
 :func:`calibrate_eta` fits it across probe instances and the unconstrained
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import CalibrationError, PreconditionError
 from .forms import CuspForm
-from .numerics import edges_rule, modular_inverse, panel_rule, unit_phases
+from .numerics import PanelGrid, modular_inverse, panel_rule, unit_phases
 from .specialfn import GammaFactorKind, gamma_factor
 from .testfn import SmoothWindow
 
@@ -59,24 +60,41 @@ def default_sigma(kind: GammaFactorKind) -> float:
 class WhatTransform:
     """Precomputed evaluator for What_pm of one (kind, window) pair.
 
-    Two regimes:
+    Both regimes are sums over a factored :class:`PanelGrid`, so a value of
+    y costs (panels + 16) complex exponentials plus its share of one GEMM,
+    not one transcendental per (y, node) pair:
 
-    * y below `y_split`: the contour form, with m_W and the gamma factors
-      tabulated once on an oscillation-adapted tau grid; each value is then
-      a weighted dot product.
+    * y below `y_split` (every y for Maass kinds): the contour form. m_W and
+      the gamma factors are tabulated once on equal tau panels over
+      [0, tau_max]. The panel width is the one the phase
+      tau (log(tau / 4 pi) + |log y| / 2) needs at tau_max, where it turns
+      fastest, so GL-16 sees <= ~1.5 cycles per panel. The Mellin table is
+      one `sums_at_nodes` over the log-x rule, and
+
+          What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2)
+
+      is one `sums_at_freqs` at the frequencies log(y) / 2.
     * y above `y_split`, holomorphic kinds only: the same transform written
       against its oscillatory kernel. The contour collapses to the Mellin
-      representation of the order-(k-1) Bessel function, i.e.
+      representation of the order-(k-1) Bessel function; with x = u^2,
 
-          What_plus(y) = 2 pi i^k int W(x) J_{k-1}(4 pi sqrt(x y)) dx,
+          What_plus(y) = 2 pi i^k int W(x) J_{k-1}(4 pi sqrt(x y)) dx
+                       = 2 pi i^k int 2u W(u^2) J_{k-1}(omega u) du,   omega = 4 pi sqrt(y).
 
-      and the kernel's high-frequency expansion (three cosine and three
-      sine correction terms) is accurate to ~1e-10 relative once
-      4 pi sqrt(x y) >= 260. This keeps deep right-hand-side tails cheap;
-      the contour route would need absolute-accuracy levels that the
-      oscillatory cancellation there cannot deliver.
+      The Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
+      sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, is accurate to
+      ~1e-10 relative once v >= 260. Since v^(-j) = omega^(-j) u^(-j), the
+      regime is six column sums sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u)
+      on one u grid with 1.2 panels per cycle at the largest y. This keeps
+      deep right-hand-side tails cheap; the contour route would need
+      absolute-accuracy levels that the oscillatory cancellation there
+      cannot deliver.
 
-    Maass kinds always use the contour route.
+    Maass kinds always use the contour route, and its values there are not
+    converged: for maass_kind(9.5, 0) and y in [0.05, 4000], halving the tau
+    panel width moves What by up to 1.9e-3, and the adaptive-width grid this
+    one replaced gave values up to 2.6e-2 away. No check runs a Maass dual
+    side.
     """
 
     Y_SPLIT = 450.0
@@ -101,25 +119,21 @@ class WhatTransform:
         # the contour table only serves y below the split for holomorphic
         contour_y = self.Y_SPLIT if self.holomorphic else y_max
 
-        # tau panels on [0, tau_max]; width tracks the combined phase rate
-        # log(tau/4pi) + |log y|/2 so GL-16 sees <= ~1.5 cycles per panel
-        edges = [0.0]
-        t = 0.0
-        log_y = abs(math.log(contour_y)) / 2.0
-        while t < self.tau_max:
-            rate = max(math.log(max(t, 8.0) / (4 * math.pi)), 0.2) + log_y + 0.5
-            t = min(t + min(2 * math.pi * 1.5 / rate, 8.0), self.tau_max)
-            edges.append(t)
-        self.tau_nodes, self.tau_weights = edges_rule(np.array(edges), order=16)
+        # equal tau panels on [0, tau_max], as wide as the combined phase rate
+        # log(tau/4pi) + |log y|/2 allows at tau_max, where it is largest
+        rate = (
+            max(math.log(max(self.tau_max, 8.0) / (4 * math.pi)), 0.2)
+            + abs(math.log(contour_y)) / 2.0
+            + 0.5
+        )
+        width = min(2 * math.pi * 1.5 / rate, 8.0)
+        self.tau_grid = PanelGrid(0.0, self.tau_max, max(1, math.ceil(self.tau_max / width)))
+        self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
 
         # m_W(sigma + i tau) = int Wt(u) e^{-i tau u / 2} du after x = e^u
         u_nodes, u_weights = panel_rule(math.log(a), math.log(b), u_panels, 16)
         wt = window(np.exp(u_nodes)) * np.exp(u_nodes * (1 - self.sigma / 2)) * u_weights
-        m_vals = np.empty(len(self.tau_nodes), dtype=complex)
-        chunk = 4000
-        for i in range(0, len(self.tau_nodes), chunk):
-            phases = np.exp(-0.5j * np.outer(self.tau_nodes[i : i + chunk], u_nodes))
-            m_vals[i : i + chunk] = phases @ wt
+        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u_nodes)
         self.mellin_values = m_vals
         self.mellin_tail = float(np.abs(m_vals[-16:]).max())
 
@@ -144,53 +158,33 @@ class WhatTransform:
     def _eval_contour(self, ys: np.ndarray, kernel: np.ndarray, front: complex) -> np.ndarray:
         # conjugate symmetry in tau (real window, real spectral data):
         # int_R = 2 Re int_0^inf; ds = i dtau
-        log_y = np.log(ys)
-        out = np.empty(len(ys), dtype=complex)
-        chunk = 2048
-        weighted = self.tau_weights * kernel
-        for i in range(0, len(ys), chunk):
-            phases = np.exp(-0.5 * np.outer(log_y[i : i + chunk], self.sigma + 1j * self.tau_nodes))
-            out[i : i + chunk] = front * 1j * 2 * (phases @ weighted).real
-        return out
+        sums = self.tau_grid.sums_at_freqs(0.5 * np.log(ys), self.tau_weights * kernel)
+        return front * 2j * ys ** (-0.5 * self.sigma) * sums.real
+
+    def _bessel_grid(self, y_hi: float) -> PanelGrid:
+        """The u = sqrt(x) rule of the far regime, 1.2 panels per cycle at y_hi."""
+        a, b = (math.sqrt(e) for e in self.window.support)
+        # phase 4 pi sqrt(y) u spans 2 sqrt(y)(sqrt(b) - sqrt(a)) cycles
+        cycles = 2 * math.sqrt(y_hi) * (b - a)
+        return PanelGrid(a, b, max(8, math.ceil(1.2 * cycles)))
 
     def _eval_bessel(self, ys: np.ndarray) -> np.ndarray:
-        """Far regime via the order-(k-1) kernel's high-frequency expansion."""
+        """Far regime via the order-(k-1) kernel's Hankel expansion in u = sqrt(x)."""
         k = self.kind.weight
         nu = k - 1
         mu = 4.0 * nu * nu
-        a, b = self.window.support
-        chunk = 1024
-        order = np.argsort(ys)
-        ys_sorted = ys[order]
-        vals = np.empty(len(ys), dtype=complex)
-        for i in range(0, len(ys_sorted), chunk):
-            block = ys_sorted[i : i + chunk]
-            y_hi = block[-1]
-            # phase 2 sqrt(x y) spans ~2 sqrt(y_hi)(sqrt(b)-sqrt(a)) cycles
-            cycles = 2 * math.sqrt(y_hi) * (math.sqrt(b) - math.sqrt(a))
-            panels = max(8, int(math.ceil(1.2 * cycles)))
-            xs, ws = panel_rule(a, b, panels, 16)
-            wx = ws * self.window(xs)
-            v = 4 * math.pi * np.sqrt(np.outer(block, xs))
-            inv8v = 1.0 / (8.0 * v)
-            p_ser = (
-                1.0
-                - (mu - 1) * (mu - 9) / 2.0 * inv8v**2
-                + (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49) / 24.0 * inv8v**4
-            )
-            q_ser = (
-                (mu - 1) * inv8v
-                - (mu - 1) * (mu - 9) * (mu - 25) / 6.0 * inv8v**3
-                + (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49) * (mu - 81) / 120.0 * inv8v**5
-            )
-            omega = v - (nu * 0.5 + 0.25) * math.pi
-            bessel = np.sqrt(2.0 / (math.pi * v)) * (
-                np.cos(omega) * p_ser - np.sin(omega) * q_ser
-            )
-            vals[i : i + chunk] = 2 * math.pi * (1j**k) * (bessel @ wx)
-        out = np.empty(len(ys), dtype=complex)
-        out[order] = vals
-        return out
+        grid = self._bessel_grid(float(np.max(ys)))
+        u = grid.nodes
+        j = np.arange(6)
+        # a_j(nu) = prod_(m<=j) (mu - (2m - 1)^2) / (j! 8^j)
+        a_j = np.cumprod(np.r_[1.0, (mu - (2 * j[1:] - 1) ** 2) / (8.0 * j[1:])])
+        cols = (2 * u * self.window(u * u) * grid.weights)[:, None] * u[:, None] ** (-0.5 - j)
+        omega = 4 * math.pi * np.sqrt(ys)
+        sums = grid.sums_at_freqs(-omega, cols)  # sum_u cols e^{i omega u}
+        series = (sums * omega[:, None] ** (-0.5 - j)) @ (np.array([1, 1j, -1, -1j])[j % 4] * a_j)
+        phi = (nu * 0.5 + 0.25) * math.pi
+        bessel = (math.sqrt(2.0 / math.pi) * np.exp(-1j * phi) * series).real
+        return 2 * math.pi * (1j**k) * bessel
 
     def eval(self, y, sign: int = +1, eps_g: float = 1.0):
         """What_pm(y); y may be a scalar or an array of positive reals."""
@@ -257,11 +251,17 @@ class VoronoiInstance:
         if math.gcd(self.c, self.form.level) != 1:
             raise PreconditionError("need gcd(c, M) = 1")
 
-    def resolved_n_cut(self) -> int:
+    def wanted_n_cut(self) -> int:
+        """The dual-sum length that reaches y_deep, before any cap."""
         if self.n_cut_rhs is not None:
             return self.n_cut_rhs
-        want = int(math.ceil(self.y_deep * self.form.level * self.c**2 / self.scale))
-        return min(self.form.n_max, max(400, want))
+        return max(400, int(math.ceil(self.y_deep * self.form.level * self.c**2 / self.scale)))
+
+    def resolved_n_cut(self) -> int:
+        """wanted_n_cut(), capped at the stored coefficients unless given."""
+        if self.n_cut_rhs is not None:
+            return self.n_cut_rhs
+        return min(self.form.n_max, self.wanted_n_cut())
 
 
 @dataclass
@@ -271,6 +271,7 @@ class VoronoiCheck:
     residual: float
     rhs_terms: int
     tail_estimate: float
+    n_cut_wanted: int  # rhs_terms before the cap at the stored coefficients
 
 
 def direct_side(inst: VoronoiInstance) -> complex:
@@ -335,7 +336,10 @@ def voronoi_check(inst: VoronoiInstance, transform: Optional[WhatTransform] = No
     lhs = direct_side(inst)
     rhs, used, tail = dual_side(inst, transform=transform)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-    return VoronoiCheck(lhs=lhs, rhs=rhs, residual=residual, rhs_terms=used, tail_estimate=tail)
+    return VoronoiCheck(
+        lhs=lhs, rhs=rhs, residual=residual, rhs_terms=used, tail_estimate=tail,
+        n_cut_wanted=inst.wanted_n_cut(),
+    )
 
 
 def calibrate_eta(form: CuspForm, probes, transform: Optional[WhatTransform] = None) -> complex:

@@ -210,6 +210,26 @@ def test_kernel_udag_row_matches_pointwise(form):
         assert row[idx] == pytest.approx(ref.value, abs=1e-9)
 
 
+def _udag_per_row(kernel, r):
+    """One Udag row by a complex exponential per (x, u) node (oracle)."""
+    cfg = kernel.cfg
+    u = make_window_u()
+    ua, ub = u.support
+    rho = cfg.N * r / kernel.c - cfg.K * kernel.x_nodes
+    cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / (2 * math.pi)
+    uu, wu = panel_rule(ua, ub, max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale))), 16)
+    amp = wu * u(uu) * np.exp(-1j * cfg.t * np.log(uu))
+    return np.exp(-2j * np.pi * np.outer(rho, uu)) @ amp
+
+
+@pytest.mark.parametrize("r", [0, 2, 3])
+def test_kernel_udag_row_matches_per_row_table(form, r):
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
+    kernel = DualKernel(cfg, 11, form.kind)
+    ref = _udag_per_row(kernel, r)
+    assert np.max(np.abs(kernel.udag_row(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _vdag_per_node(kernel):
     """The Vdag table by one complex exponential per (u, tau) node (oracle)."""
     cfg = kernel.cfg

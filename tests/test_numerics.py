@@ -46,6 +46,19 @@ def test_sums_at_freqs_matches_phase_table(chunk, monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("chunk", [PanelGrid.CHUNK, 5000])
+def test_sums_at_freqs_columns_match_phase_table(chunk, monkeypatch):
+    monkeypatch.setattr(PanelGrid, "CHUNK", chunk)
+    rng = np.random.default_rng(9)
+    grid = PanelGrid(1.0, 1.5, 40, 16)
+    freqs = -4 * np.pi * np.sqrt(rng.uniform(450.0, 8000.0, 900))
+    values = rng.normal(size=(grid.nodes.size, 6)) + 1j * rng.normal(size=(grid.nodes.size, 6))
+    ref = _phase_table(freqs, grid.nodes) @ values
+    got = grid.sums_at_freqs(freqs, values)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_sums_at_nodes_empty_frequency_set():
     grid = PanelGrid(-1.0, 1.0, 4, 16)
     out = grid.sums_at_nodes(np.zeros(0, dtype=complex), np.zeros(0))

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from weyldelta import checks
 from weyldelta.errors import PreconditionError
-from weyldelta.forms import delta_form
-from weyldelta.numerics import loglog_slope
-from weyldelta.specialfn import holomorphic_kind, maass_kind
+from weyldelta.forms import constant_form, delta_form
+from weyldelta.numerics import edges_rule, loglog_slope, panel_rule
+from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.testfn import make_window_v
 from weyldelta.voronoi import (
     VoronoiInstance,
@@ -83,6 +86,128 @@ def test_transform_routes_agree_at_seam(form, transform):
         )[0]
         bessel = transform._eval_bessel(np.array([y]))[0]
         assert abs(contour - bessel) < 1e-9
+
+
+def _hankel_j(nu, v):
+    """J_nu(v) by three cosine and three sine terms of the Hankel series (oracle)."""
+    mu = 4.0 * nu * nu
+    inv8v = 1.0 / (8.0 * v)
+    p_ser = (
+        1.0
+        - (mu - 1) * (mu - 9) / 2.0 * inv8v**2
+        + (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49) / 24.0 * inv8v**4
+    )
+    q_ser = (
+        (mu - 1) * inv8v
+        - (mu - 1) * (mu - 9) * (mu - 25) / 6.0 * inv8v**3
+        + (mu - 1) * (mu - 9) * (mu - 25) * (mu - 49) * (mu - 81) / 120.0 * inv8v**5
+    )
+    omega = v - (nu * 0.5 + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * v)) * (np.cos(omega) * p_ser - np.sin(omega) * q_ser)
+
+
+def _contour_per_y(tau_nodes, tau_weights, kernel, sigma, front, ys):
+    """The contour route by one complex exponential per (y, tau) node (oracle)."""
+    weighted = tau_weights * kernel
+    return np.array(
+        [front * 2j * (np.exp(-0.5 * math.log(y) * (sigma + 1j * tau_nodes)) @ weighted).real
+         for y in ys]
+    )
+
+
+def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=2000.0, u_panels=160):
+    """What_plus of weight k by the adaptive-edge contour and x-space Bessel routes.
+
+    The tau panels shrink with the local phase rate, the Mellin table is one
+    exponential per (tau, u) pair, and the far regime sums W(x) J_{k-1}(4 pi
+    sqrt(x y)) over an x rule with 1.2 panels per cycle at the largest y.
+    """
+    a, b = window.support
+    edges, t = [0.0], 0.0
+    log_y = math.log(WhatTransform.Y_SPLIT) / 2.0
+    while t < tau_max:
+        rate = max(math.log(max(t, 8.0) / (4 * math.pi)), 0.2) + log_y + 0.5
+        t = min(t + min(2 * math.pi * 1.5 / rate, 8.0), tau_max)
+        edges.append(t)
+    tau, w_tau = edges_rule(np.array(edges), 16)
+    u, w_u = panel_rule(math.log(a), math.log(b), u_panels, 16)
+    wt = window(np.exp(u)) * np.exp(u * (1 - sigma / 2)) * w_u
+    mellin = np.concatenate(
+        [np.exp(-0.5j * np.outer(tau[i : i + 2000], u)) @ wt for i in range(0, len(tau), 2000)]
+    )
+    kernel = mellin * np.array([gamma_factor(holomorphic_kind(k), sigma + 1j * t) for t in tau])
+    near = ys < WhatTransform.Y_SPLIT
+    out = np.empty(len(ys), dtype=complex)
+    out[near] = _contour_per_y(tau, w_tau, kernel, sigma, 1j ** (k - 1) / 2.0, ys[near])
+    far = ys[~near]
+    cycles = 2 * math.sqrt(far.max()) * (math.sqrt(b) - math.sqrt(a))
+    xs, ws = panel_rule(a, b, max(8, math.ceil(1.2 * cycles)), 16)
+    bessel = _hankel_j(k - 1, 4 * math.pi * np.sqrt(np.outer(far, xs)))
+    out[~near] = 2 * math.pi * 1j**k * (bessel @ (ws * window(xs)))
+    return out
+
+
+def test_transform_matches_adaptive_edge_routes(window, transform):
+    # equal tau panels and the u = sqrt(x) Hankel sums against the
+    # adaptive-edge contour and the x-space Bessel sum they replaced
+    ys = np.geomspace(0.05, 2e4, 400)
+    ref = _adaptive_what_plus(window, ys)
+    got = transform.eval(ys)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_contour_route_matches_per_y_loop(transform):
+    ys = np.geomspace(0.05, 449.0, 300)
+    tr = transform
+    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, tr.kernel_plus, tr.sigma, tr.front_plus, ys)
+    got = tr._eval_contour(ys, tr.kernel_plus, tr.front_plus)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_maass_contour_route_matches_per_y_loop(window, sign):
+    tr = WhatTransform(maass_kind(9.5, 0), window, tau_max=400.0)
+    ys = np.geomspace(0.05, 4000.0, 300)
+    kernel, front = (
+        (tr.kernel_plus, tr.front_plus) if sign == +1 else (tr.kernel_minus, -tr.front_minus)
+    )
+    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, kernel, tr.sigma, front, ys)
+    got = tr.eval(ys, sign=sign, eps_g=-1.0)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_bessel_route_matches_per_y_loop(window, transform):
+    ys = np.geomspace(450.0, 2e4, 300)
+    grid = transform._bessel_grid(float(ys.max()))
+    u = grid.nodes
+    du = 2 * u * window(u * u) * grid.weights
+    k = transform.kind.weight
+    ref = np.array([2 * math.pi * 1j**k * (_hankel_j(k - 1, 4 * math.pi * math.sqrt(y) * u) @ du)
+                    for y in ys])
+    got = transform._eval_bessel(ys)
+    # What is ~1e-5 out here, so the scale is its maximum near y = 1
+    what_max = np.max(np.abs(transform.eval(np.geomspace(0.05, 449.0, 200))))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * what_max
+
+
+@pytest.mark.parametrize("n_max, capped", [(30000, True), (60000, False)])
+def test_voronoi_cell_reports_n_cut_cap(n_max, capped, monkeypatch):
+    # the (N, c) = (5, 5) cell asks for 8000 c^2 / N = 40000 dual terms; the
+    # flag is about lengths only, so a unit coefficient stream stands in for
+    # the discriminant form (its residual is not checked)
+    def unit_stream(n):
+        form = constant_form(n)
+        form.eta = 1.0 + 0.0j
+        return form
+
+    monkeypatch.setattr(checks, "delta_form", unit_stream)
+    ctx = checks.CheckContext()
+    ctx.form(n_max)
+    cell = next(c for c in checks.CHECKS if c.name == "voronoi-N5-a1-c5")
+    values = cell.run(ctx).values
+    assert values["n_cut_wanted"] == 40000
+    assert values["rhs_terms"] == min(n_max, 40000)
+    assert values["n_cut_capped"] is capped
 
 
 def test_transform_rejects_bad_arguments(form, transform):
