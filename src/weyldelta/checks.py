@@ -1,13 +1,16 @@
 """The checks that `weyl-delta verify` and the acceptance gate share.
 
 Each :class:`Check` names one claim of the chain (its ``anchor``), the CLI
-suite that runs it and the acceptance criterion it belongs to, and
-computes ``(residual, tolerance, values)`` from a :class:`CheckContext`. A
+suite that runs it, the acceptance criterion it belongs to and the number
+of coefficients of the discriminant form it reads, and computes
+``(residual, tolerance, values)`` from a :class:`CheckContext`. A
 check passes when residual <= tolerance (residual < tolerance for a strict
 one); slope checks carry the fitted slope as the residual against a
 negative bound. `weyl-delta verify <suite>` runs the entries of one suite
 and tests/test_acceptance.py asserts the entries of each criterion, so a
-report shows exactly what the gate enforces.
+report shows exactly what the gate enforces. A context builds the form
+once, with as many coefficients as the most demanding of its checks reads,
+and fits eta on it once.
 """
 
 from __future__ import annotations
@@ -37,9 +40,16 @@ from .oscillate import integrate_1d
 from .specialfn import gamma_factor, maass_kind, residual_derivative, stirling_profile
 from .statphase import u_dagger_asymptotic, u_dagger_direct
 from .testfn import make_window_u, make_window_v
-from .voronoi import VoronoiInstance, WhatTransform, calibrate_eta, voronoi_check
+from .voronoi import (
+    VoronoiInstance,
+    WhatTransform,
+    calibrate_eta,
+    dual_sum_length,
+    voronoi_check,
+)
 
 SUITES = ("delta", "statphase", "voronoi", "pipeline", "afe", "scan")  # `verify all` order
+ETA_PROBES = ((1, 1, 20.0), (1, 3, 50.0))  # (a, c, N) of the two calibration instances
 
 
 def fmt_complex(z: complex) -> List[float]:
@@ -48,11 +58,10 @@ def fmt_complex(z: complex) -> List[float]:
 
 
 def calibrate(form: CuspForm, transform: Optional[WhatTransform] = None) -> complex:
-    """eta for `form` from the two standard probes, (a, c, N) = (1, 1, 20) and (1, 3, 50)."""
+    """eta for `form` from the two standard probes (ETA_PROBES)."""
     window = make_window_v()
     probes = [
-        VoronoiInstance(form, a=1, c=1, window=window, scale=20.0),
-        VoronoiInstance(form, a=1, c=3, window=window, scale=50.0),
+        VoronoiInstance(form, a=a, c=c, window=window, scale=scale) for a, c, scale in ETA_PROBES
     ]
     return calibrate_eta(form, probes, transform=transform)
 
@@ -60,10 +69,13 @@ def calibrate(form: CuspForm, transform: Optional[WhatTransform] = None) -> comp
 class CheckContext:
     """The fixtures of one run, each built on first use and then shared.
 
-    `seed` drives the random draws, `budget` caps every adaptive quadrature
-    and the stratum-sum evaluation count (None: the library defaults), and
-    `scan_grid` is the t grid of the growth scan. `cache` holds the
-    intermediates several checks share; `calibration` the fitted eta.
+    `checks` are the entries the context will run (default: all of them);
+    the discriminant form is built once, with the most coefficients any of
+    them reads. `seed` drives the random draws, `budget` caps every adaptive
+    quadrature and the stratum-sum evaluation count (None: the library
+    defaults), and `scan_grid` is the t grid of the growth scan. `cache`
+    holds the intermediates several checks share; `calibration` the fitted
+    eta.
     """
 
     def __init__(
@@ -72,24 +84,24 @@ class CheckContext:
         budget: Optional[int] = None,
         form_path: Optional[str] = None,
         scan_grid: Sequence[float] = tuple(np.linspace(10.0, 500.0, 200)),
+        checks: Optional[Sequence["Check"]] = None,
     ):
         self.seed = seed
         self.budget = budget
         self.form_path = form_path
         self.scan_grid = scan_grid
+        self.n_max = max(
+            (check.coefficients for check in (CHECKS if checks is None else checks)), default=1
+        )
         self.cache: Dict[str, object] = {}
         self.calibration: Dict[str, object] = {}
         self._form: Optional[CuspForm] = None
 
-    def form(self, n_max: int = 30000) -> CuspForm:
-        if self.form_path:
-            # external forms run at their stored depth; suites that need
-            # more coefficients will raise a range error against them
-            if self._form is None:
-                self._form = load_form(self.form_path)
-            return self._form
-        if self._form is None or self._form.n_max < n_max:
-            self._form = delta_form(n_max)
+    def form(self) -> CuspForm:
+        if self._form is None:
+            # external forms run at their stored depth; checks that need
+            # more coefficients raise a range error against them
+            self._form = load_form(self.form_path) if self.form_path else delta_form(self.n_max)
         return self._form
 
     def shared(self, key: str, build: Callable[[], object]):
@@ -112,7 +124,7 @@ class CheckContext:
         return self.shared("transform", lambda: WhatTransform(form.kind, self.window_v))
 
     def calibrate(self, form: CuspForm) -> complex:
-        """eta for `form`, fitted once per form (see :func:`calibrate`)."""
+        """eta for `form`, fitted once (see :func:`calibrate`)."""
         if self.cache.get("calibrated") is not form:
             form.eta = None
             calibrate(form, transform=self.transform(form))
@@ -146,6 +158,7 @@ class Check:
     criterion: Optional[int]
     compute: Callable[[CheckContext], Outcome]
     strict: bool = False
+    coefficients: int = 1  # of the discriminant form, the most the check reads
 
     def run(self, ctx: CheckContext) -> CheckResult:
         start = time.perf_counter()
@@ -160,9 +173,11 @@ class Check:
 CHECKS: List[Check] = []
 
 
-def _check(name: str, anchor: str, suite: str, criterion: int, strict: bool = False):
+def _check(
+    name: str, anchor: str, suite: str, criterion: int, strict: bool = False, coefficients: int = 1
+):
     def register(compute):
-        CHECKS.append(Check(name, anchor, suite, criterion, compute, strict))
+        CHECKS.append(Check(name, anchor, suite, criterion, compute, strict, coefficients))
         return compute
 
     return register
@@ -268,7 +283,7 @@ def _fourier_mellin_no_stationary(ctx):
 
 def _profile_kinds(ctx: CheckContext):
     """The form's own factor and a Maass one (spectral parameter 9.5, even)."""
-    return (ctx.form(100).kind, maass_kind(9.5, 0))
+    return (ctx.form().kind, maass_kind(9.5, 0))
 
 
 @_check("stirling-profile-identity", "leading-phase-factorization", "statphase", 5)
@@ -306,7 +321,10 @@ def _gamma_growth(ctx):
 # -- voronoi: the dual summation formula (criterion 1) ------------------------
 
 
-@_check("eta-calibration", "dual-sum-constant-modulus-one", "voronoi", 1)
+@_check(
+    "eta-calibration", "dual-sum-constant-modulus-one", "voronoi", 1,
+    coefficients=max(dual_sum_length(scale, c) for _, c, scale in ETA_PROBES),
+)
 def _eta_calibration(ctx):
     form = ctx.form()
     eta = ctx.calibrate(form)
@@ -336,6 +354,7 @@ CHECKS.extend(
         "voronoi",
         1,
         functools.partial(_voronoi_cell, scale=scale, a=a, c=c),
+        coefficients=dual_sum_length(scale, c),
     )
     for scale in (5.0, 20.0, 50.0)
     for a, c in ((1, 1), (1, 2), (1, 3), (2, 3), (1, 5))
@@ -345,10 +364,12 @@ CHECKS.extend(
 # -- pipeline: stratification and the dual identity (criteria 6 and 7) -------
 
 
-@_check("smoothed-sum-decomposition", "averaged-delta-stratification", "pipeline", 6)
+@_check(
+    "smoothed-sum-decomposition", "averaged-delta-stratification", "pipeline", 6, coefficients=100
+)
 def _smoothed_sum(ctx):
-    # the dual-sum doubling sweep below reaches 2 x n_cut, so the form grows here
-    split = s_split(ctx.form(60000), _split_config(ctx), budget=ctx.budget)
+    # n runs over supp V(n / N) = [N, 2N] at N = 50
+    split = s_split(ctx.form(), _split_config(ctx), budget=ctx.budget)
     values = {
         "s_star": fmt_complex(split.s_star),
         "s_flat": fmt_complex(split.s_flat),
@@ -361,9 +382,8 @@ def _dual_identity(ctx: CheckContext):
     """S_c both ways at (N, t, K, p) = (20, 5, 3, 11) with the doubling sweep."""
 
     def build():
-        form = ctx.form(60000)
-        if form.eta is None:
-            ctx.calibrate(form)
+        form = ctx.form()
+        ctx.calibrate(form)
         cfg = PipelineConfig(
             N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=30000, tau_cut=1500.0, r_cut=24
         )
@@ -372,7 +392,11 @@ def _dual_identity(ctx: CheckContext):
     return ctx.shared("dual", build)
 
 
-@_check("dual-summation-identity", "voronoi-poisson-dual-representation", "pipeline", 7)
+# n_cut = 30000, doubled by the sweep
+@_check(
+    "dual-summation-identity", "voronoi-poisson-dual-representation", "pipeline", 7,
+    coefficients=60000,
+)
 def _dual_summation(ctx):
     res = _dual_identity(ctx)
     values = {
@@ -383,7 +407,9 @@ def _dual_summation(ctx):
     return res.residual, 1e-3, values
 
 
-@_check("dual-summation-stability", "truncation-doubling-stability", "pipeline", 7)
+@_check(
+    "dual-summation-stability", "truncation-doubling-stability", "pipeline", 7, coefficients=60000
+)
 def _dual_stability(ctx):
     # every doubling must move the dual side by less than 1/20 of the claimed
     # tolerance (the measured residual sits far below it, so a bound tied to
@@ -393,13 +419,19 @@ def _dual_stability(ctx):
 
 
 # -- afe: central values, then the coefficient-side checks (criteria 8, 9) ---
+#
+# For the discriminant form the AFE reads 5920 coefficients at t = 0 and
+# 7691 at t = +-5 (AfeConfig.resolved_n_afe); the declared counts round up.
 
 
 def _afe(ctx: CheckContext, key: str, t: float):
     return ctx.shared(key, lambda: afe_value(ctx.form(), t))
 
 
-@_check("afe-two-weight-agreement", "weight-independence-of-central-value", "afe", 8)
+@_check(
+    "afe-two-weight-agreement", "weight-independence-of-central-value", "afe", 8,
+    coefficients=6000,
+)
 def _afe_two_weight(ctx):
     base = _afe(ctx, "afe-base", 0.0)
     other = afe_value(ctx.form(), 0.0, AfeConfig(weight=weight_quartic))
@@ -407,40 +439,49 @@ def _afe_two_weight(ctx):
     return abs(base.value - other.value), 1e-6, values
 
 
-@_check("afe-central-reality", "self-dual-central-reality", "afe", 8)
+@_check("afe-central-reality", "self-dual-central-reality", "afe", 8, coefficients=6000)
 def _afe_reality(ctx):
     return abs(_afe(ctx, "afe-base", 0.0).value.imag), 1e-8, {}
 
 
-@_check("afe-conjugate-symmetry", "reflection-symmetry-on-critical-line", "afe", 8)
+@_check(
+    "afe-conjugate-symmetry", "reflection-symmetry-on-critical-line", "afe", 8, coefficients=8000
+)
 def _afe_conjugate(ctx):
     plus = _afe(ctx, "afe-plus", 5.0)
     minus = afe_value(ctx.form(), -5.0)
     return abs(minus.value - np.conj(plus.value)), 1e-8, {}
 
 
-@_check("afe-truncation-past-nominal", "truncation-past-nominal-length", "afe", 8, strict=True)
+@_check(
+    "afe-truncation-past-nominal", "truncation-past-nominal-length", "afe", 8, strict=True,
+    coefficients=8000,
+)
 def _afe_past_nominal(ctx):
     n_used = _afe(ctx, "afe-plus", 5.0).n_used
     nominal = int(3 * 6 * math.sqrt(ctx.form().level))
     return nominal / n_used, 1.0, {"n_used": n_used, "nominal": nominal}
 
 
-@_check("afe-truncation-stability", "weight-decay-past-effective-length", "afe", 8)
+@_check(  # the t = 5 sum at twice its length
+    "afe-truncation-stability", "weight-decay-past-effective-length", "afe", 8, coefficients=16000
+)
 def _afe_truncation(ctx):
     plus = _afe(ctx, "afe-plus", 5.0)
     doubled = afe_value(ctx.form(), 5.0, AfeConfig(n_afe=2 * plus.n_used))
     return abs(plus.value - doubled.value), 1e-8, {}
 
 
-@_check("hecke-multiplicativity", "eigenvalue-multiplicative-relations", "afe", 9)
+@_check(
+    "hecke-multiplicativity", "eigenvalue-multiplicative-relations", "afe", 9, coefficients=10000
+)
 def _hecke(ctx):
     report = hecke_verify(ctx.form(), 10000)
     values = {"pairs": report.pairs_checked, "prime_powers": report.prime_power_checked}
     return report.max_violation, 1e-12, values
 
 
-@_check("rankin-average-growth", "second-moment-linear-growth", "afe", 9)
+@_check("rankin-average-growth", "second-moment-linear-growth", "afe", 9, coefficients=10000)
 def _rankin(ctx):
     avgs = rankin_average(ctx.form(), [100, 1000, 10000])
     slope = loglog_slope([x for x, _ in avgs], [x * a for x, a in avgs])
@@ -450,7 +491,11 @@ def _rankin(ctx):
 # -- scan: growth along the critical line (criterion 10) ----------------------
 
 
-@_check("growth-scan-exponent", "critical-line-growth-envelope", "scan", 10, strict=True)
+# the default grid ends at t = 500, where the relaxed weight floor reads 27300
+@_check(
+    "growth-scan-exponent", "critical-line-growth-envelope", "scan", 10, strict=True,
+    coefficients=30000,
+)
 def _growth_scan(ctx):
     scan = ctx.shared("scan", lambda: growth_scan(ctx.form(), np.asarray(ctx.scan_grid)))
     values = {

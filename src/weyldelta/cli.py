@@ -166,6 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             budget=budget,
             form_path=args.form_path,
             scan_grid=np.linspace(args.t_min, args.t_max, args.samples),
+            checks=checks_for(suite),
         )
         results, status = run_suite(suite, ctx)
         if args.csv_path and "scan" in ctx.cache:

@@ -448,13 +448,11 @@ class DualKernel:
                 kind = GammaFactorKind("maass", ell=self.kind.ell, parity=delta)
             n_tau = len(self.tau_nodes)
             if kind.family == "maass" and abs(complex(kind.ell).imag) > 0:
-                vals = np.array([gamma_factor(kind, complex(1.0, t)) for t in self.tau_nodes])
+                vals = gamma_factor(kind, 1.0 + 1j * self.tau_nodes)
             else:
                 half = n_tau // 2
                 vals = np.empty(n_tau, dtype=complex)
-                vals[half:] = [
-                    gamma_factor(kind, complex(1.0, tau)) for tau in self.tau_nodes[half:]
-                ]
+                vals[half:] = gamma_factor(kind, 1.0 + 1j * self.tau_nodes[half:])
                 # real spectral data: the factor at 1 - i tau is the conjugate
                 vals[:half] = np.conj(vals[n_tau - half :][::-1])
             self._gamma_cache[delta] = vals

@@ -57,7 +57,7 @@ def weight_quartic(u):
 
 
 def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
-    """log gamma(f, s) up to an s-independent constant."""
+    """log gamma(f, s) up to an s-independent constant; s may be an array."""
     kind = form.kind
     if kind.family == "holomorphic":
         return -s * math.log(TWO_PI) + log_gamma(s + (kind.weight - 1) / 2.0)
@@ -118,7 +118,7 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     grid = PanelGrid(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
     u = a + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
-    ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])
+    ratio = np.exp(log_gamma_quotient_factor(form, s + u) - lg_s)
     core = grid.weights * np.asarray(cfg.weight(u)) * ratio / u
     # (1/2 pi i) int du = (1/2 pi) int dv along u = a + iv
     log_y = np.log(ys)

@@ -43,6 +43,7 @@ from .testfn import SmoothWindow
 
 DEFAULT_SIGMA_HOLOMORPHIC = 0.5
 DEFAULT_SIGMA_MAASS = 0.1
+DEFAULT_Y_DEEP = 8000.0  # the dual sum runs out to y ~ DEFAULT_Y_DEEP unless capped
 
 
 def default_sigma(kind: GammaFactorKind) -> float:
@@ -139,7 +140,9 @@ class WhatTransform:
 
         s_nodes = self.sigma + 1j * self.tau_nodes
         if kind.family == "holomorphic":
-            gam = np.array([gamma_factor(kind, s) for s in s_nodes])
+            # a named operand: numpy would multiply into a temporary in
+            # place, and that loop rounds differently in the last bit
+            gam = gamma_factor(kind, s_nodes)
             self.kernel_plus = m_vals * gam
             self.kernel_minus = None
             k = kind.weight
@@ -148,8 +151,8 @@ class WhatTransform:
         else:
             kind0 = GammaFactorKind("maass", ell=kind.ell, parity=0)
             kind1 = GammaFactorKind("maass", ell=kind.ell, parity=1)
-            g0 = np.array([gamma_factor(kind0, s) for s in s_nodes])
-            g1 = np.array([gamma_factor(kind1, s) for s in s_nodes])
+            g0 = gamma_factor(kind0, s_nodes)
+            g1 = gamma_factor(kind1, s_nodes)
             self.kernel_plus = m_vals * (g0 - g1)
             self.kernel_minus = m_vals * (g0 + g1)
             self.front_plus = 1.0 / 2j
@@ -229,6 +232,11 @@ def what_transform(
     return transform.eval(y, sign=sign, eps_g=eps_g)
 
 
+def dual_sum_length(scale: float, c: int, level: int = 1, y_deep: float = DEFAULT_Y_DEEP) -> int:
+    """Dual-sum terms n that reach y = n N / (M c^2) ~ y_deep (at least 400)."""
+    return max(400, int(math.ceil(y_deep * level * c**2 / scale)))
+
+
 @dataclass
 class VoronoiInstance:
     """One concrete identity check: which form, twist a/c, scaling N, window."""
@@ -241,7 +249,7 @@ class VoronoiInstance:
     sigma: Optional[float] = None
     tau_max: float = 2000.0
     n_cut_rhs: Optional[int] = None
-    y_deep: float = 8000.0  # dual sum runs out to y ~ y_deep unless capped
+    y_deep: float = DEFAULT_Y_DEEP
 
     def __post_init__(self):
         if self.c < 1:
@@ -255,7 +263,7 @@ class VoronoiInstance:
         """The dual-sum length that reaches y_deep, before any cap."""
         if self.n_cut_rhs is not None:
             return self.n_cut_rhs
-        return max(400, int(math.ceil(self.y_deep * self.form.level * self.c**2 / self.scale)))
+        return dual_sum_length(self.scale, self.c, self.form.level, self.y_deep)
 
     def resolved_n_cut(self) -> int:
         """wanted_n_cut(), capped at the stored coefficients unless given."""

@@ -18,8 +18,8 @@ ELAPSED_BOUNDS = {1: 600.0, 6: 300.0, 7: 1800.0, 10: 3600.0}  # seconds
 
 @pytest.fixture(scope="module")
 def ctx():
-    ctx = CheckContext()
-    ctx.form(60000)
+    ctx = CheckContext(checks=CHECKS)
+    ctx.form()
     return ctx
 
 

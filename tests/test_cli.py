@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import weyldelta
-from weyldelta.checks import CHECKS, SUITES, checks_for
-from weyldelta.cli import main
+from weyldelta import checks
+from weyldelta.checks import CHECKS, SUITES, CheckContext, checks_for
+from weyldelta.cli import main, run_suite
 from weyldelta.forms import delta_form, export_form
 
 
@@ -71,6 +72,58 @@ def test_verify_afe_suite(tmp_path):
         "hecke-multiplicativity",
     ):
         assert name in names
+
+
+def registry_names(suite):
+    return [check.name for check in checks_for(suite)]
+
+
+def test_verify_voronoi_suite(tmp_path):
+    report_path = tmp_path / "report.json"
+    assert run_cli(["verify", "voronoi", "--output", str(report_path), "--seed", "1"]) == 0
+    report = json.loads(report_path.read_text())
+    assert [c["name"] for c in report["checks"]] == registry_names("voronoi")
+    assert report["all_passed"] is True
+    # the form holds every coefficient the cells read, so no dual sum is cut
+    cells = [c for c in report["checks"] if c["name"].startswith("voronoi-")]
+    assert not any(c["values"]["n_cut_capped"] for c in cells)
+
+
+def test_verify_afe_on_exported_form(tmp_path, capsys):
+    form_path = tmp_path / "delta.coef"
+    n_max = max(check.coefficients for check in checks_for("afe"))
+    assert run_cli(["export-form", str(form_path), "--n-max", str(n_max)]) == 0
+    report_path = tmp_path / "report.json"
+    status = run_cli(["verify", "afe", "--form", str(form_path), "--output", str(report_path)])
+    assert status == 0, capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert [c["name"] for c in report["checks"]] == registry_names("afe")
+    assert report["all_passed"] is True
+
+
+def test_one_form_and_one_eta_fit_per_context(monkeypatch):
+    built, fits = [], []
+    real_fit = checks.calibrate_eta
+
+    def counting_delta_form(n_max):
+        built.append(n_max)
+        return delta_form(n_max)
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "delta_form", counting_delta_form)
+    monkeypatch.setattr(checks, "calibrate_eta", counting_fit)
+    selected = checks_for("voronoi") + checks_for("delta")
+    ctx = CheckContext(seed=1, checks=selected)
+    for suite in ("voronoi", "delta"):
+        results, status = run_suite(suite, ctx)
+        assert status == 0, [r.line() for r in results if not r.passed]
+    assert built == [max(check.coefficients for check in selected)] == [40000]
+    assert len(fits) == 1
+    # `verify all` and the gate size their one form by the pipeline sweep
+    assert CheckContext(checks=checks_for("all")).n_max == CheckContext().n_max == 60000
 
 
 def test_exhausted_budget_exits_2(tmp_path):

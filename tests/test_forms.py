@@ -12,7 +12,9 @@ from weyldelta.errors import (
     PreconditionError,
 )
 from weyldelta.forms import (
+    TAU_PRIMES,
     CuspForm,
+    _tau_by_residues,
     constant_form,
     delta_form,
     export_form,
@@ -33,11 +35,59 @@ def delta10k():
     return delta_form(10000)
 
 
+@pytest.fixture(scope="module")
+def tau60k():
+    return ramanujan_tau(60000)
+
+
 def test_tau_against_naive_eta_product_expansion():
     # independent oracle: multiply out q prod (1-q^n)^24 coefficientwise
-    fast = ramanujan_tau(200)
-    slow = ramanujan_tau_naive(200)
+    fast = ramanujan_tau(300)
+    slow = ramanujan_tau_naive(300)
     assert fast == slow
+
+
+def test_tau_exact_hecke_relations_to_60000(tau60k):
+    # an oracle that never forms the eta product: every n = p^k m with p its
+    # smallest prime and gcd(p, m) = 1 factors as tau(p^k) tau(m), and every
+    # prime power satisfies tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1))
+    n_max = len(tau60k)
+    tau = [0] + tau60k  # tau[n] = tau(n)
+    spf = list(range(n_max + 1))
+    for p in primes_in(2, math.isqrt(n_max)):
+        for multiple in range(p * p, n_max + 1, p):
+            if spf[multiple] == multiple:
+                spf[multiple] = p
+    coprime_splits = 0
+    for n in range(2, n_max + 1):
+        p, m, pk = spf[n], n, 1
+        while m % p == 0:
+            m //= p
+            pk *= p
+        if m > 1:
+            assert tau[n] == tau[pk] * tau[m], n
+            coprime_splits += 1
+        elif pk > p:
+            assert tau[pk] == tau[p] * tau[pk // p] - p**11 * tau[pk // p // p], n
+    assert coprime_splits > 40000
+
+
+def test_tau_symmetric_lift_signs_and_size(tau60k):
+    # the lift is symmetric: tau(2) comes out as -24, not as M - 24 (a 124-bit
+    # number for the product M of the four primes)
+    assert tau60k[1] == -24
+    assert all(type(v) is int for v in tau60k)
+    assert max(abs(v) for v in tau60k).bit_length() == 89
+
+
+def test_tau_residue_guard_rejects_too_few_or_too_large_primes():
+    assert _tau_by_residues(10, TAU_PRIMES) == ramanujan_tau(10)
+    # three primes cover |tau| < 2^92, Deligne's bound needs 2^121 at n = 10^6
+    with pytest.raises(PreconditionError):
+        _tau_by_residues(10, TAU_PRIMES[:3])
+    # a prime above 2^31 overflows the int64 products
+    with pytest.raises(PreconditionError):
+        _tau_by_residues(10, (2**61 - 1, *TAU_PRIMES))
 
 
 def test_tau_small_values():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldelta.errors import PoleError, PreconditionError
+from weyldelta.errors import OverflowRangeError, PoleError, PreconditionError
 from weyldelta.numerics import loglog_slope
 from weyldelta.specialfn import (
     GammaFactorKind,
+    _gamma_args,
     complex_gamma,
     gamma_factor,
     holomorphic_kind,
@@ -187,3 +188,64 @@ def test_maass_profile_derivative_decay():
     taus = np.geomspace(1e2, 1e4, 7)
     derivs = [abs(residual_derivative(kind, float(t), h=1.0)) for t in taus]
     assert loglog_slope(taus, derivs) <= -0.9
+
+
+ARRAY_KINDS = [
+    holomorphic_kind(12),
+    maass_kind(9.5, 0),
+    maass_kind(9.5, 1),
+    maass_kind(0.2j, 0),
+    maass_kind(0.2j, 1),
+]
+
+
+def _scalar_log_factor(kind, s):
+    """log of the factor by the scalar route (unwrapped: its phase reaches ~2e4)."""
+    num, den = _gamma_args(kind, s)
+    return -s * math.log(2 * math.pi) + sum(map(log_gamma, num)) - sum(map(log_gamma, den))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ARRAY_KINDS, ids=lambda k: f"{k.family}-{k.ell}-{k.parity}")
+def test_gamma_factor_array_matches_scalar(kind, sigma):
+    taus = np.linspace(-4000.0, 4000.0, 1601)
+    s = sigma + 1j * taus
+    got = gamma_factor(kind, s)
+    assert got.shape == s.shape
+    for z, value in zip(s, got):
+        oracle = gamma_factor(kind, complex(z))
+        scale = 1.0 + abs(_scalar_log_factor(kind, complex(z)))
+        assert abs(value - oracle) <= 1e-15 * scale * abs(oracle), z
+
+
+def test_log_gamma_array_matches_scalar():
+    # reflection (Re s < 1/2, including negative non-integers), the shift
+    # region |s| < 16 and the bare Stirling series
+    heights = np.array([-3000.0, -50.0, -0.7, 0.0, 0.2, 9.0, 4000.0])
+    s = (np.linspace(-30.3, 40.0, 141)[:, None] + 1j * heights).ravel()
+    got = log_gamma(s)
+    for z, value in zip(s, got):
+        oracle = log_gamma(complex(z))
+        assert abs(value - oracle) <= 1e-15 * (1.0 + abs(oracle)), z
+
+
+def test_gamma_factor_array_poles_behave_like_scalar():
+    kind = holomorphic_kind(12)
+    # numerator Gamma(s/2 + 11/2) has a pole at s = -11: anywhere in the array it raises
+    with pytest.raises(PoleError):
+        gamma_factor(kind, np.array([1.0 + 2j, -11.0, 3.0]))
+    with pytest.raises(PoleError):
+        gamma_factor(kind, -11.0)
+    # denominator Gamma(13/2 - s/2) has poles at s = 13, 15: those entries are 0
+    s = np.array([13.0, 2.0 + 1j, 15.0, 0.5 - 7j])
+    got = gamma_factor(kind, s)
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert got[1] == gamma_factor(kind, 2.0 + 1j)
+    assert got[3] == gamma_factor(kind, 0.5 - 7j)
+    assert np.all(gamma_factor(kind, np.array([13.0, 15.0])) == 0.0)
+    with pytest.raises(PoleError):
+        log_gamma(np.array([0.5, -2.0]))
+    with pytest.raises(OverflowRangeError):
+        gamma_factor(kind, np.array([1.0, 2000.0]))
+    with pytest.raises(OverflowRangeError):
+        gamma_factor(kind, 2000.0)

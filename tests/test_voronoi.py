@@ -193,17 +193,17 @@ def test_bessel_route_matches_per_y_loop(window, transform):
 @pytest.mark.parametrize("n_max, capped", [(30000, True), (60000, False)])
 def test_voronoi_cell_reports_n_cut_cap(n_max, capped, monkeypatch):
     # the (N, c) = (5, 5) cell asks for 8000 c^2 / N = 40000 dual terms; the
-    # flag is about lengths only, so a unit coefficient stream stands in for
-    # the discriminant form (its residual is not checked)
+    # flag is about lengths only, so a unit coefficient stream of n_max terms
+    # stands in for a stored form (its residual is not checked)
     def unit_stream(n):
-        form = constant_form(n)
+        form = constant_form(n_max)
         form.eta = 1.0 + 0.0j
         return form
 
     monkeypatch.setattr(checks, "delta_form", unit_stream)
-    ctx = checks.CheckContext()
-    ctx.form(n_max)
     cell = next(c for c in checks.CHECKS if c.name == "voronoi-N5-a1-c5")
+    assert cell.coefficients == 40000
+    ctx = checks.CheckContext(checks=[cell])
     values = cell.run(ctx).values
     assert values["n_cut_wanted"] == 40000
     assert values["rhs_terms"] == min(n_max, 40000)
