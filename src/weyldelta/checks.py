@@ -19,7 +19,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .deltapipe import (
     trivial_delta_alpha_sum,
 )
 from .errors import BudgetExceededError, ToolkitError
-from .forms import CuspForm, delta_form, hecke_verify, load_form, rankin_average
-from .lfunc import AfeConfig, afe_value, growth_scan, weight_quartic
+from .forms import CuspForm, constant_form, delta_form, hecke_verify, load_form, rankin_average
+from .lfunc import AfeConfig, afe_value, growth_scan, scan_length, weight_quartic
 from .numerics import loglog_fit, loglog_slope, primes_in
 from .oscillate import integrate_1d
 from .specialfn import gamma_factor, maass_kind, residual_derivative, stirling_profile
@@ -91,7 +91,7 @@ class CheckContext:
         self.form_path = form_path
         self.scan_grid = scan_grid
         self.n_max = max(
-            (check.coefficients for check in (CHECKS if checks is None else checks)), default=1
+            (check.reads(self) for check in (CHECKS if checks is None else checks)), default=1
         )
         self.cache: Dict[str, object] = {}
         self.calibration: Dict[str, object] = {}
@@ -158,7 +158,13 @@ class Check:
     criterion: Optional[int]
     compute: Callable[[CheckContext], Outcome]
     strict: bool = False
-    coefficients: int = 1  # of the discriminant form, the most the check reads
+    # of the discriminant form, the most the check reads; a callable sizes
+    # it from the context
+    coefficients: Union[int, Callable[[CheckContext], int]] = 1
+
+    def reads(self, ctx: CheckContext) -> int:
+        """The coefficients this check reads in `ctx`."""
+        return self.coefficients(ctx) if callable(self.coefficients) else self.coefficients
 
     def run(self, ctx: CheckContext) -> CheckResult:
         start = time.perf_counter()
@@ -174,7 +180,12 @@ CHECKS: List[Check] = []
 
 
 def _check(
-    name: str, anchor: str, suite: str, criterion: int, strict: bool = False, coefficients: int = 1
+    name: str,
+    anchor: str,
+    suite: str,
+    criterion: int,
+    strict: bool = False,
+    coefficients: Union[int, Callable[[CheckContext], int]] = 1,
 ):
     def register(compute):
         CHECKS.append(Check(name, anchor, suite, criterion, compute, strict, coefficients))
@@ -491,10 +502,18 @@ def _rankin(ctx):
 # -- scan: growth along the critical line (criterion 10) ----------------------
 
 
-# the default grid ends at t = 500, where the relaxed weight floor reads 27300
+def _scan_coefficients(ctx: CheckContext) -> int:
+    """The longest AFE sum over the context's scan grid (27300 on the default grid).
+
+    The AFE length reads only the gamma factor and the level, so an empty
+    stream with the discriminant form's (weight 12, level 1) sizes it.
+    """
+    return scan_length(constant_form(0), ctx.scan_grid)
+
+
 @_check(
     "growth-scan-exponent", "critical-line-growth-envelope", "scan", 10, strict=True,
-    coefficients=30000,
+    coefficients=_scan_coefficients,
 )
 def _growth_scan(ctx):
     scan = ctx.shared("scan", lambda: growth_scan(ctx.form(), np.asarray(ctx.scan_grid)))

@@ -19,7 +19,9 @@ rest byte for byte). Scan/probe points go to CSV with a header row and
 plain decimal formatting. The env variable WEYL_DELTA_BUDGET (or
 `--budget`) caps the oscillatory-quadrature cell count and the
 stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
-failure, 2 budget exhausted, 3 input/parse error.
+failure, 2 budget exhausted, 3 input error (an unreadable or invalid form
+file, a form with fewer coefficients than a check reads, or arguments a
+computation rejects, such as a scan grid too sparse for its fit).
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .checks import SUITES, CheckContext, CheckResult, calibrate, checks_for, fmt_complex
-from .errors import BudgetExceededError, FormFileError, HeckeViolationError
+from .errors import (
+    BudgetExceededError,
+    CoefficientRangeError,
+    FormFileError,
+    HeckeViolationError,
+    PreconditionError,
+)
 from .forms import delta_form, export_form, load_form
 
 EXIT_OK = 0
@@ -179,7 +187,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         for r in results:
             print(r.line())
         return status
-    except (FormFileError, HeckeViolationError, FileNotFoundError) as exc:
+    except (
+        FormFileError,
+        HeckeViolationError,
+        CoefficientRangeError,
+        PreconditionError,
+        FileNotFoundError,
+    ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

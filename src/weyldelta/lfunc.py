@@ -39,6 +39,7 @@ from .numerics import PanelGrid, loglog_fit
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
+SCAN_WEIGHT_FLOOR = 3e-4  # the growth scan's relaxed AfeConfig.weight_floor
 
 
 def weight_gaussian(u):
@@ -219,6 +220,12 @@ class ScanResult:
     )
 
 
+def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
+    """Coefficients `growth_scan` reads over `t_grid` in its default configuration."""
+    cfg = AfeConfig(weight_floor=SCAN_WEIGHT_FLOOR)
+    return max(cfg.resolved_n_afe(form, float(t)) for t in t_grid)
+
+
 def growth_scan(
     form: CuspForm,
     t_grid: Sequence[float],
@@ -236,7 +243,7 @@ def growth_scan(
     exact ones, and the sums stay short enough to cover hundreds of
     sample points.
     """
-    cfg = cfg or AfeConfig(weight_floor=3e-4)
+    cfg = cfg or AfeConfig(weight_floor=SCAN_WEIGHT_FLOOR)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid < 2.001):
         raise PreconditionError("scan grid must stay above t = 2")
@@ -268,6 +275,10 @@ def growth_scan(
         if sel:
             best = max(sel, key=lambda r: r.l_abs)
             maxima.append((math.sqrt(lo * hi), best.l_abs))
+    if len(maxima) < 2:
+        raise PreconditionError(
+            f"the scan grid fills {len(maxima)} of {windows} windows; the exponent fit needs 2"
+        )
     xs = [m[0] for m in maxima]
     vals = [m[1] for m in maxima]
     slope, _, se = loglog_fit(xs, vals)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import weyldelta
 from weyldelta import checks
 from weyldelta.checks import CHECKS, SUITES, CheckContext, checks_for
@@ -189,6 +191,31 @@ def test_scan_writes_csv_and_report(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["checks"][0]["values"]["samples"] == 8
     assert "disclaimer" in report["checks"][0]["values"]
+
+
+def test_verify_scan_sizes_the_form_by_its_grid(tmp_path):
+    # past t ~ 640 the scan reads more than 30000 coefficients
+    grid = ["--t-min", "600", "--t-max", "700"]
+    ctx = CheckContext(scan_grid=np.linspace(600.0, 700.0, 8), checks=checks_for("scan"))
+    assert ctx.n_max > 30000
+    assert CheckContext(checks=checks_for("scan")).n_max <= 30000  # the default grid
+    report_path, csv_path = tmp_path / "scan.json", tmp_path / "scan.csv"
+    status = run_cli(
+        ["verify", "scan", *grid, "--samples", "8", "--output", str(report_path), "--csv", str(csv_path)]
+    )
+    assert status in (0, 1)  # the exponent of so short a range is noise; it must not crash
+    assert json.loads(report_path.read_text())["checks"][0]["values"]["samples"] == 8
+    n_used = [int(line.split(",")[2]) for line in csv_path.read_text().splitlines()[1:]]
+    assert max(n_used) == ctx.n_max > 30000
+    # two samples fill one window of the exponent fit: an input error, not a traceback
+    assert run_cli(["verify", "scan", *grid, "--samples", "2"]) == 3
+
+
+def test_form_shorter_than_a_check_reads_is_an_input_error(tmp_path, capsys):
+    form_path = tmp_path / "short.coef"
+    assert run_cli(["export-form", str(form_path), "--n-max", "100"]) == 0
+    assert run_cli(["verify", "afe", "--form", str(form_path)]) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_calibrate_subcommand(tmp_path):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from weyldelta.errors import CoefficientRangeError, PreconditionError
-from weyldelta.forms import delta_form
+from weyldelta.forms import constant_form, delta_form
 from weyldelta.lfunc import (
     AfeConfig,
     afe_value,
     afe_weight,
     growth_scan,
     log_gamma_quotient_factor,
+    scan_length,
     tail_check,
     weight_quartic,
 )
@@ -166,3 +167,17 @@ def test_growth_scan_density_stability(form):
 def test_growth_scan_guards_low_t(form):
     with pytest.raises(PreconditionError):
         growth_scan(form, [1.0, 10.0])
+
+
+def test_growth_scan_guards_a_grid_too_sparse_to_fit(form):
+    with pytest.raises(PreconditionError, match="fit needs 2"):
+        growth_scan(form, [20.0, 21.0], values=[1.0, 1.0], windows=1)
+
+
+def test_scan_length_is_the_longest_afe_sum(form):
+    grid = np.linspace(10.0, 500.0, 200)
+    n = scan_length(form, grid)
+    assert n == AfeConfig(weight_floor=3e-4).resolved_n_afe(form, 500.0) <= 30000
+    # it reads the gamma factor and level only, so a coefficient-free stand-in agrees
+    assert scan_length(constant_form(0), grid) == n
+    assert scan_length(form, [20.0, 700.0]) > 30000
