@@ -271,7 +271,7 @@ def _averaged_exactness(ctx):
 
 @_check("fourier-mellin-two-method", "twisted-mellin-stationary-expansion", "statphase", 4)
 def _fourier_mellin_two_method(ctx):
-    rng, betas, rel_errors = ctx.rng(), [], []
+    rng, betas, rel_errors, capped = ctx.rng(), [], [], 0
     for _ in range(40):
         beta = float(rng.uniform(50.0, 800.0))
         x0 = float(rng.uniform(1.0, 2.0))
@@ -281,15 +281,16 @@ def _fourier_mellin_two_method(ctx):
         asym = u_dagger_asymptotic(ctx.window_u, r, s)
         rel_errors.append(abs(direct.value - asym.value) / abs(direct.value))
         betas.append(beta)
+        capped += direct.depth_capped
     slope = loglog_fit(betas, rel_errors)[0]
-    return slope, -1.8, {"slope": slope, "max_rel_err": max(rel_errors)}
+    return slope, -1.8, {"slope": slope, "max_rel_err": max(rel_errors), "depth_capped": capped}
 
 
 @_check("fourier-mellin-no-stationary", "twisted-mellin-rapid-decay", "statphase", 4)
 def _fourier_mellin_no_stationary(ctx):
     r, s = -1000.0 / (2 * math.pi * 1.5), complex(1.0, 1000.0)
-    value = u_dagger_direct(ctx.window_u, r, s, tol=1e-12, budget=ctx.budget).value
-    return abs(value), 1e-6, {}
+    direct = u_dagger_direct(ctx.window_u, r, s, tol=1e-12, budget=ctx.budget)
+    return abs(direct.value), 1e-6, {"depth_capped": direct.depth_capped}
 
 
 def _profile_kinds(ctx: CheckContext):

@@ -42,7 +42,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, modular_inverse, panel_rule, unit_phases
+from .numerics import (
+    PanelGrid,
+    chebyshev_interpolant,
+    modular_inverse,
+    panel_rule,
+    unit_phases,
+)
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor, holomorphic_kind
 from .statphase import sharp_weight
@@ -51,6 +57,8 @@ from .testfn import SmoothWindow, make_window_u, make_window_v
 EPS_RANGE = 0.1  # every t^eps / N^eps range condition is instantiated at 0.1
 
 TWO_PI = 2.0 * math.pi
+
+X_RANGE = (1.0, 2.0)  # the x-integral's interval, supp V
 
 
 @functools.lru_cache(maxsize=1)
@@ -67,7 +75,8 @@ def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = 
     """int e(theta x) window(x) dx over the support, in at most `budget` cells.
 
     Raises BudgetExceededError instead of returning the truncated value of
-    an exhausted cell budget, so no caller (or cache) keeps it.
+    an exhausted cell budget, or a value with cells accepted only at the
+    depth cap, so no caller (or cache) keeps it.
     """
     res = integrate_1d(
         lambda x: window(x), lambda x: theta * x, *window.support, tol=1e-13, budget=budget
@@ -75,6 +84,11 @@ def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = 
     if res.budget_exhausted:
         raise BudgetExceededError(
             f"window Fourier integral at theta = {theta:.6g} exhausted {res.cells} cells"
+        )
+    if res.depth_capped:
+        raise BudgetExceededError(
+            f"window Fourier integral at theta = {theta:.6g} accepted {res.depth_capped} "
+            "cells at the depth cap"
         )
     return complex(res.value)
 
@@ -263,7 +277,7 @@ def _index_ranges(form: CuspForm, cfg: PipelineConfig):
 
 def _x_rule(cfg: PipelineConfig):
     panels = max(12, int(math.ceil(6 * abs(cfg.K) * cfg.grid_scale)) + 4)
-    return panel_rule(1.0, 2.0, panels, 16)
+    return panel_rule(*X_RANGE, panels, 16)
 
 
 def _amplitudes(form: CuspForm, cfg: PipelineConfig):
@@ -363,14 +377,17 @@ class DualKernel:
     """Precomputed quadrature tables for Istar / I_delta at fixed (cfg, c).
 
     Udag values depend on (r, x) but not on s, Vdag values on (x, tau) but
-    not on r, so both are tabulated once; each Istar row is then one
-    matrix-vector product over the x grid and each I_delta(m, r) a weighted
-    dot product over the tau grid. The Vdag table costs n_x * n_u * n_tau
-    multiply-adds but only n_u * (tau panels + 16) complex exponentials,
-    since the tau grid is a factored :class:`PanelGrid`. Grid densities
-    scale with the oscillation rates (~K cycles across supp V for the
-    x-integral, O(1) cycles per unit tau).
+    not on r, so both are tabulated once; each Istar row is then a product
+    over the x grid and each I_delta(m, r) a weighted dot product over the
+    tau grid. Vdag is kept on m Chebyshev x points rather than the n_x
+    Gauss nodes (see :meth:`_build_tau_tables`): its table costs
+    m * n_u * n_tau multiply-adds and about n_u * (2 sqrt(tau panels) + 16)
+    complex exponentials, since the tau grid is a factored
+    :class:`PanelGrid`. Grid densities scale with the oscillation rates
+    (~K cycles across supp V for the x-integral, O(1) cycles per unit tau).
     """
+
+    CHEB_EXTRA = 30  # Chebyshev x points beyond the demodulated bandwidth
 
     def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind, level: int = 1):
         self.cfg = cfg
@@ -385,7 +402,8 @@ class DualKernel:
         tau_panels = max(24, int(math.ceil(self.tau_cut * scale)))
         self.tau_grid = PanelGrid(-self.tau_cut, self.tau_cut, tau_panels, 16)
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
-        self._vdag = None
+        self._vdag_cheb = None
+        self._interp = None
 
         # Udag(N r / c - K x, 1 - it) rows, cached per r with row-sized grids
         self._u_support = u.support
@@ -396,12 +414,19 @@ class DualKernel:
         self.vx = v(self.x_nodes) * self.x_weights
 
     def _build_tau_tables(self):
-        """The Vdag(K x, 1 - s/2) table over (x, tau); built on first use.
+        """The Vdag(K x, 1 - s/2) tables, as Chebyshev rows; built on first use.
 
-        The (x, u) x (u, tau) product dominates the kernel cost, so paths
-        that never integrate over tau (istar_value, udag_row) skip it.
-        (No conjugate shortcut in tau here: the e(-Kxu) twist keeps its
-        sign, so Vdag at -tau is not the mirror of Vdag at +tau.)
+        The x-dependence of Vdag is sum_u amp(u) e^(-2 pi i K x u) u^(-i tau/2)
+        with u in supp V = [va, vb]. Without the carrier e^(-2 pi i K uc x),
+        uc = (va + vb)/2, what is left has bandwidth
+        omega = pi |K| (xb - xa)(vb - va)/2 on [xa, xb] = X_RANGE, so it is
+        tabulated on m = ceil(omega) + CHEB_EXTRA Chebyshev points (35 at
+        K = 3) and carried to the Gauss x nodes by one barycentric matrix
+        that also puts the carrier back. The (m x n_u) x (n_u x n_tau)
+        product dominates the kernel cost, so paths that never integrate
+        over tau (istar_value, udag_row) skip it. (No conjugate shortcut in
+        tau here: the e(-Kxu) twist keeps its sign, so Vdag at -tau is not
+        the mirror of Vdag at +tau.)
         """
         cfg, scale = self.cfg, self.cfg.grid_scale
         v = _window_v()
@@ -410,15 +435,26 @@ class DualKernel:
         v_panels = max(12, int(math.ceil(1.6 * v_cycles * scale)))
         uv, wv = panel_rule(va, vb, v_panels, 16)
         amp_v = wv * v(uv) * uv ** (-0.5)
-        t1 = np.exp(-2j * np.pi * cfg.K * np.outer(self.x_nodes, uv)) * amp_v[None, :]
+        xa, xb = X_RANGE
+        uc = 0.5 * (va + vb)
+        omega = math.pi * abs(cfg.K) * (xb - xa) * (vb - va) / 2
+        xi, interp = chebyshev_interpolant(xa, xb, math.ceil(omega) + self.CHEB_EXTRA, self.x_nodes)
+        demod = np.exp(-2j * np.pi * cfg.K * np.outer(xi, uv - uc)) * amp_v[None, :]
         # u^(-i tau/2) = exp(-i (log u / 2) tau)
-        self._vdag = self.tau_grid.sums_at_nodes(t1, 0.5 * np.log(uv))
+        self._vdag_cheb = self.tau_grid.sums_at_nodes(demod, 0.5 * np.log(uv))
+        self._interp = np.exp(-2j * np.pi * cfg.K * uc * self.x_nodes)[:, None] * interp
+
+    def _tau_tables(self):
+        """(interp, vdag_cheb): Vdag over (x, tau) is interp @ vdag_cheb."""
+        if self._vdag_cheb is None:
+            self._build_tau_tables()
+        return self._interp, self._vdag_cheb
 
     @property
     def vdag(self) -> np.ndarray:
-        if self._vdag is None:
-            self._build_tau_tables()
-        return self._vdag
+        """The full Vdag table over (x, tau), formed from the Chebyshev rows on each access."""
+        interp, vdag_cheb = self._tau_tables()
+        return interp @ vdag_cheb
 
     def udag_row(self, r: int) -> np.ndarray:
         """Udag(N r / c - K x_i, 1 - it) over the x grid.
@@ -426,7 +462,8 @@ class DualKernel:
         Each row carries its own u quadrature sized by that row's maximal
         twist frequency, so large t or large |r| only inflate the rows that
         need it. A row is one `PanelGrid.sums_at_freqs` at the frequencies
-        2 pi rho, i.e. (panels + 16) complex exponentials per x node.
+        2 pi rho, i.e. about 2 sqrt(panels) + 16 complex exponentials per
+        x node.
         """
         if r not in self._udag_rows:
             cfg = self.cfg
@@ -459,9 +496,14 @@ class DualKernel:
         return self._gamma_cache[delta]
 
     def istar_row(self, r: int) -> np.ndarray:
-        """Istar(r, c, 1 + i tau) over the tau grid (x-integral done)."""
+        """Istar(r, c, 1 + i tau) over the tau grid (x-integral done).
+
+        The x-integral runs on the Gauss nodes and is then mapped to the
+        Chebyshev rows: (n_x) @ (n_x x m), then (m) @ (m x n_tau).
+        """
         if r not in self._istar_cache:
-            self._istar_cache[r] = (self.vx * self.udag_row(r)) @ self.vdag
+            interp, vdag_cheb = self._tau_tables()
+            self._istar_cache[r] = ((self.vx * self.udag_row(r)) @ interp) @ vdag_cheb
         return self._istar_cache[r]
 
     def istar_value(self, r: int, tau: float) -> complex:
@@ -616,7 +658,9 @@ def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
     Splitting the dual m-sum by residue class lets the additive twists
     e(-m conj(rM)/c) come out of the tau-integral, so the sums are built
     once for all r. Each class is one (16 x M_b) @ (M_b x panels) product
-    on the factored grid: n_cut * (panels + 16) complex exponentials and
+    on the factored grid: about n_cut * (2 sqrt(panels) + 16) complex
+    exponentials (36 + 34 + 16 = 86 per m on the 1200-panel grid of a
+    tau_cut of 1200, against 1216 with one exponential per panel) and
     16 * n_cut * panels multiply-adds in all.
     """
     logm = np.log(np.arange(1, n_cut + 1, dtype=float))
@@ -640,9 +684,9 @@ def s_c_dual(
 
     The m-sum is folded into the tau-integral through residue-class
     Dirichlet partial sums, so the cost is O(n_cut * n_tau) multiply-adds
-    (with n_cut * (n_tau / 16 + 16) complex exponentials) plus
-    O(r_cut * n_x * n_tau) for the Istar rows, rather than per-(m, r)
-    quadratures.
+    (with about n_cut * (2 sqrt(n_tau / 16) + 16) complex exponentials) plus
+    O(r_cut * (n_x * m + m * n_tau)) for the Istar rows, m the kernel's
+    Chebyshev x points, rather than per-(m, r) quadratures.
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")

@@ -109,8 +109,8 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     The u-integral runs on Re u = abscissa, truncated where the even weight
     has decayed to ~1e-20; the gamma ratio is computed in log space. With
     y^(-u) = y^(-a) exp(-i v log y) the v-integral for every y is a sum over
-    the factored v grid: per y, 16 + v_panels complex exponentials and one
-    row of a (len(ys) x 16) @ (16 x v_panels) product.
+    the factored v grid: per y, about 2 sqrt(v_panels) + 16 complex
+    exponentials and one row of a (len(ys) x 16) @ (16 x v_panels) product.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys <= 0):
@@ -247,6 +247,9 @@ def growth_scan(
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid < 2.001):
         raise PreconditionError("scan grid must stay above t = 2")
+    if len(t_grid) == 0 or t_grid[-1] <= t_grid[0]:
+        # a single t would sit in every window and fake a fit
+        raise PreconditionError("the scan grid spans no interval; the exponent fit needs 2 windows")
     records = []
     if values is None:
         for t in t_grid:
@@ -269,6 +272,8 @@ def growth_scan(
             records.append(ScanRecord(float(t), float(v), 0j, 0j, 0, 0.0, False))
 
     edges = np.exp(np.linspace(math.log(t_grid[0]), math.log(t_grid[-1]), windows + 1))
+    # exp(log t) rounds the outer edges inward, past the grid's own ends
+    edges[0], edges[-1] = t_grid[0], t_grid[-1]
     maxima = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = [r for r in records if lo <= r.t <= hi]

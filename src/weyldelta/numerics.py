@@ -2,8 +2,9 @@
 
 Everything here is deliberately plain: cached Gauss-Legendre nodes, composite
 panels (with a factored equal-panel grid for exponential sums over its
-nodes), and a least-squares log-log slope. The oscillatory machinery
-lives in :mod:`weyldelta.oscillate` and builds on these pieces.
+nodes), barycentric Chebyshev interpolation, and a least-squares log-log
+fit. The oscillatory machinery lives in :mod:`weyldelta.oscillate` and
+builds on these pieces.
 """
 
 from __future__ import annotations
@@ -40,6 +41,27 @@ def edges_rule(edges, order: int = 16):
     return nodes, weights
 
 
+def chebyshev_interpolant(a: float, b: float, m: int, targets):
+    """Chebyshev points of the second kind on [a, b] and the barycentric matrix.
+
+    Returns (nodes, L) with L of shape (len(targets), m): for values f at
+    the m >= 2 nodes, L @ f is the degree-(m - 1) interpolant at the
+    targets (the barycentric formula of Berrut & Trefethen, SIAM Rev. 46
+    (2004), sec. 5). A target that falls on a node takes that node's value.
+    """
+    j = np.arange(m)
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * j / (m - 1))
+    w = np.where(j % 2 == 0, 1.0, -1.0)
+    w[[0, -1]] *= 0.5
+    diff = np.asarray(targets, dtype=float)[:, None] - nodes[None, :]
+    hit = diff == 0
+    diff[hit] = 1.0
+    c = w / diff
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return nodes, c / c.sum(axis=1, keepdims=True)
+
+
 class PanelGrid:
     """The equal-panel Gauss-Legendre rule on [a, b], kept in factored form.
 
@@ -49,9 +71,14 @@ class PanelGrid:
 
         exp(-i f tau_(p,k)) = exp(-i f mids[p]) * exp(-i f offsets[k]),
 
-    the phase table E[j, n] = exp(-i freqs[j] nodes[n]) needs P + order
-    complex exponentials per frequency instead of P * order, and a product
-    with it is one GEMM per block of frequencies.
+    the phase table E[j, n] = exp(-i freqs[j] nodes[n]) is one GEMM per
+    block of frequencies. The mids are equally spaced too, so with
+    B = isqrt(P) the mid phases split once more,
+
+        exp(-i f mids[qB + s]) = exp(-i f mids[qB]) * exp(-i f (mids[s] - mids[0])),
+
+    and a frequency needs about 2 sqrt(P) + order complex exponentials
+    instead of P * order (P + order with the first split alone).
     """
 
     # complex elements per temporary (64 MB)
@@ -71,12 +98,21 @@ class PanelGrid:
     def _phase_blocks(self, freqs, width: int = 1):
         """(slice, exp(-i f mids), exp(-i f offsets)) over blocks of freqs.
 
-        A block's (freqs x panels x width) temporaries stay under CHUNK.
+        The mid table is the (freqs, ceil(P/B), B) product of the coarse
+        phases at mids[::B] and the fine ones at mids[:B] - mids[0], trimmed
+        to P columns. A block's (freqs x panels x width) temporaries stay
+        under CHUNK.
         """
-        step = max(1, int(self.CHUNK // (len(self.mids) * width)))
+        n_mid = len(self.mids)
+        step = max(1, int(self.CHUNK // (n_mid * width)))
+        b = math.isqrt(n_mid)
+        coarse_mids = self.mids[::b]
+        fine_steps = self.mids[:b] - self.mids[0]
         for i in range(0, len(freqs), step):
             f = freqs[i : i + step]
-            mid = np.exp(-1j * np.outer(f, self.mids))
+            coarse = np.exp(-1j * np.outer(f, coarse_mids))
+            fine = np.exp(-1j * np.outer(f, fine_steps))
+            mid = (coarse[:, :, None] * fine[:, None, :]).reshape(len(f), -1)[:, :n_mid]
             off = np.exp(-1j * np.outer(f, self.offsets))
             yield slice(i, i + len(f)), mid, off
 
@@ -129,23 +165,15 @@ class PanelGrid:
 
 
 def loglog_slope(xs, ys):
-    """Least-squares slope of log|y| against log x.
-
-    Points with |y| = 0 are dropped (they would be -inf in log space).
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.abs(np.asarray(ys))
-    keep = ys > 0
-    if keep.sum() < 2:
-        raise ValueError("need at least two nonzero points for a slope fit")
-    lx = np.log(xs[keep])
-    ly = np.log(ys[keep])
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
+    """Least-squares slope of log|y| against log x (see :func:`loglog_fit`)."""
+    return loglog_fit(xs, ys)[0]
 
 
 def loglog_fit(xs, ys):
-    """Slope, intercept and standard error of the slope for log-log data."""
+    """Slope, intercept and standard error of the slope for log-log data.
+
+    Points with |y| = 0 are dropped (they would be -inf in log space).
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys))
     keep = ys > 0

@@ -54,6 +54,7 @@ class DaggerValue:
     method: str  # "direct" | "asymptotic"
     abs_error_estimate: float
     regime: Regime = Regime.INTERIOR
+    depth_capped: int = 0  # quadrature cells accepted only at the depth cap (direct method)
 
 
 def _bisect_root(fp, lo, hi, iters: int = 200):
@@ -182,7 +183,8 @@ def u_dagger_direct(
     """W_dagger(r, s) by adaptive oscillatory quadrature over supp W.
 
     Raises BudgetExceededError when the quadrature needs more than `budget`
-    cells, rather than returning the truncated value.
+    cells, rather than returning the truncated value. Cells accepted only
+    because they reached the depth cap are counted in `depth_capped`.
     """
     a, b = window.support
     if a <= 0:
@@ -204,6 +206,7 @@ def u_dagger_direct(
         value=res.value,
         method="direct",
         abs_error_estimate=res.abs_error_estimate,
+        depth_capped=res.depth_capped,
     )
 
 

@@ -62,8 +62,8 @@ class WhatTransform:
     """Precomputed evaluator for What_pm of one (kind, window) pair.
 
     Both regimes are sums over a factored :class:`PanelGrid`, so a value of
-    y costs (panels + 16) complex exponentials plus its share of one GEMM,
-    not one transcendental per (y, node) pair:
+    y costs about 2 sqrt(panels) + 16 complex exponentials plus its share of
+    one GEMM, not one transcendental per (y, node) pair:
 
     * y below `y_split` (every y for Maass kinds): the contour form. m_W and
       the gamma factors are tabulated once on equal tau panels over

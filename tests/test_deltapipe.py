@@ -82,6 +82,14 @@ def test_exhausted_budget_raises_and_caches_nothing(monkeypatch):
         trivial_delta(104, 13, 10.0)
 
 
+def test_depth_capped_window_integral_raises_and_caches_nothing(monkeypatch):
+    deltapipe._fourier_v.cache_clear()
+    monkeypatch.setattr(oscillate, "MAX_DEPTH", 2)
+    with pytest.raises(BudgetExceededError, match="depth cap"):
+        deltapipe._fourier_v(6.1)
+    assert deltapipe._fourier_v.cache_info().currsize == 0
+
+
 def test_averaged_delta_exact_cases(cfg_split):
     assert averaged_delta(7, 7, cfg_split) == 1.0
     assert averaged_delta(8, 7, cfg_split) == 0.0  # no prime divides 1
@@ -231,7 +239,13 @@ def test_kernel_udag_row_matches_per_row_table(form, r):
 
 
 def _vdag_per_node(kernel):
-    """The Vdag table by one complex exponential per (u, tau) node (oracle)."""
+    """The Vdag table by one complex exponential per (x, u) and (u, tau) node (oracle).
+
+    At large K both this table and the kernel's Chebyshev rows sit at the
+    problem's own cancellation floor: at K = 40, N = 100, c = 101 and
+    tau_cut 300, max |Vdag| is 8.3e-5 against O(1) summands, and the two
+    differ there by 1.3e-10 of that maximum.
+    """
     cfg = kernel.cfg
     v = make_window_v()
     va, vb = v.support
@@ -246,6 +260,40 @@ def test_kernel_vdag_matches_per_node_table(form):
     kernel = DualKernel(cfg, 11, form.kind)
     ref = _vdag_per_node(kernel)
     assert np.max(np.abs(kernel.vdag - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "settings, c, tol",
+    [
+        (dict(N=20.0, t=5.0, K=3.0, grid_scale=1.5), 11, 1e-12),
+        (dict(N=100.0, t=2000.0, K=20.0), 101, 1e-11),
+    ],
+    ids=["K3-fine-grid", "K20"],
+)
+def test_kernel_chebyshev_vdag_matches_per_node_table(form, settings, c, tol):
+    cfg = PipelineConfig(prime_set=(c,), c=c, tau_cut=300.0, **settings)
+    kernel = DualKernel(cfg, c, form.kind)
+    ref = _vdag_per_node(kernel)
+    assert np.max(np.abs(kernel.vdag - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_kernel_chebyshev_rows_are_converged(form, monkeypatch):
+    # ten more Chebyshev x points than the kernel uses change nothing
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
+    base = DualKernel(cfg, 11, form.kind)
+    assert base._tau_tables()[1].shape[0] == math.ceil(math.pi * cfg.K / 2) + 30 == 35
+    monkeypatch.setattr(DualKernel, "CHEB_EXTRA", DualKernel.CHEB_EXTRA + 10)
+    finer = DualKernel(cfg, 11, form.kind)
+    assert finer._tau_tables()[1].shape[0] == 45
+    assert np.max(np.abs(finer.vdag - base.vdag)) <= 1e-13 * np.max(np.abs(base.vdag))
+
+
+def test_kernel_istar_row_matches_per_node_table(form):
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
+    kernel = DualKernel(cfg, 11, form.kind)
+    for r in (-2, 1):
+        ref = (kernel.vx * kernel.udag_row(r)) @ _vdag_per_node(kernel)
+        assert np.max(np.abs(kernel.istar_row(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_kernel_istar_consistency(form):

@@ -181,3 +181,15 @@ def test_scan_length_is_the_longest_afe_sum(form):
     # it reads the gamma factor and level only, so a coefficient-free stand-in agrees
     assert scan_length(constant_form(0), grid) == n
     assert scan_length(form, [20.0, 700.0]) > 30000
+
+
+def test_growth_scan_window_edges_keep_the_grid_ends(form):
+    # exp(log 700) rounds to 700 - 2.3e-13: the last window must still hold t = 700
+    scan = growth_scan(form, [600.0, 700.0], values=[1.0, 2.0])
+    assert [best for _, best in scan.window_maxima] == [1.0, 2.0]
+
+
+def test_growth_scan_guards_a_single_point_grid(form):
+    # one t lies in every window at once; it is no interval to fit over
+    with pytest.raises(PreconditionError, match="spans no interval"):
+        growth_scan(form, [600.0, 600.0], values=[1.0, 1.0])

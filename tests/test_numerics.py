@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weyldelta.numerics import PanelGrid, panel_rule
+from weyldelta.numerics import PanelGrid, chebyshev_interpolant, panel_rule
 
 
 def _phase_table(freqs, nodes):
@@ -59,8 +59,61 @@ def test_sums_at_freqs_columns_match_phase_table(chunk, monkeypatch):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# one panel, no full coarse row, a prime count, the dual workload's tau
+# grid and the WhatTransform tau grid: the two-level mid phases trim a
+# ragged last row whenever P is not a square. Frequencies stay in [0, 3],
+# so the phases |f tau| stay under 6000, where the reference table's own
+# rounding (|f tau| times the machine epsilon) stays well under 1e-12.
+RAGGED = [
+    (-300.0, 300.0, 1),
+    (-300.0, 300.0, 2),
+    (-300.0, 300.0, 37),
+    (-1200.0, 1200.0, 1200),
+    (0.0, 2000.0, 1831),
+]
+
+
+@pytest.mark.parametrize("a, b, panels", RAGGED)
+@pytest.mark.parametrize("rows", [1, 40])
+def test_sums_at_nodes_ragged_panel_counts(a, b, panels, rows):
+    rng = np.random.default_rng(panels)
+    grid = PanelGrid(a, b, panels, 16)
+    freqs = rng.uniform(0.0, 3.0, 120)
+    coeffs = rng.normal(size=(rows, 120)) + 1j * rng.normal(size=(rows, 120))
+    ref = coeffs @ _phase_table(freqs, grid.nodes)
+    got = grid.sums_at_nodes(coeffs, freqs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("a, b, panels", RAGGED)
+@pytest.mark.parametrize("width", [None, 6])
+def test_sums_at_freqs_ragged_panel_counts(a, b, panels, width):
+    rng = np.random.default_rng(panels)
+    grid = PanelGrid(a, b, panels, 16)
+    freqs = rng.uniform(0.0, 3.0, 120)
+    shape = (grid.nodes.size,) if width is None else (grid.nodes.size, width)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = _phase_table(freqs, grid.nodes) @ values
+    got = grid.sums_at_freqs(freqs, values)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_sums_at_nodes_empty_frequency_set():
     grid = PanelGrid(-1.0, 1.0, 4, 16)
     out = grid.sums_at_nodes(np.zeros(0, dtype=complex), np.zeros(0))
     assert out.shape == (64,)
     assert not np.any(out)
+
+
+def test_chebyshev_interpolant_reproduces_polynomials():
+    # 1, 1.5 and 2 are nodes of the 9-point rule on [1, 2]
+    targets = np.r_[1.0, 1.5, 2.0, np.random.default_rng(3).uniform(1.0, 2.0, 40)]
+    nodes, interp = chebyshev_interpolant(1.0, 2.0, 9, targets)
+    assert interp.shape == (43, 9)
+    assert np.array_equal(interp[:3] != 0, nodes[None, :] == targets[:3, None])
+
+    def poly(x):
+        return (x - 1.2) ** 8 - 3 * x
+
+    assert np.max(np.abs(interp @ poly(nodes) - poly(targets))) <= 1e-13

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from weyldelta import oscillate
+from weyldelta.checks import CHECKS, CheckContext
 from weyldelta.errors import PreconditionError
 from weyldelta.numerics import loglog_fit, loglog_slope
 from weyldelta.oscillate import PhaseProfile, integrate_1d
@@ -226,6 +228,18 @@ def test_dagger_no_stationary_point():
     assert abs(direct.value) < 1e-6
     # the recorded j = 3 integration-by-parts bound dominates the true value
     assert abs(direct.value) <= asym.abs_error_estimate
+
+
+def test_depth_cap_reaches_the_dagger_value_and_the_checks(monkeypatch):
+    names = ("fourier-mellin-two-method", "fourier-mellin-no-stationary")
+    mellin = [check for check in CHECKS if check.name in names]
+    ctx = CheckContext(seed=1, checks=mellin)
+    r, s = 400.0 / (2 * math.pi * 1.5), complex(1.0, 400.0)
+    assert u_dagger_direct(U, r, s, tol=1e-12).depth_capped == 0
+    assert [check.run(ctx).values["depth_capped"] for check in mellin] == [0, 0]
+    monkeypatch.setattr(oscillate, "MAX_DEPTH", 2)
+    assert u_dagger_direct(U, r, s, tol=1e-12).depth_capped > 0
+    assert all(check.run(ctx).values["depth_capped"] > 0 for check in mellin)
 
 
 def test_dagger_regime_guard():
