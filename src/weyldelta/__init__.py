@@ -6,9 +6,9 @@ Submodules:
 * :mod:`weyldelta.specialfn` - complex gamma, archimedean factor ratios,
   high-frequency phase profiles
 * :mod:`weyldelta.testfn`    - smooth compactly supported windows
-* :mod:`weyldelta.oscillate` - adaptive oscillatory quadrature
-* :mod:`weyldelta.statphase` - stationary-phase expansions, twisted Mellin
-  transform (direct and asymptotic)
+* :mod:`weyldelta.oscillate` - adaptive oscillatory quadrature on an interval
+* :mod:`weyldelta.statphase` - the twisted Mellin transform, by direct
+  quadrature and by its stationary-phase expansion
 * :mod:`weyldelta.forms`     - cusp-form coefficient providers
 * :mod:`weyldelta.voronoi`   - dual summation formula, two-sided checks
 * :mod:`weyldelta.deltapipe` - delta-method identities and the dual-sum

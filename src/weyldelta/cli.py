@@ -19,9 +19,10 @@ rest byte for byte). Scan/probe points go to CSV with a header row and
 plain decimal formatting. The env variable WEYL_DELTA_BUDGET (or
 `--budget`) caps the oscillatory-quadrature cell count and the
 stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
-failure, 2 budget exhausted, 3 input error (an unreadable or invalid form
-file, a form with fewer coefficients than a check reads, or arguments a
-computation rejects, such as a scan grid too sparse for its fit).
+failure, 2 budget exhausted, 3 input error (a usage error, an unreadable
+or invalid form file, a form with fewer coefficients than a check reads,
+or arguments a computation rejects, such as a scan grid too sparse for
+its fit).
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INPUT on a usage error (argparse's own code, 2, means
+    an exhausted budget here); subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def run_suite(suite: str, ctx: CheckContext):
@@ -102,7 +112,7 @@ def _write_scan_csv(scan, path: str):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="weyl-delta", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="weyl-delta", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -103,11 +103,11 @@ def _fourier_v(theta: float, budget: Optional[int] = None) -> complex:
 class PipelineConfig:
     """Parameter bundle for the identity checks.
 
-    Range conventions (all with eps = 0.1): q > X^(1+eps) for the single
-    modulus delta; min(prime_set) > N^(1+eps)/K for the averaged one; the
-    primes are coprime to the form's level. Truncations default to sizes
-    with an explicit x8-style safety margin and are meant to be swept
-    (doubled) to demonstrate stability, not trusted blindly.
+    Range conventions (with eps = 0.1): min(prime_set) > N^(1+eps)/K for
+    the averaged delta, and the primes are coprime to the form's level.
+    Truncations default to sizes with an explicit x8-style safety margin
+    and are meant to be swept (doubled) to demonstrate stability, not
+    trusted blindly.
     """
 
     N: float = 20.0
@@ -115,12 +115,9 @@ class PipelineConfig:
     K: float = 3.0
     prime_set: Tuple[int, ...] = ()
     c: int = 1
-    X: float = 10.0
-    q: int = 13
     tau_cut: Optional[float] = None
     r_cut: Optional[int] = None
     n_cut: Optional[int] = None
-    tol: float = 1e-6
     grid_scale: float = 1.0
     eval_budget: float = 2e9
 
@@ -149,10 +146,6 @@ class PipelineConfig:
             raise PreconditionError("need t > 2")
         if not (0 < self.K < self.N):
             raise PreconditionError("need 0 < K < N")
-        if self.q <= self.X ** (1 + EPS_RANGE):
-            raise PreconditionError(
-                f"q = {self.q} must exceed X^(1+eps) = {self.X ** (1 + EPS_RANGE):.2f}"
-            )
         if need_primes:
             if not self.prime_set:
                 raise PreconditionError("prime_set is empty")
@@ -374,13 +367,14 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
 
 
 class DualKernel:
-    """Precomputed quadrature tables for Istar / I_delta at fixed (cfg, c).
+    """Precomputed quadrature tables for Istar at fixed (cfg, c).
 
     Udag values depend on (r, x) but not on s, Vdag values on (x, tau) but
     not on r, so both are tabulated once; each Istar row is then a product
-    over the x grid and each I_delta(m, r) a weighted dot product over the
-    tau grid. Vdag is kept on m Chebyshev x points rather than the n_x
-    Gauss nodes (see :meth:`_build_tau_tables`): its table costs
+    over the x grid, and :func:`s_c_dual` does the I_delta tau-integral as
+    a weighted sum over the tau grid. None of the tables depends on the
+    level. Vdag is kept on m Chebyshev x points rather than the n_x Gauss
+    nodes (see :meth:`_build_tau_tables`): its table costs
     m * n_u * n_tau multiply-adds and about n_u * (2 sqrt(tau panels) + 16)
     complex exponentials, since the tau grid is a factored
     :class:`PanelGrid`. Grid densities scale with the oscillation rates
@@ -389,11 +383,10 @@ class DualKernel:
 
     CHEB_EXTRA = 30  # Chebyshev x points beyond the demodulated bandwidth
 
-    def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind, level: int = 1):
+    def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind):
         self.cfg = cfg
         self.c = int(c)
         self.kind = kind
-        self.level = level
         self.tau_cut = cfg.resolved_tau_cut()
         v, u = _window_v(), _window_u()
         scale = cfg.grid_scale
@@ -516,28 +509,6 @@ class DualKernel:
         amp = wv * v(uv) * uv ** (-0.5) * np.exp(-0.5j * tau * np.log(uv))
         vdag_col = np.exp(-2j * np.pi * self.cfg.K * np.outer(self.x_nodes, uv)) @ amp
         return complex(np.sum(self.vx * vdag_col * self.udag_row(r)))
-
-    def i_delta(self, n: int, r: int, delta: int) -> complex:
-        """I_delta(n, r, c) = (1/2 pi) int (sqrt(nN)/(c sqrt(M)))^(-s)
-        Gamma_delta(s) Istar(r, c, s) dtau on Re s = 1."""
-        base = math.sqrt(n * self.cfg.N) / (self.c * math.sqrt(self.level))
-        power = np.exp(-(1.0 + 1j * self.tau_nodes) * math.log(base))
-        vals = self.tau_weights * power * self.gamma_on_grid(delta) * self.istar_row(r)
-        return complex(np.sum(vals) / TWO_PI)
-
-
-def i_delta_direct(
-    n: int, r: int, c: int, kind: GammaFactorKind, cfg: PipelineConfig, level: int = 1
-) -> Tuple[complex, complex]:
-    """(I_0, I_1) for one (n, r, c); holomorphic kinds return (I_gamma, 0).
-
-    One-off convenience wrapper; sweeps over many (n, r) should build a
-    DualKernel and reuse it.
-    """
-    kernel = DualKernel(cfg, c, kind, level=level)
-    if kind.family == "holomorphic":
-        return kernel.i_delta(n, r, 0), 0.0 + 0.0j
-    return kernel.i_delta(n, r, 0), kernel.i_delta(n, r, 1)
 
 
 def i_star_direct(r: int, c: int, tau: float, cfg: PipelineConfig) -> complex:
@@ -691,7 +662,7 @@ def s_c_dual(
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
     if kernel is None:
-        kernel = DualKernel(cfg, c, form.kind, level=form.level)
+        kernel = DualKernel(cfg, c, form.kind)
     pstar = max(len(cfg.prime_set), 1)
     n_cut = n_cut or cfg.resolved_n_cut(c, form.level)
     r_cut = r_cut or cfg.resolved_r_cut(c)
@@ -751,7 +722,7 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         raise PreconditionError("c must belong to the prime set")
     cfg.validate(level=form.level, need_primes=True)
     c = cfg.c
-    kernel = DualKernel(cfg, c, form.kind, level=form.level)
+    kernel = DualKernel(cfg, c, form.kind)
     direct = s_c_direct(form, cfg, c)
     n_cut = cfg.resolved_n_cut(c, form.level)
     r_cut = cfg.resolved_r_cut(c)
@@ -766,11 +737,11 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         stability["double_n_cut"] = abs(dual - dual_n) / scale
         stability["double_r_cut"] = abs(dual - dual_r) / scale
         tau_cfg = replace(cfg, tau_cut=2 * cfg.resolved_tau_cut())
-        tau_kernel = DualKernel(tau_cfg, c, form.kind, level=form.level)
+        tau_kernel = DualKernel(tau_cfg, c, form.kind)
         dual_tau = s_c_dual(form, tau_cfg, c, kernel=tau_kernel, n_cut=n_cut, r_cut=r_cut)
         stability["double_tau_cut"] = abs(dual - dual_tau) / scale
         fine_cfg = replace(cfg, grid_scale=cfg.grid_scale * 1.5)
-        fine_kernel = DualKernel(fine_cfg, c, form.kind, level=form.level)
+        fine_kernel = DualKernel(fine_cfg, c, form.kind)
         dual_fine = s_c_dual(form, fine_cfg, c, kernel=fine_kernel, n_cut=n_cut, r_cut=r_cut)
         stability["refine_grids"] = abs(dual - dual_fine) / scale
     return DualCheckResult(

@@ -181,22 +181,6 @@ def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeV
     )
 
 
-def tail_check(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None):
-    """Decay of |V_s| past the effective length (1+|t|) sqrt(M).
-
-    Returns (lambdas, values, slope): the weight sampled at
-    n = lam * (1+|t|) sqrt(M) for lam in {1, 2, 4, 8} and the log-log slope,
-    which should be steeply negative (superpolynomial decay).
-    """
-    cfg = cfg or AfeConfig()
-    s = 0.5 + 1j * t
-    lams = np.array([1.0, 2.0, 4.0, 8.0])
-    ys = lams * (1.0 + abs(t))  # n / sqrt(M) at n = lam (1+|t|) sqrt(M)
-    vals = afe_weight(form, s, ys, cfg)
-    slope, _, _ = loglog_fit(lams, np.abs(vals))
-    return lams, vals, slope
-
-
 @dataclass
 class ScanRecord:
     t: float
@@ -222,6 +206,8 @@ class ScanResult:
 
 def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
     """Coefficients `growth_scan` reads over `t_grid` in its default configuration."""
+    if len(t_grid) == 0:
+        raise PreconditionError("the scan grid is empty")
     cfg = AfeConfig(weight_floor=SCAN_WEIGHT_FLOOR)
     return max(cfg.resolved_n_afe(form, float(t)) for t in t_grid)
 

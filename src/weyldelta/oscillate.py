@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
-from .numerics import gauss_legendre, loglog_slope
+from .errors import PreconditionError
+from .numerics import gauss_legendre
 
 DEFAULT_CELL_BUDGET = 10**6
 MAX_DEPTH = 60  # a cell this deep is accepted whatever its error indicator
@@ -37,11 +37,6 @@ TWO_PI = 2.0 * math.pi
 _X16, _W16 = gauss_legendre(16)
 _X8, _W8 = gauss_legendre(8)
 _NODES = np.concatenate((_X16, _X8))  # GL16 then the embedded GL8
-
-
-def e(x):
-    """e(x) = exp(2 pi i x)."""
-    return np.exp(2j * np.pi * np.asarray(x))
 
 
 @dataclass
@@ -58,40 +53,8 @@ class OscillatoryResult:
         return complex(self.value)
 
 
-@dataclass
-class PhaseProfile:
-    """An integrand g*e(f) on [a, b] with declared scale parameters.
-
-    f, g are callables (x, order=0) -> value supporting orders up to 4 and 2
-    respectively. The scales assert |f^(i)| <= c * theta_f / omega_f^i and
-    |g^(j)| <= c / omega_g^j on [a, b]; `lam` is a lower bound for |f'| when
-    one is claimed.
-    """
-
-    f: Callable
-    g: Callable
-    a: float
-    b: float
-    theta_f: float
-    omega_f: float = 1.0
-    omega_g: float = 1.0
-    lam: Optional[float] = None
-
-    def check_scales(self, samples: int = 257, orders=(1, 2), g_orders=(0, 1, 2)):
-        """Sample the declared derivative bounds; returns the observed constant."""
-        xs = np.linspace(self.a, self.b, samples)
-        c = 0.0
-        for i in orders:
-            bound = self.theta_f / self.omega_f**i
-            c = max(c, float(np.max(np.abs([self.f(x, i) for x in xs]))) / bound)
-        for j in g_orders:
-            bound = 1.0 / self.omega_g**j
-            c = max(c, float(np.max(np.abs([self.g(x, j) for x in xs]))) / bound)
-        return c
-
-
 def _phase_span(f, lo, mid, hi):
-    """|f(hi) - f(mid)| + |f(mid) - f(lo)|, and f(mid), for scalars or arrays.
+    """|f(hi) - f(mid)| + |f(mid) - f(lo)|, and f(mid), over arrays of cells.
 
     An error that f raises propagates.
     """
@@ -205,123 +168,3 @@ def integrate_1d(
     return OscillatoryResult(
         total, err_total, cells, budget_exhausted=cells > budget, depth_capped=capped
     )
-
-
-def decay_probe(
-    make_profile: Callable[[float], PhaseProfile],
-    b_values: Sequence[float],
-    j: int,
-    tol: float = 1e-12,
-):
-    """Fit the decay exponent of |I(B)| against B.
-
-    make_profile(B) must return a PhaseProfile whose phase satisfies
-    |f'| >= B on its interval (verified by sampling; violation raises).
-    Realizing the integration-by-parts gain means the fitted log-log slope
-    is <= -j + 0.2 for j differentiations; j = 0 probes the trivial bound.
-    Raises BudgetExceededError when a quadrature exhausts its cell budget.
-    """
-    if j < 0 or j > 4:
-        raise PreconditionError("decay probe implemented for 0 <= j <= 4")
-    values = []
-    for b_val in b_values:
-        prof = make_profile(b_val)
-        xs = np.linspace(prof.a, prof.b, 257)
-        fp = np.abs([prof.f(x, 1) for x in xs])
-        if fp.min() < b_val * (1 - 1e-9):
-            raise PreconditionError(
-                f"|f'| dips to {fp.min():.3g} below declared B = {b_val}"
-            )
-        res = integrate_1d(lambda x: prof.g(x, 0), lambda x: prof.f(x, 0), prof.a, prof.b, tol=tol)
-        if res.budget_exhausted:
-            raise BudgetExceededError(f"decay probe at B = {b_val} exhausted {res.cells} cells")
-        values.append(res.value)
-    slope = loglog_slope(b_values, values)
-    return slope, values
-
-
-def integrate_2d(
-    g2,
-    f2,
-    rect,
-    tol: float = 1e-8,
-    budget: Optional[int] = None,
-) -> OscillatoryResult:
-    """Adaptive tensor quadrature of int int g2(x,y) e(f2(x,y)) dx dy.
-
-    Rectangles are split along the direction with the larger phase span.
-    g2, f2 must broadcast over numpy meshgrids. A rectangle at depth 50 is
-    accepted whatever its error indicator and counted in `depth_capped`.
-    """
-    if tol <= 0:
-        raise PreconditionError("tol must be positive")
-    if budget is None:
-        budget = DEFAULT_CELL_BUDGET
-    x16, w16 = gauss_legendre(16)
-    x8, w8 = gauss_legendre(8)
-    (ax, bx), (ay, by) = rect
-    area = (bx - ax) * (by - ay)
-    if area == 0:
-        return OscillatoryResult(0.0 + 0.0j, 0.0, 0)
-
-    def cell_value(lox, hix, loy, hiy, nodes, weights):
-        hx = (hix - lox) / 2.0
-        hy = (hiy - loy) / 2.0
-        xs = (lox + hix) / 2.0 + hx * nodes
-        ys = (loy + hiy) / 2.0 + hy * nodes
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.asarray(g2(gx, gy)) * np.exp(2j * np.pi * np.asarray(f2(gx, gy)))
-        return hx * hy * np.einsum("i,j,ij->", weights, weights, vals)
-
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    cells = capped = 0
-    exhausted = False
-    stack = [(float(ax), float(bx), float(ay), float(by), 0)]
-    while stack:
-        lox, hix, loy, hiy, depth = stack.pop()
-        cells += 1
-        fine = cell_value(lox, hix, loy, hiy, x16, w16)
-        if cells > budget:
-            exhausted = True
-            total += fine
-            continue
-        midx = (lox + hix) / 2.0
-        midy = (loy + hiy) / 2.0
-        span_x = _phase_span(lambda x: f2(x, midy), lox, midx, hix)[0]
-        span_y = _phase_span(lambda y: f2(midx, y), loy, midy, hiy)[0]
-        if (span_x > 1.0 or span_y > 1.0) and depth < 50:
-            if span_x >= span_y:
-                stack.append((lox, midx, loy, hiy, depth + 1))
-                stack.append((midx, hix, loy, hiy, depth + 1))
-            else:
-                stack.append((lox, hix, loy, midy, depth + 1))
-                stack.append((lox, hix, midy, hiy, depth + 1))
-            continue
-        coarse = cell_value(lox, hix, loy, hiy, x8, w8)
-        err = abs(fine - coarse)
-        local = (hix - lox) * (hiy - loy) / area
-        met = err <= tol * max(local, 1e-12)
-        if met or depth >= 50:
-            total += fine
-            err_total += err
-            capped += not met
-        elif span_x >= span_y:
-            stack.append((lox, midx, loy, hiy, depth + 1))
-            stack.append((midx, hix, loy, hiy, depth + 1))
-        else:
-            stack.append((lox, hix, loy, midy, depth + 1))
-            stack.append((lox, hix, midy, hiy, depth + 1))
-    return OscillatoryResult(
-        total, err_total, cells, budget_exhausted=exhausted, depth_capped=capped
-    )
-
-
-def total_variation_2d(g2_dxdy, rect, n: int = 128) -> float:
-    """var(g) = int int |d^2 g / dx dy| over the rectangle (midpoint rule)."""
-    (ax, bx), (ay, by) = rect
-    xs = ax + (bx - ax) * (np.arange(n) + 0.5) / n
-    ys = ay + (by - ay) * (np.arange(n) + 0.5) / n
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vals = np.abs(np.asarray(g2_dxdy(gx, gy)))
-    return float(vals.mean() * (bx - ax) * (by - ay))

@@ -1,19 +1,16 @@
-"""Stationary-phase expansions and the twisted Mellin transform
+"""The twisted Mellin transform and its stationary-phase expansion
 
     W_dagger(r, s) = int W(x) e(-r x) x^(s-1) dx,   s = sigma + i beta.
 
-The generic expansion handles int g e(f) with a single interior stationary
-point and returns explicit main/second terms plus the predicted error
-assembled from declared scale parameters. The transform has two routes: a
-direct oscillatory quadrature, and the high-frequency asymptotic
+The transform has two routes: a direct oscillatory quadrature, and the
+high-frequency asymptotic
 
     sqrt(2 pi) e(1/8) / sqrt(-beta) * (beta/(2 pi e r))^(i beta)
         * [W0(sigma, x0) - (i/beta) W1(sigma, x0)],   x0 = beta/(2 pi r),
 
 whose two-method agreement is one of the toolkit's primary cross-checks.
 The principal branch of sqrt(-beta) automatically selects the conjugate
-e(-1/8) convention for beta > 0 (the phase convention for f'' of either
-sign is fixed the same way in the generic expansion).
+e(-1/8) convention for beta > 0.
 """
 
 from __future__ import annotations
@@ -22,28 +19,17 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
-from .oscillate import OscillatoryResult, PhaseProfile, integrate_1d
+from .oscillate import OscillatoryResult, integrate_1d
 from .testfn import SmoothWindow
 
 
 class Regime(enum.Enum):
     NO_STATIONARY_POINT = "no-stationary-point"
     INTERIOR = "interior"
-    NEAR_EDGE = "near-edge"
-
-
-@dataclass
-class StationaryExpansion:
-    x0: Optional[float]
-    main_term: complex
-    second_term: complex
-    predicted_error: float
-    regime: Regime
 
 
 @dataclass
@@ -55,126 +41,6 @@ class DaggerValue:
     abs_error_estimate: float
     regime: Regime = Regime.INTERIOR
     depth_capped: int = 0  # quadrature cells accepted only at the depth cap (direct method)
-
-
-def _bisect_root(fp, lo, hi, iters: int = 200):
-    flo = fp(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fp(mid)
-        if fm == 0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def expand_stationary(profile: PhaseProfile, order: int = 1) -> StationaryExpansion:
-    """Stationary-phase expansion of int_a^b g(x) e(f(x)) dx.
-
-    order = 1 returns the main term g(x0) e(f(x0) +/- 1/8)/sqrt(|f''(x0)|);
-    order = 2 adds the explicit second-term correction built from g''(x0),
-    f'''(x0) and f''''(x0). Requires g(a) = g(b) = 0. Without a sign change
-    of f' the result is the part-one bound with a zero main term.
-    """
-    if order not in (1, 2):
-        raise PreconditionError("order must be 1 or 2")
-    f, g, a, b = profile.f, profile.g, profile.a, profile.b
-    ga, gb = abs(g(a, 0)), abs(g(b, 0))
-    gscale = max(abs(g(0.5 * (a + b), 0)), 1e-30)
-    if ga > 1e-8 * gscale or gb > 1e-8 * gscale:
-        raise PreconditionError("g must vanish at both endpoints")
-
-    xs = np.linspace(a, b, 513)
-    fp = np.array([f(x, 1) for x in xs])
-    sign_change = None
-    for i in range(len(xs) - 1):
-        if fp[i] == 0 or (fp[i] < 0) != (fp[i + 1] < 0):
-            sign_change = i
-            break
-
-    theta, om_f, om_g = profile.theta_f, profile.omega_f, profile.omega_g
-
-    if sign_change is None:
-        lam = profile.lam if profile.lam is not None else float(np.min(np.abs(fp)))
-        lam = max(lam, 1e-300)
-        bound = (
-            theta
-            / (om_f**2 * lam**3)
-            * (1 + om_f / om_g + (om_f / om_g) ** 2 * lam * om_f / theta)
-        )
-        return StationaryExpansion(
-            x0=None,
-            main_term=0.0 + 0.0j,
-            second_term=0.0 + 0.0j,
-            predicted_error=float(bound),
-            regime=Regime.NO_STATIONARY_POINT,
-        )
-
-    x0 = _bisect_root(lambda x: f(x, 1), xs[sign_change], xs[sign_change + 1])
-    f1 = f(x0, 1)
-    f2 = f(x0, 2)
-    # a sign change that refuses to converge (f' touching zero without
-    # crossing) or a vanishing curvature both break the expansion
-    if abs(f1) > 1e-6 * theta / max(om_f, 1e-300):
-        raise PreconditionError(f"degenerate stationary point: f'({x0}) ~ {f1} does not cross")
-    if abs(f2) < 1e-6 * theta / max(om_f, 1e-300) ** 2:
-        raise PreconditionError(f"degenerate stationary point: f''({x0}) ~ {f2}")
-
-    phase0 = f(x0, 0)
-    g0 = g(x0, 0)
-    if f2 > 0:
-        prefactor = cmath.exp(2j * math.pi * (phase0 + 0.125)) / math.sqrt(f2)
-    else:
-        prefactor = cmath.exp(2j * math.pi * (phase0 - 0.125)) / math.sqrt(-f2)
-    main = g0 * prefactor
-
-    second = 0.0 + 0.0j
-    if order == 2:
-        g1 = g(x0, 1)
-        g2v = g(x0, 2)
-        f3 = f(x0, 3)
-        f4 = f(x0, 4)
-        # same algebraic form for either sign of f''; only the prefactor branch flips
-        corr = (
-            1j * g2v / (4 * math.pi * f2)
-            - 1j * (g0 * f4 + g1 * f3) / (16 * math.pi * f2**2)
-            + 5j * g0 * f3**2 / (48 * math.pi * f2**3)
-        )
-        second = corr * prefactor
-
-    kappa = min(b - x0, x0 - a)
-    if order == 1:
-        err = (
-            om_f**4 / (theta**2 * max(kappa, 1e-300) ** 3)
-            + om_f / theta**1.5
-            + om_f**3 / (theta**1.5 * om_g**2)
-        )
-    else:
-        ratio = om_f / om_g
-        err = (
-            om_f**5 / (om_g**4 * theta**2.5)
-            + om_f / theta**2.5 * sum(ratio**j for j in range(4))
-            + om_f**7 / (theta**3.5 * om_g**6)
-            + om_f / theta**3.5 * sum(ratio**j for j in range(6))
-        )
-    regime = Regime.INTERIOR if kappa > 0.05 * (b - a) else Regime.NEAR_EDGE
-    return StationaryExpansion(
-        x0=float(x0),
-        main_term=main,
-        second_term=second,
-        predicted_error=float(err),
-        regime=regime,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the twisted Mellin transform W_dagger(r, s)
-# ---------------------------------------------------------------------------
 
 
 def u_dagger_direct(

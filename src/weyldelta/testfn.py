@@ -1,10 +1,9 @@
 """Smooth compactly supported test windows.
 
-Three constructions, all based on the bump phi(x) = exp(-1/(1-x^2)) on (-1,1):
+Two constructions, both based on the bump phi(x) = exp(-1/(1-x^2)) on (-1,1):
 
-* :func:`make_window_v`   - unit-integral window on [1, 2],
-* :func:`make_window_u`   - plateau window, 1 on [1, 2], supported [1/2, 5/2],
-* :func:`make_dyadic_partition` - dyadic partition of unity on [lo, hi].
+* :func:`make_window_v` - unit-integral window on [1, 2],
+* :func:`make_window_u` - plateau window, 1 on [1, 2], supported [1/2, 5/2].
 
 Derivatives are evaluated through the exact rational recurrence
 
@@ -17,8 +16,7 @@ the support edges where finite differences would collapse.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -142,7 +140,7 @@ class SmoothWindow:
     """A smooth compactly supported window with exact-recurrence derivatives.
 
     support    : closed interval [a, b] outside which the window vanishes
-    normalization : "unit-integral" | "plateau" | "partition-member"
+    normalization : "unit-integral" | "plateau"
     j_max      : highest derivative order available
     """
 
@@ -151,7 +149,6 @@ class SmoothWindow:
     evaluator: Callable[[np.ndarray, int], np.ndarray]
     j_max: int = _J_MAX
     plateau: Tuple[float, float] | None = None
-    derivative_bounds: dict = field(default_factory=dict)
 
     def __call__(self, x):
         out = self.evaluator(np.asarray(x, dtype=float), 0)
@@ -162,17 +159,6 @@ class SmoothWindow:
             raise PreconditionError(f"derivative order must be in [0, {self.j_max}]")
         out = self.evaluator(np.asarray(x, dtype=float), order)
         return float(np.asarray(out).reshape(-1)[0]) if np.ndim(x) == 0 else out
-
-    def record_derivative_bounds(self, samples: int = 801):
-        """max |W^(j)| * width^j over the support, j = 0..j_max."""
-        a, b = self.support
-        xs = np.linspace(a, b, samples)
-        width = b - a
-        for j in range(self.j_max + 1):
-            self.derivative_bounds[j] = float(
-                np.max(np.abs(self.evaluator(xs, j))) * width**j
-            )
-        return self.derivative_bounds
 
 
 def make_window_v() -> SmoothWindow:
@@ -186,9 +172,7 @@ def make_window_v() -> SmoothWindow:
     def evaluate(x, order):
         return c * 2.0**order * bump(2.0 * x - 3.0, order)
 
-    w = SmoothWindow(support=(1.0, 2.0), normalization="unit-integral", evaluator=evaluate)
-    w.record_derivative_bounds()
-    return w
+    return SmoothWindow(support=(1.0, 2.0), normalization="unit-integral", evaluator=evaluate)
 
 
 def make_window_u() -> SmoothWindow:
@@ -213,81 +197,6 @@ def make_window_u() -> SmoothWindow:
             out[down] = (-4.0) ** order * smooth_step(9.0 - 4.0 * x[down], order)
         return out if out.shape else float(out)
 
-    w = SmoothWindow(
+    return SmoothWindow(
         support=(0.5, 2.5), normalization="plateau", evaluator=evaluate, plateau=(1.0, 2.0)
     )
-    w.record_derivative_bounds()
-    return w
-
-
-# signed Stirling numbers of the first kind, for d^m/dy^m F(log2(y/lo))
-def _stirling_table(m_max: int):
-    table = [[0] * (m_max + 1) for _ in range(m_max + 1)]
-    table[1][1] = 1
-    for m in range(1, m_max):
-        for i in range(1, m + 2):
-            table[m + 1][i] = table[m][i - 1] - m * table[m][i]
-    return table
-
-
-_STIRLING1 = _stirling_table(_J_MAX)
-_LN2 = math.log(2.0)
-
-
-def make_dyadic_partition(lo: float, hi: float) -> List[SmoothWindow]:
-    """Smooth dyadic partition of unity on [lo, hi].
-
-    With u = log2(y/lo) and the falling ramp rho(u) = 1 - S(2u - 1)
-    (rho = 1 for u <= 0, rho = 0 for u >= 1), the windows
-
-        W_j(y) = rho(u - j - 1) - rho(u - j),   j = -1, 0, ..., J-1,
-
-    telescope to exactly 1 on [lo, lo * 2^J] >= [lo, hi] and vanish for
-    y <= lo/2. Each piece is a bump over two octaves, so y^k W^(k) stays
-    bounded for every k up to j_max.
-    """
-    if not (0 < lo < hi):
-        raise PreconditionError("need 0 < lo < hi")
-    if hi / lo < 2.0:
-        raise PreconditionError("degenerate interval: hi/lo must be >= 2")
-    big_j = int(math.ceil(math.log2(hi / lo)))
-
-    def rho(u, order=0):
-        if order == 0:
-            return 1.0 - smooth_step(2.0 * u - 1.0)
-        return -(2.0**order) * smooth_step(2.0 * u - 1.0, order)
-
-    def make_piece(j):
-        def evaluate(y, order):
-            y = np.atleast_1d(np.asarray(y, dtype=float))
-            out = np.zeros(y.shape)
-            pos = y > 0
-            u = np.full(y.shape, -np.inf)
-            u[pos] = np.log2(y[pos] / lo)
-            if order == 0:
-                out[pos] = rho(u[pos] - j - 1) - rho(u[pos] - j)
-                return out if out.shape else float(out)
-            # chain rule through u = ln(y/lo)/ln2 via Stirling-1 numbers
-            acc = np.zeros(y.shape)
-            for i in range(1, order + 1):
-                coeff = _STIRLING1[order][i] / _LN2**i
-                if coeff == 0:
-                    continue
-                fi = rho(u[pos] - j - 1, i) - rho(u[pos] - j, i)
-                tmp = np.zeros(y.shape)
-                tmp[pos] = coeff * fi
-                acc += tmp
-            with np.errstate(divide="ignore"):
-                acc[pos] /= y[pos] ** order
-            return acc if acc.shape else float(acc)
-
-        return SmoothWindow(
-            support=(lo * 2.0 ** float(j), lo * 2.0 ** float(j + 2)),
-            normalization="partition-member",
-            evaluator=evaluate,
-        )
-
-    pieces = [make_piece(j) for j in range(-1, big_j)]
-    for p in pieces:
-        p.record_derivative_bounds(samples=401)
-    return pieces

@@ -201,7 +201,7 @@ class WhatTransform:
         else:
             kernel, front = self.kernel_minus, self.front_minus * eps_g
             if kernel is None:
-                return np.zeros(ys.shape, dtype=complex) if ys.shape else 0.0 + 0.0j
+                return 0.0 + 0.0j if np.ndim(y) == 0 else np.zeros(ys.shape, dtype=complex)
         vals = np.empty(len(ys), dtype=complex)
         if self.holomorphic:
             near = ys < self.Y_SPLIT
@@ -216,25 +216,9 @@ class WhatTransform:
         return vals
 
 
-def what_transform(
-    kind: GammaFactorKind,
-    window: SmoothWindow,
-    y: float,
-    sign: int,
-    eps_g: float = 1.0,
-    sigma: Optional[float] = None,
-    tau_max: float = 2000.0,
-) -> complex:
-    """One-off What_pm(y). For sums over many y build a WhatTransform."""
-    if kind.family == "holomorphic" and sign == -1:
-        return 0.0 + 0.0j
-    transform = WhatTransform(kind, window, sigma=sigma, tau_max=tau_max, y_max=max(4 * y, 10.0))
-    return transform.eval(y, sign=sign, eps_g=eps_g)
-
-
-def dual_sum_length(scale: float, c: int, level: int = 1, y_deep: float = DEFAULT_Y_DEEP) -> int:
-    """Dual-sum terms n that reach y = n N / (M c^2) ~ y_deep (at least 400)."""
-    return max(400, int(math.ceil(y_deep * level * c**2 / scale)))
+def dual_sum_length(scale: float, c: int, level: int = 1) -> int:
+    """Dual-sum terms n that reach y = n N / (M c^2) ~ DEFAULT_Y_DEEP (at least 400)."""
+    return max(400, int(math.ceil(DEFAULT_Y_DEEP * level * c**2 / scale)))
 
 
 @dataclass
@@ -248,8 +232,6 @@ class VoronoiInstance:
     scale: float  # N
     sigma: Optional[float] = None
     tau_max: float = 2000.0
-    n_cut_rhs: Optional[int] = None
-    y_deep: float = DEFAULT_Y_DEEP
 
     def __post_init__(self):
         if self.c < 1:
@@ -260,15 +242,11 @@ class VoronoiInstance:
             raise PreconditionError("need gcd(c, M) = 1")
 
     def wanted_n_cut(self) -> int:
-        """The dual-sum length that reaches y_deep, before any cap."""
-        if self.n_cut_rhs is not None:
-            return self.n_cut_rhs
-        return dual_sum_length(self.scale, self.c, self.form.level, self.y_deep)
+        """The dual-sum length that reaches DEFAULT_Y_DEEP, before any cap."""
+        return dual_sum_length(self.scale, self.c, self.form.level)
 
     def resolved_n_cut(self) -> int:
-        """wanted_n_cut(), capped at the stored coefficients unless given."""
-        if self.n_cut_rhs is not None:
-            return self.n_cut_rhs
+        """wanted_n_cut(), capped at the stored coefficients."""
         return min(self.form.n_max, self.wanted_n_cut())
 
 

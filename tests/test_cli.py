@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import weyldelta
 from weyldelta import checks
@@ -244,3 +245,31 @@ def test_console_entry_point_help():
     proc = run_cli_process(["--help"])
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+def test_empty_scan_grid_is_an_input_error(capsys):
+    assert run_cli(["verify", "scan", "--samples", "0"]) == 3
+    assert run_cli(["scan", "--samples", "0"]) == 3
+    assert run_cli(["verify", "all", "--samples", "0"]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+def test_usage_error_exits_3(capsys):
+    # argparse's own exit code 2 is the documented "budget exhausted"
+    for args in (["verify", "bogus"], ["verify", "delta", "--samples", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def test_verify_all_suite(tmp_path):
+    report_path = tmp_path / "all.json"
+    args = ["verify", "all", "--t-min", "10", "--t-max", "40", "--samples", "8"]
+    assert run_cli([*args, "--output", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert [c["name"] for c in report["checks"]] == registry_names("all")
+    assert report["all_passed"] is True

@@ -14,7 +14,6 @@ from weyldelta.deltapipe import (
     averaged_delta,
     averaged_delta_alpha_sum,
     dual_identity_check,
-    i_delta_direct,
     i_star_direct,
     i_star_main,
     s_c_direct,
@@ -126,8 +125,6 @@ def test_config_validation():
         PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=(7,)).validate(need_primes=True)
     with pytest.raises(PreconditionError):
         PipelineConfig(N=50.0, t=1.0, K=5.0).validate()
-    with pytest.raises(PreconditionError):
-        PipelineConfig(q=9, X=10.0).validate()
     PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120))).validate(
         need_primes=True
     )
@@ -305,26 +302,6 @@ def test_kernel_istar_consistency(form):
     tau = float(kernel.tau_nodes[j])
     direct = kernel.istar_value(-1, tau)
     assert direct == pytest.approx(row[j], abs=1e-10)
-
-
-def test_i_delta_self_consistency_under_tau_doubling(form):
-    base = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=600.0)
-    fine = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=1200.0)
-    # n chosen so sqrt(nN)/(c sqrt(M)) = 1: the power factor drops out
-    n = round(11**2 / 20.0)
-    v1, _ = i_delta_direct(n, -1, 11, form.kind, base)
-    v2, _ = i_delta_direct(n, -1, 11, form.kind, fine)
-    assert abs(v1 - v2) <= 1e-4 * max(abs(v1), 1e-12)
-
-
-def test_i_delta_suppressed_without_r(form):
-    # the r = 0 kernel has no x-stationarity once the transform band
-    # 16 pi K sits well below 2t (at K = 4 that needs t >> 200; smaller t
-    # puts tau = -2t inside the band and the suppression disappears)
-    cfg = PipelineConfig(N=210.0, t=400.0, K=4.0, prime_set=(3,), c=3, tau_cut=350.0)
-    live, _ = i_delta_direct(1, -1, 3, form.kind, cfg)
-    dead, _ = i_delta_direct(1, 0, 3, form.kind, cfg)
-    assert abs(dead) <= 1e-3 * abs(live)
 
 
 def test_istar_main_against_direct():

@@ -13,7 +13,6 @@ from weyldelta.lfunc import (
     growth_scan,
     log_gamma_quotient_factor,
     scan_length,
-    tail_check,
     weight_quartic,
 )
 from weyldelta.numerics import panel_rule
@@ -118,18 +117,6 @@ def test_weight_abscissa_independence(form):
     a = afe_weight(form, 0.5 + 5j, ys, AfeConfig(abscissa=3.0))
     b = afe_weight(form, 0.5 + 5j, ys, AfeConfig(abscissa=1.5))
     assert np.max(np.abs(a - b)) < 1e-9
-
-
-def test_tail_decay_steepens(form):
-    lams, vals, slope = tail_check(form, 10.0)
-    mags = np.abs(vals)
-    assert np.all(np.diff(mags) < 0)  # monotone decay
-    assert mags[-1] < 0.1 * mags[0]
-    assert slope <= -1.0
-    # superpolynomial onset: local slope steepens with lambda
-    s01 = math.log(mags[1] / mags[0]) / math.log(2.0)
-    s23 = math.log(mags[3] / mags[2]) / math.log(2.0)
-    assert s23 < s01
 
 
 def test_tail_crossover_scales_with_t(form):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -7,11 +6,9 @@ import pytest
 from weyldelta import oscillate
 from weyldelta.checks import CHECKS, CheckContext
 from weyldelta.errors import PreconditionError
-from weyldelta.numerics import loglog_fit, loglog_slope
-from weyldelta.oscillate import PhaseProfile, integrate_1d
+from weyldelta.numerics import loglog_fit
 from weyldelta.statphase import (
     Regime,
-    expand_stationary,
     sharp_weight,
     sharp_weight_0,
     sharp_weight_1,
@@ -25,161 +22,6 @@ U = make_window_u()
 
 # int x V(x) dx: V is symmetric about 3/2, so this is exactly 3/2
 X_MOMENT_REF = 1.5
-
-
-def _bump_profile(theta, x0=1.5):
-    """Quadratic phase theta (x-x0)^2 with the V window as amplitude."""
-
-    def f(x, order=0):
-        if order == 0:
-            return theta * (x - x0) ** 2
-        if order == 1:
-            return 2 * theta * (x - x0)
-        if order == 2:
-            return 2 * theta + 0.0 * x
-        return 0.0 * x
-
-    def g(x, order=0):
-        return V(x) if order == 0 else V.derivative(x, order)
-
-    return PhaseProfile(f=f, g=g, a=1.0, b=2.0, theta_f=theta, omega_f=1.0, omega_g=1.0)
-
-
-@pytest.mark.parametrize("theta", [1e2, 1e3, 1e4])
-def test_main_term_against_direct_quadrature(theta):
-    prof = _bump_profile(theta)
-    exp = expand_stationary(prof, order=1)
-    assert exp.regime == Regime.INTERIOR
-    assert exp.x0 == pytest.approx(1.5, abs=1e-9)
-    assert abs(exp.main_term) == pytest.approx(V(1.5) / math.sqrt(2 * theta), rel=1e-9)
-    direct = integrate_1d(lambda x: V(x), lambda x: theta * (x - 1.5) ** 2, 1, 2, tol=1e-12)
-    err = abs(direct.value - exp.main_term)
-    assert err <= 10 * exp.predicted_error
-
-
-def test_amplitude_node_second_term_dominates():
-    # amplitude with a zero at the stationary point: main term vanishes and
-    # the second term carries the value; the residual against direct
-    # quadrature shrinks like theta^(-3/2). The node sits off-center (at the
-    # window's symmetry point everything cancels identically and the test
-    # would be vacuous).
-    node = 1.37
-
-    def g(x, order=0):
-        if order == 0:
-            return (x - node) * V(x)
-        if order == 1:
-            return V(x) + (x - node) * V.derivative(x, 1)
-        if order == 2:
-            return 2 * V.derivative(x, 1) + (x - node) * V.derivative(x, 2)
-        raise AssertionError
-
-    thetas = [1e2, 1e3, 1e4]
-    resids = []
-    for theta in thetas:
-        prof = _bump_profile(theta, x0=node)
-        prof = PhaseProfile(f=prof.f, g=g, a=1.0, b=2.0, theta_f=theta, omega_f=1.0, omega_g=1.0)
-        exp = expand_stationary(prof, order=2)
-        assert abs(exp.main_term) < 1e-14
-        assert abs(exp.second_term) > 0
-        direct = integrate_1d(lambda x: g(x), lambda x: prof.f(x), 1, 2, tol=1e-13)
-        resids.append(abs(direct.value - (exp.main_term + exp.second_term)))
-    assert loglog_slope(thetas, resids) <= -1.3
-
-
-def test_no_stationary_point_bound():
-    theta = 300.0
-
-    def f(x, order=0):
-        return [theta * x, theta + 0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x][order]
-
-    prof = PhaseProfile(
-        f=f,
-        g=lambda x, order=0: V(x) if order == 0 else V.derivative(x, order),
-        a=1.0,
-        b=2.0,
-        theta_f=theta,
-        omega_f=1.0,
-        omega_g=1.0,
-        lam=theta,
-    )
-    exp = expand_stationary(prof, order=1)
-    assert exp.regime == Regime.NO_STATIONARY_POINT
-    assert exp.main_term == 0
-    direct = integrate_1d(lambda x: V(x), f, 1, 2, tol=1e-13)
-    assert abs(direct.value) <= exp.predicted_error
-    # monotone phase: value collapses as theta grows
-    assert abs(direct.value) < 1e-6
-
-
-def test_endpoint_vanishing_required():
-    prof = PhaseProfile(
-        f=lambda x, order=0: [10 * (x - 1.5) ** 2, 20 * (x - 1.5), 20.0, 0, 0][order],
-        g=lambda x, order=0: np.ones_like(np.asarray(x, dtype=float)) if order == 0 else 0.0 * x,
-        a=1.0,
-        b=2.0,
-        theta_f=10.0,
-    )
-    with pytest.raises(PreconditionError):
-        expand_stationary(prof)
-
-
-def test_degenerate_stationary_point_rejected():
-    # cubic phase: f'' vanishes at the sign change of f'
-    def f(x, order=0):
-        return [1e3 * (x - 1.5) ** 3, 3e3 * (x - 1.5) ** 2, 6e3 * (x - 1.5), 6e3 + 0.0 * x, 0.0 * x][
-            order
-        ]
-
-    prof = PhaseProfile(
-        f=f,
-        g=lambda x, order=0: V(x) if order == 0 else V.derivative(x, order),
-        a=1.0,
-        b=2.0,
-        theta_f=1e3,
-    )
-    with pytest.raises(PreconditionError):
-        expand_stationary(prof)
-
-
-def test_part3_second_term_against_numeric_taylor():
-    # polynomial test phase with nonzero third and fourth derivatives
-    theta = 2e3
-
-    def f(x, order=0):
-        u = x - 1.5
-        if order == 0:
-            return theta * (u**2 + 0.1 * u**3 + 0.02 * u**4)
-        if order == 1:
-            return theta * (2 * u + 0.3 * u**2 + 0.08 * u**3)
-        if order == 2:
-            return theta * (2 + 0.6 * u + 0.24 * u**2)
-        if order == 3:
-            return theta * (0.6 + 0.48 * u)
-        return theta * 0.48 + 0.0 * u
-
-    prof = PhaseProfile(
-        f=f,
-        g=lambda x, order=0: V(x) if order == 0 else V.derivative(x, order),
-        a=1.0,
-        b=2.0,
-        theta_f=theta,
-    )
-    exp = expand_stationary(prof, order=2)
-    # assemble the displayed correction directly from the coefficient values
-    x0 = exp.x0
-    f2, f3, f4 = f(x0, 2), f(x0, 3), f(x0, 4)
-    g0, g1, g2v = V(x0), V.derivative(x0, 1), V.derivative(x0, 2)
-    pref = cmath.exp(2j * math.pi * (f(x0) + 0.125)) / math.sqrt(f2)
-    corr = (
-        1j * g2v / (4 * math.pi * f2)
-        - 1j * (g0 * f4 + g1 * f3) / (16 * math.pi * f2**2)
-        + 5j * g0 * f3**2 / (48 * math.pi * f2**3)
-    )
-    assert exp.second_term == pytest.approx(pref * corr, rel=1e-8)
-    direct = integrate_1d(lambda x: V(x), f, 1, 2, tol=1e-13)
-    two_term = exp.main_term + exp.second_term
-    assert abs(direct.value - two_term) < abs(direct.value - exp.main_term)
 
 
 # --- the twisted Mellin transform -------------------------------------------

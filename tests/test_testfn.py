@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldelta.errors import PreconditionError
 from weyldelta.numerics import panel_rule
 from weyldelta.testfn import (
     BUMP_MASS,
     bump,
-    make_dyadic_partition,
     make_window_u,
     make_window_v,
     smooth_step,
@@ -72,11 +68,6 @@ def test_v_derivatives_vanish_at_edges(v_window):
         assert v_window.derivative(2.0, j) == 0.0
 
 
-def test_v_derivative_bounds_recorded(v_window):
-    assert set(v_window.derivative_bounds) == set(range(7))
-    assert all(np.isfinite(b) for b in v_window.derivative_bounds.values())
-
-
 def test_u_plateau_and_support(u_window):
     assert u_window(1.5) == 1.0
     assert u_window(1.0) == pytest.approx(1.0, abs=1e-14)
@@ -109,56 +100,3 @@ def test_smooth_step_limits():
 @given(st.floats(min_value=-3.0, max_value=3.0))
 def test_smooth_step_monotone(s):
     assert 0.0 <= smooth_step(s) <= 1.0
-
-
-def test_partition_sums_to_one():
-    parts = make_dyadic_partition(10.0, 1e4)
-    ys = np.concatenate(
-        [
-            np.array([10.0, math.sqrt(10.0 * 1e4), 1e4]),
-            np.exp(np.linspace(math.log(10.0), math.log(1e4), 1000)),
-        ]
-    )
-    total = sum(p(ys) for p in parts)
-    assert np.max(np.abs(total - 1.0)) < 1e-10
-
-
-def test_partition_window_count():
-    parts = make_dyadic_partition(10.0, 1e4)
-    expected = math.ceil(math.log2(1e4 / 10.0)) + 1
-    assert len(parts) == expected
-
-
-def test_partition_vanishes_below_range():
-    parts = make_dyadic_partition(10.0, 1e4)
-    assert sum(p(4.9) for p in parts) == 0.0
-    assert sum(p(1.0) for p in parts) == 0.0
-
-
-def test_partition_rejects_degenerate_interval():
-    with pytest.raises(PreconditionError):
-        make_dyadic_partition(10.0, 15.0)
-    with pytest.raises(PreconditionError):
-        make_dyadic_partition(-1.0, 5.0)
-
-
-def test_partition_scaled_derivative_bounds():
-    # y^k W^(k)(y) bounded over the support for k <= 4
-    parts = make_dyadic_partition(8.0, 600.0)
-    for p in parts[:3]:
-        a, b = p.support
-        ys = np.linspace(a * 1.0001, b * 0.9999, 200)
-        for k in range(1, 5):
-            scaled = np.abs(ys**k * p.derivative(ys, k))
-            assert np.isfinite(scaled).all()
-            assert np.max(scaled) < 1e6  # recorded scale of the bump derivatives
-
-
-def test_partition_derivative_matches_finite_difference():
-    parts = make_dyadic_partition(10.0, 300.0)
-    p = parts[1]
-    ys = np.linspace(p.support[0] * 1.1, p.support[1] * 0.9, 25)
-    h = 1e-5
-    numeric = (p(ys + h) - p(ys - h)) / (2 * h)
-    exact = p.derivative(ys, 1)
-    assert np.max(np.abs(numeric - exact)) < 1e-5

@@ -16,7 +16,6 @@ from weyldelta.voronoi import (
     direct_side,
     dual_side,
     voronoi_check,
-    what_transform,
 )
 
 
@@ -50,8 +49,10 @@ def calibrated(form, window, transform):
     return form
 
 
-def test_holomorphic_minus_transform_vanishes(window):
-    assert what_transform(holomorphic_kind(12), window, 3.7, -1) == 0.0
+def test_holomorphic_minus_transform_vanishes(transform):
+    value = transform.eval(3.7, sign=-1)
+    assert type(value) is complex and value == 0
+    assert np.array_equal(transform.eval(np.array([3.7]), sign=-1), np.zeros(1, dtype=complex))
 
 
 def test_transform_linear_in_window(form, window, transform):
