@@ -57,15 +57,6 @@ def fmt_complex(z: complex) -> List[float]:
     return [z.real, z.imag]
 
 
-def calibrate(form: CuspForm, transform: Optional[WhatTransform] = None) -> complex:
-    """eta for `form` from the two standard probes (ETA_PROBES)."""
-    window = make_window_v()
-    probes = [
-        VoronoiInstance(form, a=a, c=c, window=window, scale=scale) for a, c, scale in ETA_PROBES
-    ]
-    return calibrate_eta(form, probes, transform=transform)
-
-
 class CheckContext:
     """The fixtures of one run, each built on first use and then shared.
 
@@ -124,10 +115,14 @@ class CheckContext:
         return self.shared("transform", lambda: WhatTransform(form.kind, self.window_v))
 
     def calibrate(self, form: CuspForm) -> complex:
-        """eta for `form`, fitted once (see :func:`calibrate`)."""
+        """eta for `form`, fitted once on the two ETA_PROBES instances."""
         if self.cache.get("calibrated") is not form:
-            form.eta = None
-            calibrate(form, transform=self.transform(form))
+            form.eta = form.eta_modulus_raw = form.eta_probe_spread = None
+            probes = [
+                VoronoiInstance(form, a=a, c=c, window=self.window_v, scale=scale)
+                for a, c, scale in ETA_PROBES
+            ]
+            calibrate_eta(form, probes, transform=self.transform(form))
             self.cache["calibrated"] = form
         return form.eta
 
@@ -271,7 +266,7 @@ def _averaged_exactness(ctx):
 
 @_check("fourier-mellin-two-method", "twisted-mellin-stationary-expansion", "statphase", 4)
 def _fourier_mellin_two_method(ctx):
-    rng, betas, rel_errors, capped = ctx.rng(), [], [], 0
+    rng, betas, rel_errors = ctx.rng(), [], []
     for _ in range(40):
         beta = float(rng.uniform(50.0, 800.0))
         x0 = float(rng.uniform(1.0, 2.0))
@@ -281,16 +276,15 @@ def _fourier_mellin_two_method(ctx):
         asym = u_dagger_asymptotic(ctx.window_u, r, s)
         rel_errors.append(abs(direct.value - asym.value) / abs(direct.value))
         betas.append(beta)
-        capped += direct.depth_capped
     slope = loglog_fit(betas, rel_errors)[0]
-    return slope, -1.8, {"slope": slope, "max_rel_err": max(rel_errors), "depth_capped": capped}
+    return slope, -1.8, {"slope": slope, "max_rel_err": max(rel_errors)}
 
 
 @_check("fourier-mellin-no-stationary", "twisted-mellin-rapid-decay", "statphase", 4)
 def _fourier_mellin_no_stationary(ctx):
     r, s = -1000.0 / (2 * math.pi * 1.5), complex(1.0, 1000.0)
     direct = u_dagger_direct(ctx.window_u, r, s, tol=1e-12, budget=ctx.budget)
-    return abs(direct.value), 1e-6, {"depth_capped": direct.depth_capped}
+    return abs(direct.value), 1e-6, {}
 
 
 def _profile_kinds(ctx: CheckContext):

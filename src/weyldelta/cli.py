@@ -5,7 +5,9 @@ Subcommands
 verify       run a verification suite (voronoi | delta | statphase |
              pipeline | afe | scan | all) and write a JSON report
 scan         growth scan over a t-range, CSV of (t, |L|) plus the report
-calibrate    fit the dual-summation constant eta for a form
+calibrate    fit the dual-summation constant eta for a form (the built-in
+             one at the 1440 coefficients the probes read), as
+             `verify voronoi` does
 export-form  write the built-in discriminant form to a coefficient file
 import-form  parse and validate a coefficient file
 
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checks import SUITES, CheckContext, CheckResult, calibrate, checks_for, fmt_complex
+from .checks import CHECKS, SUITES, CheckContext, CheckResult, checks_for, fmt_complex
 from .errors import (
     BudgetExceededError,
     CoefficientRangeError,
@@ -59,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """A sample count: an integer >= 0 (a usage error otherwise)."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def run_suite(suite: str, ctx: CheckContext):
@@ -124,12 +133,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--t-min", type=float, default=10.0)
     p_verify.add_argument("--t-max", type=float, default=500.0)
-    p_verify.add_argument("--samples", type=int, default=200)
+    p_verify.add_argument("--samples", type=_count, default=200)
 
     p_scan = sub.add_parser("scan", help="growth scan along the critical line")
     p_scan.add_argument("--t-min", type=float, default=10.0)
     p_scan.add_argument("--t-max", type=float, default=500.0)
-    p_scan.add_argument("--samples", type=int, default=200)
+    p_scan.add_argument("--samples", type=_count, default=200)
     p_scan.add_argument("--form", dest="form_path")
     p_scan.add_argument("--output", dest="output_path")
     p_scan.add_argument("--csv", dest="csv_path")
@@ -168,8 +177,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return EXIT_OK
         if args.command == "calibrate":
-            form = load_form(args.form_path) if args.form_path else delta_form(20000)
-            eta = calibrate(form)
+            # the context of the eta-calibration entry alone: the form is as
+            # long as its probes read, and the fit is the one `verify` runs
+            fit = [check for check in CHECKS if check.name == "eta-calibration"]
+            ctx = CheckContext(form_path=args.form_path, checks=fit)
+            form = ctx.form()
+            eta = ctx.calibrate(form)
             report = {
                 "eta": fmt_complex(eta),
                 "eta_modulus_raw": form.eta_modulus_raw,

@@ -141,22 +141,21 @@ class PipelineConfig:
         # m^(-3.5) at desk scale, so the cut sits far beyond the peak
         return min(int(math.ceil(160 * level * c * c * self.K * self.K / self.N)) + 200, 20000)
 
-    def validate(self, level: int = 1, need_primes: bool = False):
+    def validate(self, level: int = 1):
         if self.t <= 2:
             raise PreconditionError("need t > 2")
         if not (0 < self.K < self.N):
             raise PreconditionError("need 0 < K < N")
-        if need_primes:
-            if not self.prime_set:
-                raise PreconditionError("prime_set is empty")
-            floor = self.N ** (1 + EPS_RANGE) / self.K
-            if min(self.prime_set) <= floor:
-                raise PreconditionError(
-                    f"min prime {min(self.prime_set)} must exceed N^(1+eps)/K = {floor:.2f}"
-                )
-            for p in self.prime_set:
-                if math.gcd(p, level) != 1:
-                    raise PreconditionError(f"prime {p} shares a factor with the level {level}")
+        if not self.prime_set:
+            raise PreconditionError("prime_set is empty")
+        floor = self.N ** (1 + EPS_RANGE) / self.K
+        if min(self.prime_set) <= floor:
+            raise PreconditionError(
+                f"min prime {min(self.prime_set)} must exceed N^(1+eps)/K = {floor:.2f}"
+            )
+        for p in self.prime_set:
+            if math.gcd(p, level) != 1:
+                raise PreconditionError(f"prime {p} shares a factor with the level {level}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +163,7 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def trivial_delta(
-    n: int, q: int, X: float, window: Optional[SmoothWindow] = None, budget: Optional[int] = None
-) -> complex:
+def trivial_delta(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:
     """Single-modulus delta detector for the event n = 0.
 
     Exactly [q | n] * int e(n x / X) V(x) dx: the full additive character
@@ -179,17 +176,14 @@ def trivial_delta(
         raise PreconditionError(f"q = {q} must exceed X^(1+eps) = {X ** (1 + EPS_RANGE):.2f}")
     if n % q != 0:
         return 0.0 + 0.0j
-    return _window_fourier(window or _window_v(), n / X, budget)
+    return _window_fourier(_window_v(), n / X, budget)
 
 
-def trivial_delta_alpha_sum(
-    n: int, q: int, X: float, window: Optional[SmoothWindow] = None, budget: Optional[int] = None
-) -> complex:
+def trivial_delta_alpha_sum(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:
     """Same quantity with the character sum evaluated numerically (oracle)."""
-    v = window or _window_v()
     alpha = np.arange(q)
     gate = np.sum(np.exp(2j * np.pi * ((n * alpha) % q) / q)) / q
-    return complex(gate * _window_fourier(v, n / X, budget))
+    return complex(gate * _window_fourier(_window_v(), n / X, budget))
 
 
 def averaged_delta(r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None) -> complex:
@@ -232,9 +226,9 @@ def averaged_delta_alpha_sum(
 # ---------------------------------------------------------------------------
 
 
-def s_direct(form: CuspForm, N: float, t: float, window: Optional[SmoothWindow] = None) -> complex:
+def s_direct(form: CuspForm, N: float, t: float) -> complex:
     """S(N) = sum_r lambda(r) r^(-it) V(r/N); finite by support."""
-    v = window or _window_v()
+    v = _window_v()
     a, b = v.support
     r_lo = max(1, int(math.floor(a * N)))
     r_hi = int(math.ceil(b * N))
@@ -253,7 +247,6 @@ class SplitResult:
     s_flat: complex
     double_sum: complex  # delta-expanded reference, closed-form gates
     residual: float  # |double_sum - (s_star + s_flat)| (bookkeeping + quadrature)
-    diagonal: complex  # S(N) proper
     diagonal_gap: float  # |S(N) - double_sum|: finite-size delta-method error
 
 
@@ -317,7 +310,7 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
     reference double sum applies the closed-form averaged delta termwise,
     its window Fourier integrals in at most `budget` cells each.
     """
-    cfg.validate(level=form.level, need_primes=True)
+    cfg.validate(level=form.level)
     (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
     ns, lam_n, rs, amp_r = _amplitudes(form, cfg)
     pstar = len(cfg.prime_set)
@@ -356,7 +349,6 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
         s_flat=complex(s_flat),
         double_sum=complex(double),
         residual=abs(double - total) / (1.0 + abs(double)),
-        diagonal=complex(diagonal),
         diagonal_gap=abs(diagonal - double),
     )
 
@@ -527,7 +519,6 @@ class StarMainTerm:
     value: complex
     x0: float
     stationary: bool
-    band_ok: bool
 
 
 def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm:
@@ -556,8 +547,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
     # this explicit geometric cap
     band_lo = big_k ** (1 - EPS_RANGE)
     band_hi = 16.0 * math.pi * big_k
-    band_ok = band_lo < abs(tau) < band_hi
-    if not band_ok:
+    if not band_lo < abs(tau) < band_hi:
         raise PreconditionError(
             f"|tau| = {abs(tau):.3g} outside the stationary band ({band_lo:.3g}, {band_hi:.3g})"
         )
@@ -565,7 +555,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
     x0 = big_n * r * tau / ((tau + 2 * t) * big_k * c)
     va, vb = v.support
     if not (va < x0 < vb):
-        return StarMainTerm(value=0.0 + 0.0j, x0=float(x0), stationary=False, band_ok=band_ok)
+        return StarMainTerm(value=0.0 + 0.0j, x0=float(x0), stationary=False)
 
     rho0 = big_n * r / c - big_k * x0
     bu = -t
@@ -573,7 +563,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
     y0 = bu / (TWO_PI * rho0)  # equals bv/(2 pi K x0) at the stationary point
     ua, ub = u.support
     if not (ua / 2 <= y0 <= 2 * ub):
-        return StarMainTerm(value=0.0 + 0.0j, x0=float(x0), stationary=False, band_ok=band_ok)
+        return StarMainTerm(value=0.0 + 0.0j, x0=float(x0), stationary=False)
 
     phi0 = bu * (math.log(bu / (TWO_PI * rho0)) - 1.0) + bv * (
         math.log(bv / (TWO_PI * big_k * x0)) - 1.0
@@ -592,7 +582,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
         main = g0 * np.exp(1j * phi0) * np.exp(0.25j * np.pi) * math.sqrt(TWO_PI / phi2)
     else:
         main = g0 * np.exp(1j * phi0) * np.exp(-0.25j * np.pi) * math.sqrt(-TWO_PI / phi2)
-    return StarMainTerm(value=complex(main), x0=float(x0), stationary=True, band_ok=band_ok)
+    return StarMainTerm(value=complex(main), x0=float(x0), stationary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +595,6 @@ class DualCheckResult:
     s_c_direct: complex
     s_c_dual: complex
     residual: float
-    n_cut: int
-    r_cut: int
-    tau_cut: float
     stability: Dict[str, float] = field(default_factory=dict)
 
 
@@ -720,7 +707,7 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         raise PreconditionError("dual_identity_check needs c = a prime from the prime set")
     if cfg.prime_set and cfg.c not in cfg.prime_set:
         raise PreconditionError("c must belong to the prime set")
-    cfg.validate(level=form.level, need_primes=True)
+    cfg.validate(level=form.level)
     c = cfg.c
     kernel = DualKernel(cfg, c, form.kind)
     direct = s_c_direct(form, cfg, c)
@@ -748,8 +735,5 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         s_c_direct=direct,
         s_c_dual=dual,
         residual=float(residual),
-        n_cut=n_cut,
-        r_cut=r_cut,
-        tau_cut=kernel.tau_cut,
         stability=stability,
     )

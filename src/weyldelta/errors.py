@@ -27,10 +27,6 @@ class PreconditionError(ToolkitError, ValueError):
 class BudgetExceededError(ToolkitError, RuntimeError):
     """A subdivision/cell budget was exhausted before convergence."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class CoefficientRangeError(ToolkitError, ValueError):
     """A sum needs Hecke eigenvalues beyond the stored range."""

@@ -126,7 +126,9 @@ class CuspForm:
     lam[i] is lambda(i+1). The nebentypus is stored as the full value table
     chi(0), ..., chi(M-1) with chi(a) = 0 whenever gcd(a, M) > 1. eta is the
     modulus-one constant of the dual summation formula; it is measured by
-    calibration, not assumed, so fresh forms carry None.
+    calibration, not assumed, so fresh forms carry None. The fit also
+    records its unnormalized modulus and its probe spread (None until
+    :func:`weyldelta.voronoi.calibrate_eta` runs).
     """
 
     kind: GammaFactorKind
@@ -137,8 +139,9 @@ class CuspForm:
     eta: Optional[complex] = None
     epsilon_g: Optional[float] = None
     tol: float = 1e-9
-    label: str = ""
     _tau: Optional[List[int]] = field(default=None, repr=False)
+    eta_modulus_raw: Optional[float] = field(default=None, init=False)
+    eta_probe_spread: Optional[float] = field(default=None, init=False)
 
     @property
     def n_max(self) -> int:
@@ -186,7 +189,6 @@ def delta_form(n_max: int = 10000) -> CuspForm:
         lam=lam.astype(complex),
         epsilon_f=1.0 + 0.0j,
         epsilon_g=None,
-        label="delta",
         _tau=tau,
     )
 
@@ -204,7 +206,6 @@ def constant_form(n_max: int, value: complex = 1.0) -> CuspForm:
         chi=trivial_character(1),
         lam=lam,
         epsilon_f=1.0 + 0.0j,
-        label=f"constant-{value}",
     )
 
 
@@ -405,7 +406,6 @@ def load_form(path: str) -> CuspForm:
         eta=eta,
         epsilon_g=eps_g,
         tol=tol,
-        label=path,
     )
     report = hecke_verify(form)
     if report.first_violation is not None:

@@ -40,6 +40,10 @@ from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
 SCAN_WEIGHT_FLOOR = 3e-4  # the growth scan's relaxed AfeConfig.weight_floor
+# the weight's contour: v in [-V_CUT, V_CUT] (u = abscissa + iv), V_PANELS panels
+V_CUT = 13.0
+V_PANELS = 70
+TAIL_FRACTION = 1e-3  # scan records above this tail/value ratio are flagged
 
 
 def weight_gaussian(u):
@@ -73,15 +77,16 @@ def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
 
 @dataclass
 class AfeConfig:
-    """Weight function, contour data and truncations for the AFE."""
+    """Weight function, contour abscissa and truncations for the AFE.
+
+    The contour's v range and panels are the module constants V_CUT and
+    V_PANELS.
+    """
 
     weight: Callable = weight_gaussian
     abscissa: float = 3.0
-    v_cut: float = 13.0
-    v_panels: int = 70
     n_afe: Optional[int] = None
     weight_floor: float = 1e-8  # truncate where |V_s| has decayed to this
-    tail_fraction: float = 1e-3  # records above this tail/value ratio are flagged
 
     def resolved_n_afe(self, form: CuspForm, t: float) -> int:
         """Truncation length from the weight's actual decay.
@@ -106,17 +111,18 @@ class AfeConfig:
 def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np.ndarray:
     """V_s(y) for an array of positive y, by contour quadrature.
 
-    The u-integral runs on Re u = abscissa, truncated where the even weight
-    has decayed to ~1e-20; the gamma ratio is computed in log space. With
-    y^(-u) = y^(-a) exp(-i v log y) the v-integral for every y is a sum over
-    the factored v grid: per y, about 2 sqrt(v_panels) + 16 complex
-    exponentials and one row of a (len(ys) x 16) @ (16 x v_panels) product.
+    The u-integral runs on Re u = abscissa, truncated at |Im u| = V_CUT
+    where the even weight has decayed to ~1e-20; the gamma ratio is
+    computed in log space. With y^(-u) = y^(-a) exp(-i v log y) the
+    v-integral for every y is a sum over the factored v grid: per y, about
+    2 sqrt(V_PANELS) + 16 complex exponentials and one row of a
+    (len(ys) x 16) @ (16 x V_PANELS) product.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys <= 0):
         raise PreconditionError("V_s arguments must be positive")
     a = cfg.abscissa
-    grid = PanelGrid(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
+    grid = PanelGrid(-V_CUT, V_CUT, V_PANELS, 16)
     u = a + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.exp(log_gamma_quotient_factor(form, s + u) - lg_s)
@@ -129,8 +135,6 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
 @dataclass
 class AfeValue:
     value: complex
-    first_sum: complex
-    second_sum: complex
     n_used: int
     tail_estimate: float
 
@@ -172,21 +176,13 @@ def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeV
         np.sqrt(np.sum(np.abs(terms_1[int(0.9 * n_afe) :]) ** 2))
         + np.sqrt(np.sum(np.abs(terms_2[int(0.9 * n_afe) :]) ** 2))
     )
-    return AfeValue(
-        value=first + second,
-        first_sum=first,
-        second_sum=second,
-        n_used=n_afe,
-        tail_estimate=tail,
-    )
+    return AfeValue(value=first + second, n_used=n_afe, tail_estimate=tail)
 
 
 @dataclass
 class ScanRecord:
     t: float
     l_abs: float
-    first_sum: complex
-    second_sum: complex
     n_used: int
     tail_estimate: float
     flagged: bool
@@ -241,21 +237,11 @@ def growth_scan(
         for t in t_grid:
             res = afe_value(form, float(t), cfg)
             l_abs = abs(res.value)
-            flagged = res.tail_estimate >= cfg.tail_fraction * max(l_abs, 1e-30)
-            records.append(
-                ScanRecord(
-                    t=float(t),
-                    l_abs=l_abs,
-                    first_sum=res.first_sum,
-                    second_sum=res.second_sum,
-                    n_used=res.n_used,
-                    tail_estimate=res.tail_estimate,
-                    flagged=flagged,
-                )
-            )
+            flagged = res.tail_estimate >= TAIL_FRACTION * max(l_abs, 1e-30)
+            records.append(ScanRecord(float(t), l_abs, res.n_used, res.tail_estimate, flagged))
     else:
         for t, v in zip(t_grid, values):
-            records.append(ScanRecord(float(t), float(v), 0j, 0j, 0, 0.0, False))
+            records.append(ScanRecord(float(t), float(v), 0, 0.0, False))
 
     edges = np.exp(np.linspace(math.log(t_grid[0]), math.log(t_grid[-1]), windows + 1))
     # exp(log t) rounds the outer edges inward, past the grid's own ends

@@ -49,9 +49,6 @@ class OscillatoryResult:
     budget_exhausted: bool = False
     depth_capped: int = 0  # cells accepted only because they reached the depth cap
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def _phase_span(f, lo, mid, hi):
     """|f(hi) - f(mid)| + |f(mid) - f(lo)|, and f(mid), over arrays of cells.

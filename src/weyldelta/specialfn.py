@@ -321,8 +321,8 @@ def stirling_profile(kind: GammaFactorKind, tau: float) -> StirlingProfile:
     return StirlingProfile(tau=float(tau), leading_phase=phase, residual=value / phase)
 
 
-def residual_derivative(kind: GammaFactorKind, tau: float, h: float = 1.0) -> complex:
-    """Centered difference of the profile residual at tau."""
-    hi = stirling_profile(kind, tau + h).residual
-    lo = stirling_profile(kind, tau - h).residual
-    return (hi - lo) / (2 * h)
+def residual_derivative(kind: GammaFactorKind, tau: float) -> complex:
+    """Centered difference of the profile residual at tau, with step 1."""
+    hi = stirling_profile(kind, tau + 1.0).residual
+    lo = stirling_profile(kind, tau - 1.0).residual
+    return (hi - lo) / 2.0

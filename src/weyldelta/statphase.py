@@ -34,13 +34,9 @@ class Regime(enum.Enum):
 
 @dataclass
 class DaggerValue:
-    r: float
-    s: complex
     value: complex
-    method: str  # "direct" | "asymptotic"
     abs_error_estimate: float
     regime: Regime = Regime.INTERIOR
-    depth_capped: int = 0  # quadrature cells accepted only at the depth cap (direct method)
 
 
 def u_dagger_direct(
@@ -49,8 +45,8 @@ def u_dagger_direct(
     """W_dagger(r, s) by adaptive oscillatory quadrature over supp W.
 
     Raises BudgetExceededError when the quadrature needs more than `budget`
-    cells, rather than returning the truncated value. Cells accepted only
-    because they reached the depth cap are counted in `depth_capped`.
+    cells, or accepts a cell only because it reached the depth cap, rather
+    than returning the unconverged value.
     """
     a, b = window.support
     if a <= 0:
@@ -66,14 +62,11 @@ def u_dagger_direct(
     res: OscillatoryResult = integrate_1d(g, f, a, b, tol=tol, budget=budget)
     if res.budget_exhausted:
         raise BudgetExceededError(f"W_dagger at r = {r:.6g}, s = {s} exhausted {res.cells} cells")
-    return DaggerValue(
-        r=float(r),
-        s=complex(s),
-        value=res.value,
-        method="direct",
-        abs_error_estimate=res.abs_error_estimate,
-        depth_capped=res.depth_capped,
-    )
+    if res.depth_capped:
+        raise BudgetExceededError(
+            f"W_dagger at r = {r:.6g}, s = {s} accepted {res.depth_capped} cells at the depth cap"
+        )
+    return DaggerValue(value=res.value, abs_error_estimate=res.abs_error_estimate)
 
 
 def sharp_weight_0(window: SmoothWindow, sigma: float, x):
@@ -128,10 +121,7 @@ def u_dagger_asymptotic(window: SmoothWindow, r: float, s: complex) -> DaggerVal
         else:
             bound = (1 / abs(beta)) ** j
         return DaggerValue(
-            r=float(r),
-            s=complex(s),
             value=0.0 + 0.0j,
-            method="asymptotic",
             abs_error_estimate=float(bound),
             regime=Regime.NO_STATIONARY_POINT,
         )
@@ -142,11 +132,4 @@ def u_dagger_asymptotic(window: SmoothWindow, r: float, s: complex) -> DaggerVal
     weight = complex(sharp_weight(window, sigma, x0, beta))
     value = math.sqrt(2 * math.pi) * cmath.exp(2j * math.pi / 8) / root * phase * weight
     err = min(abs(beta), abs(r)) ** (-2.5)
-    return DaggerValue(
-        r=float(r),
-        s=complex(s),
-        value=value,
-        method="asymptotic",
-        abs_error_estimate=float(err),
-        regime=Regime.INTERIOR,
-    )
+    return DaggerValue(value=value, abs_error_estimate=float(err))

@@ -139,24 +139,20 @@ def smooth_step(s, order: int = 0):
 class SmoothWindow:
     """A smooth compactly supported window with exact-recurrence derivatives.
 
-    support    : closed interval [a, b] outside which the window vanishes
-    normalization : "unit-integral" | "plateau"
-    j_max      : highest derivative order available
+    support   : closed interval [a, b] outside which the window vanishes
+    evaluator : (x, order) -> the order-th derivative at x, for order <= _J_MAX
     """
 
     support: Tuple[float, float]
-    normalization: str
     evaluator: Callable[[np.ndarray, int], np.ndarray]
-    j_max: int = _J_MAX
-    plateau: Tuple[float, float] | None = None
 
     def __call__(self, x):
         out = self.evaluator(np.asarray(x, dtype=float), 0)
         return float(np.asarray(out).reshape(-1)[0]) if np.ndim(x) == 0 else out
 
     def derivative(self, x, order: int):
-        if order < 0 or order > self.j_max:
-            raise PreconditionError(f"derivative order must be in [0, {self.j_max}]")
+        if order < 0 or order > _J_MAX:
+            raise PreconditionError(f"derivative order must be in [0, {_J_MAX}]")
         out = self.evaluator(np.asarray(x, dtype=float), order)
         return float(np.asarray(out).reshape(-1)[0]) if np.ndim(x) == 0 else out
 
@@ -172,7 +168,7 @@ def make_window_v() -> SmoothWindow:
     def evaluate(x, order):
         return c * 2.0**order * bump(2.0 * x - 3.0, order)
 
-    return SmoothWindow(support=(1.0, 2.0), normalization="unit-integral", evaluator=evaluate)
+    return SmoothWindow(support=(1.0, 2.0), evaluator=evaluate)
 
 
 def make_window_u() -> SmoothWindow:
@@ -197,6 +193,4 @@ def make_window_u() -> SmoothWindow:
             out[down] = (-4.0) ** order * smooth_step(9.0 - 4.0 * x[down], order)
         return out if out.shape else float(out)
 
-    return SmoothWindow(
-        support=(0.5, 2.5), normalization="plateau", evaluator=evaluate, plateau=(1.0, 2.0)
-    )
+    return SmoothWindow(support=(0.5, 2.5), evaluator=evaluate)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -61,21 +61,24 @@ def default_sigma(kind: GammaFactorKind) -> float:
 class WhatTransform:
     """Precomputed evaluator for What_pm of one (kind, window) pair.
 
-    Both regimes are sums over a factored :class:`PanelGrid`, so a value of
-    y costs about 2 sqrt(panels) + 16 complex exponentials plus its share of
-    one GEMM, not one transcendental per (y, node) pair:
+    The contour abscissa is default_sigma(kind) and the grid sizes are the
+    class constants Y_SPLIT, TAU_MAX, Y_MAX and U_PANELS. Both regimes are
+    sums over a factored :class:`PanelGrid`, so a value of y costs about
+    2 sqrt(panels) + 16 complex exponentials plus its share of one GEMM,
+    not one transcendental per (y, node) pair:
 
-    * y below `y_split` (every y for Maass kinds): the contour form. m_W and
+    * y below Y_SPLIT (every y for Maass kinds): the contour form. m_W and
       the gamma factors are tabulated once on equal tau panels over
-      [0, tau_max]. The panel width is the one the phase
-      tau (log(tau / 4 pi) + |log y| / 2) needs at tau_max, where it turns
-      fastest, so GL-16 sees <= ~1.5 cycles per panel. The Mellin table is
-      one `sums_at_nodes` over the log-x rule, and
+      [0, TAU_MAX]. The panel width is the one the phase
+      tau (log(tau / 4 pi) + |log y| / 2) needs at TAU_MAX and y = Y_SPLIT
+      (Y_MAX for Maass kinds), where it turns fastest, so GL-16 sees
+      <= ~1.5 cycles per panel. The Mellin table is one `sums_at_nodes`
+      over the U_PANELS log-x rule, and
 
           What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2)
 
       is one `sums_at_freqs` at the frequencies log(y) / 2.
-    * y above `y_split`, holomorphic kinds only: the same transform written
+    * y above Y_SPLIT, holomorphic kinds only: the same transform written
       against its oscillatory kernel. The contour collapses to the Mellin
       representation of the order-(k-1) Bessel function; with x = u^2,
 
@@ -99,44 +102,32 @@ class WhatTransform:
     """
 
     Y_SPLIT = 450.0
+    TAU_MAX = 2000.0  # top of the contour's tau panels
+    Y_MAX = 4000.0  # the largest y the Maass contour panels are sized for
+    U_PANELS = 160  # panels of the log-x rule of the Mellin table
 
-    def __init__(
-        self,
-        kind: GammaFactorKind,
-        window: SmoothWindow,
-        sigma: Optional[float] = None,
-        tau_max: float = 2000.0,
-        y_max: float = 4000.0,
-        u_panels: int = 160,
-    ):
+    def __init__(self, kind: GammaFactorKind, window: SmoothWindow):
         self.kind = kind
         self.window = window
-        self.sigma = default_sigma(kind) if sigma is None else float(sigma)
-        self.tau_max = float(tau_max)
+        self.sigma = default_sigma(kind)
         a, b = window.support
         if a <= 0:
             raise PreconditionError("window support must lie in (0, infinity)")
         self.holomorphic = kind.family == "holomorphic"
         # the contour table only serves y below the split for holomorphic
-        contour_y = self.Y_SPLIT if self.holomorphic else y_max
+        contour_y = self.Y_SPLIT if self.holomorphic else self.Y_MAX
 
-        # equal tau panels on [0, tau_max], as wide as the combined phase rate
-        # log(tau/4pi) + |log y|/2 allows at tau_max, where it is largest
-        rate = (
-            max(math.log(max(self.tau_max, 8.0) / (4 * math.pi)), 0.2)
-            + abs(math.log(contour_y)) / 2.0
-            + 0.5
-        )
+        # equal tau panels on [0, TAU_MAX], as wide as the combined phase rate
+        # log(tau/4pi) + |log y|/2 allows at TAU_MAX, where it is largest
+        rate = math.log(self.TAU_MAX / (4 * math.pi)) + abs(math.log(contour_y)) / 2.0 + 0.5
         width = min(2 * math.pi * 1.5 / rate, 8.0)
-        self.tau_grid = PanelGrid(0.0, self.tau_max, max(1, math.ceil(self.tau_max / width)))
+        self.tau_grid = PanelGrid(0.0, self.TAU_MAX, math.ceil(self.TAU_MAX / width))
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
 
         # m_W(sigma + i tau) = int Wt(u) e^{-i tau u / 2} du after x = e^u
-        u_nodes, u_weights = panel_rule(math.log(a), math.log(b), u_panels, 16)
+        u_nodes, u_weights = panel_rule(math.log(a), math.log(b), self.U_PANELS, 16)
         wt = window(np.exp(u_nodes)) * np.exp(u_nodes * (1 - self.sigma / 2)) * u_weights
         m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u_nodes)
-        self.mellin_values = m_vals
-        self.mellin_tail = float(np.abs(m_vals[-16:]).max())
 
         s_nodes = self.sigma + 1j * self.tau_nodes
         if kind.family == "holomorphic":
@@ -223,15 +214,17 @@ def dual_sum_length(scale: float, c: int, level: int = 1) -> int:
 
 @dataclass
 class VoronoiInstance:
-    """One concrete identity check: which form, twist a/c, scaling N, window."""
+    """One concrete identity check: which form, twist a/c, scaling N, window.
+
+    The dual side is evaluated by a :class:`WhatTransform` of the same window
+    that the caller builds once and passes in.
+    """
 
     form: CuspForm
     a: int
     c: int
     window: SmoothWindow
     scale: float  # N
-    sigma: Optional[float] = None
-    tau_max: float = 2000.0
 
     def __post_init__(self):
         if self.c < 1:
@@ -274,7 +267,7 @@ def direct_side(inst: VoronoiInstance) -> complex:
 
 
 def dual_side(
-    inst: VoronoiInstance, transform: Optional[WhatTransform] = None, strip_eta: bool = False
+    inst: VoronoiInstance, transform: WhatTransform, strip_eta: bool = False
 ) -> Tuple[complex, int, float]:
     """rhs (with the form's eta unless strip_eta) plus term count and tail estimate.
 
@@ -284,11 +277,6 @@ def dual_side(
     form = inst.form
     big_m = form.level
     n_cut = inst.resolved_n_cut()
-    if transform is None:
-        transform = WhatTransform(
-            form.kind, inst.window, sigma=inst.sigma, tau_max=inst.tau_max,
-            y_max=max(n_cut * inst.scale / (big_m * inst.c**2), 10.0),
-        )
     a_bar_m = modular_inverse(inst.a * big_m, inst.c)
     eps_g = form.epsilon_g if form.epsilon_g is not None else 1.0
 
@@ -317,7 +305,7 @@ def dual_side(
     return prefactor * total, n_cut, tail
 
 
-def voronoi_check(inst: VoronoiInstance, transform: Optional[WhatTransform] = None) -> VoronoiCheck:
+def voronoi_check(inst: VoronoiInstance, transform: WhatTransform) -> VoronoiCheck:
     """Compute both sides independently and their scaled residual."""
     lhs = direct_side(inst)
     rhs, used, tail = dual_side(inst, transform=transform)
@@ -328,7 +316,7 @@ def voronoi_check(inst: VoronoiInstance, transform: Optional[WhatTransform] = No
     )
 
 
-def calibrate_eta(form: CuspForm, probes, transform: Optional[WhatTransform] = None) -> complex:
+def calibrate_eta(form: CuspForm, probes, transform: WhatTransform) -> complex:
     """Fit the modulus-one constant of the dual side over probe instances.
 
     Solves min_eta sum |lhs_i - eta * rhs0_i|^2 with rhs0 the eta-stripped

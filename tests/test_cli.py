@@ -241,6 +241,35 @@ def test_calibrate_subcommand(tmp_path):
     assert abs(payload["eta_modulus_raw"] - 1.0) < 1e-6
 
 
+def test_calibrate_is_the_verify_voronoi_fit(tmp_path, monkeypatch):
+    built, fits = [], []
+    real_fit = checks.calibrate_eta
+
+    def counting_delta_form(n_max):
+        built.append(n_max)
+        return delta_form(n_max)
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "delta_form", counting_delta_form)
+    monkeypatch.setattr(checks, "calibrate_eta", counting_fit)
+    out = tmp_path / "eta.json"
+    assert run_cli(["calibrate", "--output", str(out)]) == 0
+    # one form, as long as the two probes read, and one fit
+    assert built == [1440] and len(fits) == 1
+    payload = json.loads(out.read_text())
+    monkeypatch.undo()
+    report_path = tmp_path / "voronoi.json"
+    assert run_cli(["verify", "voronoi", "--seed", "1", "--output", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    fit = next(c for c in report["checks"] if c["name"] == "eta-calibration")["values"]
+    assert payload["eta"] == report["calibration"]["eta"] == fit["eta"]
+    assert payload["eta_modulus_raw"] == report["calibration"]["eta_modulus_raw"]
+    assert payload["probe_spread"] == fit["probe_spread"]
+
+
 def test_console_entry_point_help():
     proc = run_cli_process(["--help"])
     assert proc.returncode == 0
@@ -252,6 +281,14 @@ def test_empty_scan_grid_is_an_input_error(capsys):
     assert run_cli(["scan", "--samples", "0"]) == 3
     assert run_cli(["verify", "all", "--samples", "0"]) == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_negative_sample_count_is_a_usage_error(capsys):
+    for args in (["verify", "scan"], ["scan"], ["verify", "all"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*args, "--samples", "-1"])
+        assert exc.value.code == 3
+        assert "expected an integer >= 0" in capsys.readouterr().err
 
 
 def test_usage_error_exits_3(capsys):

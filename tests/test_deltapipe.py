@@ -122,12 +122,10 @@ def test_averaged_delta_needs_primes():
 
 def test_config_validation():
     with pytest.raises(PreconditionError):
-        PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=(7,)).validate(need_primes=True)
+        PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=(7,)).validate()
     with pytest.raises(PreconditionError):
         PipelineConfig(N=50.0, t=1.0, K=5.0).validate()
-    PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120))).validate(
-        need_primes=True
-    )
+    PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120))).validate()
 
 
 # --- smoothed sum and its decomposition --------------------------------------

@@ -166,6 +166,13 @@ def test_tau_exact_access(delta10k):
     assert delta10k.tau_at(100) == 37534859200
 
 
+def test_uncalibrated_form_reads_no_eta_fit():
+    form = delta_form(10)
+    assert form.eta is None
+    assert form.eta_modulus_raw is None
+    assert form.eta_probe_spread is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=60))
 def test_chi_table_multiplicative(level):
@@ -260,7 +267,6 @@ def test_maass_fixture_roundtrip(tmp_path):
         epsilon_f=1.0,
         epsilon_g=1.0,
         tol=1e-8,
-        label="synthetic",
     )
     path = tmp_path / "maass.coef"
     export_form(fixture, str(path))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from weyldelta import lfunc
 from weyldelta.errors import CoefficientRangeError, PreconditionError
 from weyldelta.forms import constant_form, delta_form
 from weyldelta.lfunc import (
@@ -70,7 +71,7 @@ def test_coefficient_shortfall_detected():
 
 def _afe_weight_contour(form, s, ys, cfg):
     """V_s(y) by one complex exponential per (y, contour node) pair (oracle)."""
-    vs, ws = panel_rule(-cfg.v_cut, cfg.v_cut, cfg.v_panels, 16)
+    vs, ws = panel_rule(-lfunc.V_CUT, lfunc.V_CUT, lfunc.V_PANELS, 16)
     u = cfg.abscissa + 1j * vs
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])

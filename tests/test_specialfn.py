@@ -176,17 +176,17 @@ def test_profile_requires_moderate_tau():
 
 def test_residual_derivative_small_and_decaying():
     kind = holomorphic_kind(12)
-    d_mid = abs(residual_derivative(kind, 1e3, h=1.0))
+    d_mid = abs(residual_derivative(kind, 1e3))
     assert d_mid <= 10.0 / 1e3
     taus = np.geomspace(1e2, 1e4, 9)
-    derivs = [abs(residual_derivative(kind, float(t), h=1.0)) for t in taus]
+    derivs = [abs(residual_derivative(kind, float(t))) for t in taus]
     assert loglog_slope(taus, derivs) <= -0.9
 
 
 def test_maass_profile_derivative_decay():
     kind = maass_kind(7.0, 0)
     taus = np.geomspace(1e2, 1e4, 7)
-    derivs = [abs(residual_derivative(kind, float(t), h=1.0)) for t in taus]
+    derivs = [abs(residual_derivative(kind, float(t))) for t in taus]
     assert loglog_slope(taus, derivs) <= -0.9
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from weyldelta import oscillate
 from weyldelta.checks import CHECKS, CheckContext
-from weyldelta.errors import PreconditionError
+from weyldelta.cli import main
+from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.numerics import loglog_fit
 from weyldelta.statphase import (
     Regime,
@@ -72,16 +74,24 @@ def test_dagger_no_stationary_point():
     assert abs(direct.value) <= asym.abs_error_estimate
 
 
-def test_depth_cap_reaches_the_dagger_value_and_the_checks(monkeypatch):
+def test_depth_cap_reaches_the_dagger_value_and_the_checks(monkeypatch, tmp_path):
+    # a value accepted at the depth cap has not converged: like an exhausted
+    # budget it raises, so the checks cannot pass on it and the run exits 2
     names = ("fourier-mellin-two-method", "fourier-mellin-no-stationary")
     mellin = [check for check in CHECKS if check.name in names]
     ctx = CheckContext(seed=1, checks=mellin)
     r, s = 400.0 / (2 * math.pi * 1.5), complex(1.0, 400.0)
-    assert u_dagger_direct(U, r, s, tol=1e-12).depth_capped == 0
-    assert [check.run(ctx).values["depth_capped"] for check in mellin] == [0, 0]
+    u_dagger_direct(U, r, s, tol=1e-12)
+    assert all(check.run(ctx).passed for check in mellin)
     monkeypatch.setattr(oscillate, "MAX_DEPTH", 2)
-    assert u_dagger_direct(U, r, s, tol=1e-12).depth_capped > 0
-    assert all(check.run(ctx).values["depth_capped"] > 0 for check in mellin)
+    with pytest.raises(BudgetExceededError, match="depth cap"):
+        u_dagger_direct(U, r, s, tol=1e-12)
+    for check in mellin:
+        with pytest.raises(BudgetExceededError, match="depth cap"):
+            check.run(ctx)
+    report_path = tmp_path / "statphase.json"
+    assert main(["verify", "statphase", "--output", str(report_path)]) == 2
+    assert json.loads(report_path.read_text())["budget_exhausted"] is True
 
 
 def test_dagger_regime_guard():
@@ -97,7 +107,6 @@ def test_dagger_scaling_covariance():
     for lam in (0.5, 2.0):
         scaled_window = type(V)(
             support=(V.support[0] * lam, V.support[1] * lam),
-            normalization="unit-integral",
             evaluator=lambda x, order, lam=lam: V.evaluator(x / lam, order) / lam**order,
         )
         lhs = u_dagger_direct(scaled_window, r, s, tol=1e-13).value

@@ -59,7 +59,6 @@ def test_transform_linear_in_window(form, window, transform):
     # zero window maps to zero
     zero = type(window)(
         support=window.support,
-        normalization="unit-integral",
         evaluator=lambda x, order: 0.0 * np.asarray(x),
     )
     tr0 = WhatTransform(form.kind, zero)
@@ -167,7 +166,7 @@ def test_contour_route_matches_per_y_loop(transform):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_maass_contour_route_matches_per_y_loop(window, sign):
-    tr = WhatTransform(maass_kind(9.5, 0), window, tau_max=400.0)
+    tr = WhatTransform(maass_kind(9.5, 0), window)
     ys = np.geomspace(0.05, 4000.0, 300)
     kernel, front = (
         (tr.kernel_plus, tr.front_plus) if sign == +1 else (tr.kernel_minus, -tr.front_minus)
@@ -223,8 +222,8 @@ def test_maass_transform_structural(window):
     # carries the reflection eigenvalue linearly
     kind_p = maass_kind(9.5, 0)
     kind_m = maass_kind(-9.5, 0)
-    tr_p = WhatTransform(kind_p, window, tau_max=400.0)
-    tr_m = WhatTransform(kind_m, window, tau_max=400.0)
+    tr_p = WhatTransform(kind_p, window)
+    tr_m = WhatTransform(kind_m, window)
     y = 3.0
     assert tr_p.eval(y, +1) == pytest.approx(tr_m.eval(y, +1), rel=1e-12)
     minus_1 = tr_p.eval(y, -1, eps_g=1.0)
@@ -270,7 +269,6 @@ def test_linearity_in_window(calibrated, window, transform):
     # both sides are linear in W: doubling the window doubles them
     doubled = type(window)(
         support=window.support,
-        normalization="unit-integral",
         evaluator=lambda x, order: 2.0 * window.evaluator(x, order),
     )
     inst_1 = VoronoiInstance(calibrated, a=1, c=3, window=window, scale=20.0)
@@ -290,13 +288,15 @@ def test_calibration_modulus_and_consistency(calibrated):
     assert calibrated.eta_probe_spread <= 1e-4
 
 
-def test_calibration_needs_two_probes(form, window):
+def test_calibration_needs_two_probes(form, window, transform):
     with pytest.raises(PreconditionError):
-        calibrate_eta(form, [VoronoiInstance(form, a=1, c=1, window=window, scale=20.0)])
+        calibrate_eta(
+            form, [VoronoiInstance(form, a=1, c=1, window=window, scale=20.0)], transform=transform
+        )
 
 
-def test_gcd_guard(form, window):
+def test_gcd_guard(form, window, transform):
     inst = VoronoiInstance(form, a=1, c=3, window=window, scale=20.0)
     inst.a = 3  # force a degenerate twist past the constructor validation
     with pytest.raises(ValueError):
-        dual_side(inst, strip_eta=True)
+        dual_side(inst, transform=transform, strip_eta=True)
