@@ -3,7 +3,7 @@ stationary-phase machinery behind GL(2) L-function estimates.
 
 Submodules:
 
-* :mod:`weyldelta.specialfn` - complex gamma, archimedean factor ratios,
+* :mod:`weyldelta.specialfn` - complex log-gamma, archimedean factor ratios,
   high-frequency phase profiles
 * :mod:`weyldelta.testfn`    - smooth compactly supported windows
 * :mod:`weyldelta.oscillate` - adaptive oscillatory quadrature on an interval

@@ -24,10 +24,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .deltapipe import (
+    DualKernel,
     PipelineConfig,
     averaged_delta,
     averaged_delta_alpha_sum,
     dual_identity_check,
+    i_star_main,
     s_split,
     trivial_delta,
     trivial_delta_alpha_sum,
@@ -37,9 +39,15 @@ from .forms import CuspForm, constant_form, delta_form, hecke_verify, load_form,
 from .lfunc import AfeConfig, afe_value, growth_scan, scan_length, weight_quartic
 from .numerics import loglog_fit, loglog_slope, primes_in
 from .oscillate import integrate_1d
-from .specialfn import gamma_factor, maass_kind, residual_derivative, stirling_profile
+from .specialfn import (
+    gamma_factor,
+    holomorphic_kind,
+    maass_kind,
+    residual_derivative,
+    stirling_profile,
+)
 from .statphase import u_dagger_asymptotic, u_dagger_direct
-from .testfn import make_window_u, make_window_v
+from .testfn import WINDOW_U, WINDOW_V
 from .voronoi import (
     VoronoiInstance,
     WhatTransform,
@@ -103,28 +111,22 @@ class CheckContext:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    @property
-    def window_v(self):
-        return self.shared("window_v", make_window_v)
-
-    @property
-    def window_u(self):
-        return self.shared("window_u", make_window_u)
-
     def transform(self, form: CuspForm) -> WhatTransform:
-        return self.shared("transform", lambda: WhatTransform(form.kind, self.window_v))
+        return self.shared("transform", lambda: WhatTransform(form.kind, WINDOW_V))
 
     def calibrate(self, form: CuspForm) -> complex:
         """eta for `form`, fitted once on the two ETA_PROBES instances."""
         if self.cache.get("calibrated") is not form:
             form.eta = form.eta_modulus_raw = form.eta_probe_spread = None
-            probes = [
-                VoronoiInstance(form, a=a, c=c, window=self.window_v, scale=scale)
-                for a, c, scale in ETA_PROBES
-            ]
-            calibrate_eta(form, probes, transform=self.transform(form))
+            calibrate_eta(form, _eta_probes(form), transform=self.transform(form))
             self.cache["calibrated"] = form
         return form.eta
+
+
+def _eta_probes(form: CuspForm) -> List[VoronoiInstance]:
+    return [
+        VoronoiInstance(form, a=a, c=c, window=WINDOW_V, scale=scale) for a, c, scale in ETA_PROBES
+    ]
 
 
 @dataclass
@@ -227,7 +229,7 @@ def _trivial_offdiagonal(ctx):
 @_check("trivial-delta-quadrature", "delta-detector-quadrature-oracle", "delta", 2)
 def _trivial_quadrature(ctx):
     value = _delta13(ctx, 13)
-    oracle = integrate_1d(ctx.window_v, lambda x: 1.3 * x, 1.0, 2.0, tol=1e-13, budget=ctx.budget)
+    oracle = integrate_1d(WINDOW_V, lambda x: 1.3 * x, 1.0, 2.0, tol=1e-13, budget=ctx.budget)
     if oracle.budget_exhausted:
         raise BudgetExceededError(f"quadrature oracle exhausted {oracle.cells} cells")
     return abs(value - oracle.value), 1e-8, {}
@@ -272,8 +274,8 @@ def _fourier_mellin_two_method(ctx):
         x0 = float(rng.uniform(1.0, 2.0))
         r = beta / (2 * math.pi * x0)
         s = complex(1.0, beta)
-        direct = u_dagger_direct(ctx.window_u, r, s, tol=1e-12, budget=ctx.budget)
-        asym = u_dagger_asymptotic(ctx.window_u, r, s)
+        direct = u_dagger_direct(WINDOW_U, r, s, tol=1e-12, budget=ctx.budget)
+        asym = u_dagger_asymptotic(WINDOW_U, r, s)
         rel_errors.append(abs(direct.value - asym.value) / abs(direct.value))
         betas.append(beta)
     slope = loglog_fit(betas, rel_errors)[0]
@@ -283,8 +285,23 @@ def _fourier_mellin_two_method(ctx):
 @_check("fourier-mellin-no-stationary", "twisted-mellin-rapid-decay", "statphase", 4)
 def _fourier_mellin_no_stationary(ctx):
     r, s = -1000.0 / (2 * math.pi * 1.5), complex(1.0, 1000.0)
-    direct = u_dagger_direct(ctx.window_u, r, s, tol=1e-12, budget=ctx.budget)
+    direct = u_dagger_direct(WINDOW_U, r, s, tol=1e-12, budget=ctx.budget)
     return abs(direct.value), 1e-6, {}
+
+
+@_check("istar-main-term", "istar-stationary-phase-main-term", "statphase", 4)
+def _istar_main_term(ctx):
+    # (N, t, K, c) = (100, 2000, 20, 101): K < t^(1-eps), and each r puts the
+    # x-stationary point at 1.5 with both dagger arguments inside their supports
+    cfg = PipelineConfig(N=100.0, t=2000.0, K=20.0, prime_set=(101,), c=101)
+    kernel = DualKernel(cfg, cfg.c, holomorphic_kind(12))
+    taus, rel_errors = (-430.0, -500.0, -600.0), []
+    for tau in taus:
+        r = round(1.5 * (tau + 2 * cfg.t) * cfg.K * cfg.c / (cfg.N * tau))
+        direct = kernel.istar_value(r, tau)
+        rel_errors.append(abs(i_star_main(r, cfg.c, tau, cfg).value - direct) / abs(direct))
+    slope = loglog_slope([abs(tau) for tau in taus], rel_errors)
+    return slope, -0.4, {"slope": slope, "rel_errors": rel_errors}
 
 
 def _profile_kinds(ctx: CheckContext):
@@ -335,13 +352,17 @@ def _eta_calibration(ctx):
     form = ctx.form()
     eta = ctx.calibrate(form)
     ctx.calibration.update(eta=fmt_complex(eta), eta_modulus_raw=form.eta_modulus_raw)
-    values = {"eta": fmt_complex(eta), "probe_spread": form.eta_probe_spread}
+    values = {
+        "eta": fmt_complex(eta),
+        "probe_spread": form.eta_probe_spread,
+        "n_cut_capped": any(p.resolved_n_cut() < p.wanted_n_cut() for p in _eta_probes(form)),
+    }
     return abs(form.eta_modulus_raw - 1.0), 1e-6, values
 
 
 def _voronoi_cell(ctx, scale, a, c):
     form = ctx.form()
-    inst = VoronoiInstance(form, a=a, c=c, window=ctx.window_v, scale=scale)
+    inst = VoronoiInstance(form, a=a, c=c, window=WINDOW_V, scale=scale)
     chk = voronoi_check(inst, transform=ctx.transform(form))
     values = {
         "lhs": fmt_complex(chk.lhs),
@@ -349,6 +370,7 @@ def _voronoi_cell(ctx, scale, a, c):
         "rhs_terms": chk.rhs_terms,
         "n_cut_wanted": chk.n_cut_wanted,
         "n_cut_capped": chk.rhs_terms < chk.n_cut_wanted,
+        "tail_estimate": chk.tail_estimate,
     }
     return chk.residual, 1e-6, values
 

@@ -6,8 +6,9 @@ verify       run a verification suite (voronoi | delta | statphase |
              pipeline | afe | scan | all) and write a JSON report
 scan         growth scan over a t-range, CSV of (t, |L|) plus the report
 calibrate    fit the dual-summation constant eta for a form (the built-in
-             one at the 1440 coefficients the probes read), as
-             `verify voronoi` does
+             one at the 1440 coefficients the probes read) by the
+             eta-calibration check of `verify voronoi`, and exit with its
+             status
 export-form  write the built-in discriminant form to a coefficient file
 import-form  parse and validate a coefficient file
 
@@ -18,8 +19,8 @@ asserts the same entries. Reports are JSON with stable key order;
 everything under the "timing" key (each check's wall clock) is excluded
 from the determinism guarantee (identical suite and seed reproduce the
 rest byte for byte). Scan/probe points go to CSV with a header row and
-plain decimal formatting. The env variable WEYL_DELTA_BUDGET (or
-`--budget`) caps the oscillatory-quadrature cell count and the
+plain decimal formatting. `verify --budget` (default: the env variable
+WEYL_DELTA_BUDGET) caps the oscillatory-quadrature cell count and the
 stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
 failure, 2 budget exhausted, 3 input error (a usage error, an unreadable
 or invalid form file, a form with fewer coefficients than a check reads,
@@ -32,13 +33,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checks import CHECKS, SUITES, CheckContext, CheckResult, checks_for, fmt_complex
+from .checks import CHECKS, SUITES, CheckContext, CheckResult, checks_for
 from .errors import (
     BudgetExceededError,
     CoefficientRangeError,
@@ -64,10 +66,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A sample count: an integer >= 0 (a usage error otherwise)."""
+    """A count or a seed: an integer >= 0 (a usage error otherwise)."""
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _finite(text: str) -> float:
+    """A finite real number (a usage error otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def run_suite(suite: str, ctx: CheckContext):
@@ -124,25 +137,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _Parser(prog="weyl-delta", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=[*SUITES, "all"])
-    p_verify.add_argument("--form", dest="form_path")
-    p_verify.add_argument("--output", dest="output_path")
-    p_verify.add_argument("--csv", dest="csv_path")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--t-min", type=float, default=10.0)
-    p_verify.add_argument("--t-max", type=float, default=500.0)
-    p_verify.add_argument("--samples", type=_count, default=200)
+    run = argparse.ArgumentParser(add_help=False)  # what `verify` and `scan` both take
+    run.add_argument("--form", dest="form_path")
+    run.add_argument("--output", dest="output_path")
+    run.add_argument("--csv", dest="csv_path")
+    run.add_argument("--seed", type=_count, default=0)
+    run.add_argument("--t-min", type=_finite, default=10.0)
+    run.add_argument("--t-max", type=_finite, default=500.0)
+    run.add_argument("--samples", type=_count, default=200)
 
-    p_scan = sub.add_parser("scan", help="growth scan along the critical line")
-    p_scan.add_argument("--t-min", type=float, default=10.0)
-    p_scan.add_argument("--t-max", type=float, default=500.0)
-    p_scan.add_argument("--samples", type=_count, default=200)
-    p_scan.add_argument("--form", dest="form_path")
-    p_scan.add_argument("--output", dest="output_path")
-    p_scan.add_argument("--csv", dest="csv_path")
-    p_scan.add_argument("--seed", type=int, default=0)
+    p_verify = sub.add_parser("verify", parents=[run], help="run a verification suite")
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
+    # argparse parses a string default like the option itself, so a
+    # malformed WEYL_DELTA_BUDGET is a usage error too
+    p_verify.add_argument(
+        "--budget",
+        type=int,
+        default=os.environ.get("WEYL_DELTA_BUDGET") or None,
+        help="quadrature cell and stratum-sum evaluation cap (default: $WEYL_DELTA_BUDGET)",
+    )
+
+    sub.add_parser("scan", parents=[run], help="growth scan along the critical line")
 
     p_cal = sub.add_parser("calibrate", help="calibrate the dual-sum constant eta")
     p_cal.add_argument("--form", dest="form_path")
@@ -157,13 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    budget = None
-    budget_env = os.environ.get("WEYL_DELTA_BUDGET")
-    if budget_env:
-        budget = int(budget_env)
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
-
     try:
         if args.command == "export-form":
             export_form(delta_form(args.n_max), args.path)
@@ -177,24 +185,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return EXIT_OK
         if args.command == "calibrate":
-            # the context of the eta-calibration entry alone: the form is as
-            # long as its probes read, and the fit is the one `verify` runs
-            fit = [check for check in CHECKS if check.name == "eta-calibration"]
-            ctx = CheckContext(form_path=args.form_path, checks=fit)
-            form = ctx.form()
-            eta = ctx.calibrate(form)
-            report = {
-                "eta": fmt_complex(eta),
-                "eta_modulus_raw": form.eta_modulus_raw,
-                "probe_spread": form.eta_probe_spread,
-            }
-            _write_report(report, args.output_path)
-            return EXIT_OK
+            # the eta-calibration entry alone: the form is as long as its
+            # probes read, and the fit is the one `verify` runs
+            (fit,) = [check for check in CHECKS if check.name == "eta-calibration"]
+            ctx = CheckContext(form_path=args.form_path, checks=[fit])
+            result = fit.run(ctx)
+            _write_report({**result.values, **ctx.calibration}, args.output_path)
+            print(result.line())
+            return EXIT_OK if result.passed else EXIT_CHECK_FAILED
         # verify and scan
         suite = "scan" if args.command == "scan" else args.suite
         ctx = CheckContext(
             seed=args.seed,
-            budget=budget,
+            budget=getattr(args, "budget", None),
             form_path=args.form_path,
             scan_grid=np.linspace(args.t_min, args.t_max, args.samples),
             checks=checks_for(suite),

@@ -42,33 +42,17 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import (
-    PanelGrid,
-    chebyshev_interpolant,
-    modular_inverse,
-    panel_rule,
-    unit_phases,
-)
+from .numerics import PanelGrid, chebyshev_interpolant, modular_inverse, unit_phases
 from .oscillate import integrate_1d
-from .specialfn import GammaFactorKind, gamma_factor, holomorphic_kind
+from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
-from .testfn import SmoothWindow, make_window_u, make_window_v
+from .testfn import WINDOW_U, WINDOW_V, SmoothWindow
 
 EPS_RANGE = 0.1  # every t^eps / N^eps range condition is instantiated at 0.1
 
 TWO_PI = 2.0 * math.pi
 
 X_RANGE = (1.0, 2.0)  # the x-integral's interval, supp V
-
-
-@functools.lru_cache(maxsize=1)
-def _window_v() -> SmoothWindow:
-    return make_window_v()
-
-
-@functools.lru_cache(maxsize=1)
-def _window_u() -> SmoothWindow:
-    return make_window_u()
 
 
 def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = None) -> complex:
@@ -96,7 +80,7 @@ def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = 
 @functools.lru_cache(maxsize=4096)
 def _fourier_v(theta: float, budget: Optional[int] = None) -> complex:
     """int e(theta x) V(x) dx over the V support (the budget is part of the cache key)."""
-    return _window_fourier(_window_v(), theta, budget)
+    return _window_fourier(WINDOW_V, theta, budget)
 
 
 @dataclass
@@ -176,14 +160,18 @@ def trivial_delta(n: int, q: int, X: float, budget: Optional[int] = None) -> com
         raise PreconditionError(f"q = {q} must exceed X^(1+eps) = {X ** (1 + EPS_RANGE):.2f}")
     if n % q != 0:
         return 0.0 + 0.0j
-    return _window_fourier(_window_v(), n / X, budget)
+    return _window_fourier(WINDOW_V, n / X, budget)
+
+
+def _character_gate(d: int, q: int) -> complex:
+    """(1/q) sum_{alpha mod q} e(d alpha / q), summed numerically: the oracle of [q | d]."""
+    alpha = np.arange(q)
+    return np.sum(np.exp(2j * np.pi * ((d * alpha) % q) / q)) / q
 
 
 def trivial_delta_alpha_sum(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:
     """Same quantity with the character sum evaluated numerically (oracle)."""
-    alpha = np.arange(q)
-    gate = np.sum(np.exp(2j * np.pi * ((n * alpha) % q) / q)) / q
-    return complex(gate * _window_fourier(_window_v(), n / X, budget))
+    return complex(_character_gate(n, q) * _window_fourier(WINDOW_V, n / X, budget))
 
 
 def averaged_delta(r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None) -> complex:
@@ -212,11 +200,7 @@ def averaged_delta_alpha_sum(
     if not cfg.prime_set:
         raise PreconditionError("prime_set is empty")
     d = r - n
-    gate = 0.0 + 0.0j
-    for p in cfg.prime_set:
-        alpha = np.arange(p)
-        gate += np.sum(np.exp(2j * np.pi * ((d * alpha) % p) / p)) / p
-    gate /= len(cfg.prime_set)
+    gate = sum(_character_gate(d, p) for p in cfg.prime_set) / len(cfg.prime_set)
     integral = 1.0 + 0.0j if d == 0 else _fourier_v(cfg.K * d / cfg.N, budget)
     return gate * integral
 
@@ -228,16 +212,8 @@ def averaged_delta_alpha_sum(
 
 def s_direct(form: CuspForm, N: float, t: float) -> complex:
     """S(N) = sum_r lambda(r) r^(-it) V(r/N); finite by support."""
-    v = _window_v()
-    a, b = v.support
-    r_lo = max(1, int(math.floor(a * N)))
-    r_hi = int(math.ceil(b * N))
-    if r_hi < r_lo:
-        return 0.0 + 0.0j
-    if r_hi > form.n_max:
-        raise PreconditionError(f"need coefficients to {r_hi}, stored {form.n_max}")
-    rs = np.arange(r_lo, r_hi + 1, dtype=float)
-    vals = form.lam[r_lo - 1 : r_hi] * np.exp(-1j * t * np.log(rs)) * v(rs / N)
+    rs = WINDOW_V.indices(N)
+    vals = form.lam_slice(rs[-1])[rs[0] - 1 :] * np.exp(-1j * t * np.log(rs)) * WINDOW_V(rs / N)
     return complex(np.sum(vals))
 
 
@@ -250,30 +226,24 @@ class SplitResult:
     diagonal_gap: float  # |S(N) - double_sum|: finite-size delta-method error
 
 
-def _index_ranges(form: CuspForm, cfg: PipelineConfig):
-    v, u = _window_v(), _window_u()
-    n_lo = max(1, int(math.floor(v.support[0] * cfg.N)))
-    n_hi = int(math.ceil(v.support[1] * cfg.N))
-    r_lo = max(1, int(math.floor(u.support[0] * cfg.N)))
-    r_hi = int(math.ceil(u.support[1] * cfg.N))
-    if n_hi > form.n_max:
-        raise PreconditionError(f"need coefficients to {n_hi}, stored {form.n_max}")
-    return (n_lo, n_hi), (r_lo, r_hi)
-
-
-def _x_rule(cfg: PipelineConfig):
+def _x_rule(cfg: PipelineConfig) -> PanelGrid:
     panels = max(12, int(math.ceil(6 * abs(cfg.K) * cfg.grid_scale)) + 4)
-    return panel_rule(*X_RANGE, panels, 16)
+    return PanelGrid(*X_RANGE, panels)
+
+
+def _v_rule(cfg: PipelineConfig, tau_max: float) -> PanelGrid:
+    """The u rule over supp V of Vdag(K x, 1 - s/2), |Im s| <= tau_max: 1.6 panels
+    per cycle of e(-K x u) u^(-i tau/2)."""
+    va, vb = WINDOW_V.support
+    cycles = 2 * abs(cfg.K) * (vb - va) + tau_max * math.log(vb / va) / (4 * math.pi)
+    return PanelGrid(va, vb, max(12, int(math.ceil(1.6 * cycles * cfg.grid_scale))))
 
 
 def _amplitudes(form: CuspForm, cfg: PipelineConfig):
-    """(ns, lambda(n) V(n/N), rs, r^(-it) U(r/N)) over the index ranges."""
-    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
-    v, u = _window_v(), _window_u()
-    ns = np.arange(n_lo, n_hi + 1)
-    rs = np.arange(r_lo, r_hi + 1)
-    lam_n = form.lam[n_lo - 1 : n_hi] * v(ns / cfg.N)
-    amp_r = np.exp(-1j * cfg.t * np.log(rs.astype(float))) * u(rs / cfg.N)
+    """(ns, lambda(n) V(n/N), rs, r^(-it) U(r/N)) over the windows' index ranges."""
+    ns, rs = WINDOW_V.indices(cfg.N), WINDOW_U.indices(cfg.N)
+    lam_n = form.lam_slice(ns[-1])[ns[0] - 1 :] * WINDOW_V(ns / cfg.N)
+    amp_r = np.exp(-1j * cfg.t * np.log(rs.astype(float))) * WINDOW_U(rs / cfg.N)
     return ns, lam_n, rs, amp_r
 
 
@@ -289,12 +259,13 @@ class _Strata:
     """
 
     def __init__(self, cfg: PipelineConfig, ns, lam_n, rs, amp_r):
-        xs, ws = _x_rule(cfg)
+        x_grid = _x_rule(cfg)
+        xs = x_grid.nodes
         self.ns, self.rs = ns, rs
         # x-dependent oscillation factors with the amplitudes folded in: (r, x) and (n, x)
         self.ar = amp_r[:, None] * np.exp(2j * np.pi * cfg.K / cfg.N * np.outer(rs, xs))
         self.bn = lam_n[:, None] * np.exp(-2j * np.pi * cfg.K / cfg.N * np.outer(ns, xs))
-        self.vx = _window_v()(xs) * ws
+        self.vx = WINDOW_V(xs) * x_grid.weights
 
     def __call__(self, alphas, modulus: int) -> complex:
         er = np.exp(2j * np.pi * np.outer(alphas, self.rs % modulus) / modulus)  # (alpha, r)
@@ -311,10 +282,10 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
     its window Fourier integrals in at most `budget` cells each.
     """
     cfg.validate(level=form.level)
-    (n_lo, n_hi), (r_lo, r_hi) = _index_ranges(form, cfg)
     ns, lam_n, rs, amp_r = _amplitudes(form, cfg)
+    (n_lo, n_hi), (r_lo, r_hi) = (ns[0], ns[-1]), (rs[0], rs[-1])
     pstar = len(cfg.prime_set)
-    evaluations = len(_x_rule(cfg)[0]) * (len(ns) + len(rs)) * sum(cfg.prime_set)
+    evaluations = len(_x_rule(cfg).nodes) * (len(ns) + len(rs)) * sum(cfg.prime_set)
     if evaluations > cfg.eval_budget:
         raise BudgetExceededError(f"stratum sums need ~{evaluations:.2e} evaluations")
 
@@ -325,22 +296,11 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
     # closed-form reference: group by difference d = r - n
     double = 0.0 + 0.0j
     for d in range(r_lo - n_hi, r_hi - n_lo + 1):
-        if d == 0:
-            gate = 1.0
-            integral = 1.0 + 0.0j
-        else:
-            count = sum(1 for p in cfg.prime_set if d % p == 0)
-            if count == 0:
-                continue
-            gate = count / pstar
-            integral = _fourier_v(cfg.K * d / cfg.N, budget)
-        lo = max(n_lo, r_lo - d)
-        hi = min(n_hi, r_hi - d)
-        if lo > hi:
+        delta = averaged_delta(d, 0, cfg, budget)
+        if delta == 0:
             continue
-        idx = np.arange(lo, hi + 1)
-        pair = np.sum(lam_n[idx - n_lo] * amp_r[idx + d - r_lo])
-        double += gate * integral * pair
+        idx = np.arange(max(n_lo, r_lo - d), min(n_hi, r_hi - d) + 1)
+        double += delta * np.sum(lam_n[idx - n_lo] * amp_r[idx + d - r_lo])
 
     diagonal = s_direct(form, cfg.N, cfg.t)
     total = s_star + s_flat
@@ -380,23 +340,20 @@ class DualKernel:
         self.c = int(c)
         self.kind = kind
         self.tau_cut = cfg.resolved_tau_cut()
-        v, u = _window_v(), _window_u()
-        scale = cfg.grid_scale
-
-        self.x_nodes, self.x_weights = _x_rule(cfg)
-        tau_panels = max(24, int(math.ceil(self.tau_cut * scale)))
+        x_grid = _x_rule(cfg)
+        self.x_nodes = x_grid.nodes
+        tau_panels = max(24, int(math.ceil(self.tau_cut * cfg.grid_scale)))
         self.tau_grid = PanelGrid(-self.tau_cut, self.tau_cut, tau_panels, 16)
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
         self._vdag_cheb = None
         self._interp = None
 
         # Udag(N r / c - K x, 1 - it) rows, cached per r with row-sized grids
-        self._u_support = u.support
         self._udag_rows: Dict[int, np.ndarray] = {}
 
         self._gamma_cache: Dict[int, np.ndarray] = {}
         self._istar_cache: Dict[int, np.ndarray] = {}
-        self.vx = v(self.x_nodes) * self.x_weights
+        self.vx = WINDOW_V(self.x_nodes) * x_grid.weights
 
     def _build_tau_tables(self):
         """The Vdag(K x, 1 - s/2) tables, as Chebyshev rows; built on first use.
@@ -413,13 +370,11 @@ class DualKernel:
         tau here: the e(-Kxu) twist keeps its sign, so Vdag at -tau is not
         the mirror of Vdag at +tau.)
         """
-        cfg, scale = self.cfg, self.cfg.grid_scale
-        v = _window_v()
-        va, vb = v.support
-        v_cycles = 2 * abs(cfg.K) * (vb - va) + self.tau_cut * math.log(vb / va) / (4 * math.pi)
-        v_panels = max(12, int(math.ceil(1.6 * v_cycles * scale)))
-        uv, wv = panel_rule(va, vb, v_panels, 16)
-        amp_v = wv * v(uv) * uv ** (-0.5)
+        cfg = self.cfg
+        v_grid = _v_rule(cfg, self.tau_cut)
+        uv = v_grid.nodes
+        amp_v = v_grid.weights * WINDOW_V(uv) * uv ** (-0.5)
+        va, vb = WINDOW_V.support
         xa, xb = X_RANGE
         uc = 0.5 * (va + vb)
         omega = math.pi * abs(cfg.K) * (xb - xa) * (vb - va) / 2
@@ -452,13 +407,12 @@ class DualKernel:
         """
         if r not in self._udag_rows:
             cfg = self.cfg
-            u = _window_u()
-            ua, ub = self._u_support
+            ua, ub = WINDOW_U.support
             rho = cfg.N * r / self.c - cfg.K * self.x_nodes
             cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
             panels = max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
             grid = PanelGrid(ua, ub, panels, 16)
-            amp = grid.weights * u(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
+            amp = grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
             self._udag_rows[r] = grid.sums_at_freqs(TWO_PI * rho, amp)
         return self._udag_rows[r]
 
@@ -492,21 +446,13 @@ class DualKernel:
         return self._istar_cache[r]
 
     def istar_value(self, r: int, tau: float) -> complex:
-        """Istar(r, c, 1 + i tau) at a single tau (fresh Vdag column)."""
-        v = _window_v()
-        va, vb = v.support
-        cycles = 2 * abs(self.cfg.K) * (vb - va) + abs(tau) * math.log(vb / va) / (4 * math.pi)
-        panels = max(12, int(math.ceil(1.6 * cycles * self.cfg.grid_scale)))
-        uv, wv = panel_rule(va, vb, panels, 16)
-        amp = wv * v(uv) * uv ** (-0.5) * np.exp(-0.5j * tau * np.log(uv))
+        """Istar(r, c, 1 + i tau) at a single tau, by direct nested quadrature
+        (a fresh Vdag column)."""
+        v_grid = _v_rule(self.cfg, abs(tau))
+        uv = v_grid.nodes
+        amp = v_grid.weights * WINDOW_V(uv) * uv ** (-0.5) * np.exp(-0.5j * tau * np.log(uv))
         vdag_col = np.exp(-2j * np.pi * self.cfg.K * np.outer(self.x_nodes, uv)) @ amp
         return complex(np.sum(self.vx * vdag_col * self.udag_row(r)))
-
-
-def i_star_direct(r: int, c: int, tau: float, cfg: PipelineConfig) -> complex:
-    """Istar(r, c, 1 + i tau) by direct nested quadrature."""
-    kernel = DualKernel(cfg, c, holomorphic_kind(12))
-    return kernel.istar_value(r, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +497,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
         raise PreconditionError(
             f"|tau| = {abs(tau):.3g} outside the stationary band ({band_lo:.3g}, {band_hi:.3g})"
         )
-    v, u = _window_v(), _window_u()
+    v, u = WINDOW_V, WINDOW_U
     x0 = big_n * r * tau / ((tau + 2 * t) * big_k * c)
     va, vb = v.support
     if not (va < x0 < vb):
@@ -631,12 +577,7 @@ def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
 
 
 def s_c_dual(
-    form: CuspForm,
-    cfg: PipelineConfig,
-    c: int,
-    kernel: Optional[DualKernel] = None,
-    n_cut: Optional[int] = None,
-    r_cut: Optional[int] = None,
+    form: CuspForm, cfg: PipelineConfig, c: int, kernel: DualKernel, n_cut: int, r_cut: int
 ) -> complex:
     """S_c(N) through the dual (Voronoi + Poisson) representation.
 
@@ -648,13 +589,7 @@ def s_c_dual(
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
-    if kernel is None:
-        kernel = DualKernel(cfg, c, form.kind)
     pstar = max(len(cfg.prime_set), 1)
-    n_cut = n_cut or cfg.resolved_n_cut(c, form.level)
-    r_cut = r_cut or cfg.resolved_r_cut(c)
-    if n_cut > form.n_max:
-        raise PreconditionError(f"n_cut = {n_cut} beyond stored coefficients {form.n_max}")
 
     # N^(2-it) = N^2 e^{-it log N}
     front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (

@@ -114,10 +114,6 @@ class HeckeReport:
     prime_power_checked: int
     first_violation: Optional[Tuple[int, int, float]] = None  # (m, n, violation)
 
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
-
 
 @dataclass
 class CuspForm:
@@ -139,7 +135,6 @@ class CuspForm:
     eta: Optional[complex] = None
     epsilon_g: Optional[float] = None
     tol: float = 1e-9
-    _tau: Optional[List[int]] = field(default=None, repr=False)
     eta_modulus_raw: Optional[float] = field(default=None, init=False)
     eta_probe_spread: Optional[float] = field(default=None, init=False)
 
@@ -147,23 +142,15 @@ class CuspForm:
     def n_max(self) -> int:
         return len(self.lam)
 
-    def lam_at(self, n: int) -> complex:
-        if n < 1 or n > self.n_max:
-            raise CoefficientRangeError(f"lambda({n}) outside stored range 1..{self.n_max}")
-        return self.lam[n - 1]
-
     def lam_slice(self, n_hi: int) -> np.ndarray:
+        """lambda(1), ..., lambda(n_hi); the one guard of the coefficient sums:
+        a form shorter than n_hi raises :class:`CoefficientRangeError`."""
         if n_hi > self.n_max:
             raise CoefficientRangeError(f"need coefficients to {n_hi}, have {self.n_max}")
         return self.lam[:n_hi]
 
     def chi_at(self, a: int) -> complex:
         return self.chi[a % self.level]
-
-    def tau_at(self, n: int) -> int:
-        if self._tau is None:
-            raise PreconditionError("exact tau values only available on the generated form")
-        return self._tau[n - 1]
 
 
 def trivial_character(level: int) -> np.ndarray:
@@ -189,7 +176,6 @@ def delta_form(n_max: int = 10000) -> CuspForm:
         lam=lam.astype(complex),
         epsilon_f=1.0 + 0.0j,
         epsilon_g=None,
-        _tau=tau,
     )
 
 
@@ -255,14 +241,7 @@ def hecke_verify(form: CuspForm, n_max: Optional[int] = None) -> HeckeReport:
 
 def rankin_average(form: CuspForm, x_values: Sequence[int]):
     """[(x, mean of |lambda(n)|^2 over n <= x)] for each requested x."""
-    out = []
-    sq = np.abs(form.lam) ** 2
-    for x in x_values:
-        x = int(x)
-        if x > form.n_max:
-            raise CoefficientRangeError(f"x = {x} beyond stored range {form.n_max}")
-        out.append((x, float(np.sum(sq[:x]) / x)))
-    return out
+    return [(x, float(np.sum(np.abs(form.lam_slice(x)) ** 2) / x)) for x in map(int, x_values)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,17 +33,17 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import CoefficientRangeError, PreconditionError
+from .errors import PreconditionError
 from .forms import CuspForm
 from .numerics import PanelGrid, loglog_fit
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
-SCAN_WEIGHT_FLOOR = 3e-4  # the growth scan's relaxed AfeConfig.weight_floor
 # the weight's contour: v in [-V_CUT, V_CUT] (u = abscissa + iv), V_PANELS panels
 V_CUT = 13.0
 V_PANELS = 70
 TAIL_FRACTION = 1e-3  # scan records above this tail/value ratio are flagged
+SCAN_WINDOWS = 12  # the growth exponent is fitted to the |L| maxima of this many windows
 
 
 def weight_gaussian(u):
@@ -75,7 +75,7 @@ def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AfeConfig:
     """Weight function, contour abscissa and truncations for the AFE.
 
@@ -149,10 +149,6 @@ def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeV
     if form.epsilon_f is None:
         raise PreconditionError("form has no root number; the reflected term is unavailable")
     n_afe = cfg.resolved_n_afe(form, t)
-    if n_afe > form.n_max:
-        raise CoefficientRangeError(
-            f"AFE needs coefficients to {n_afe}, stored {form.n_max}"
-        )
     s = 0.5 + 1j * t
     sqrt_m = math.sqrt(form.level)
     ns = np.arange(1, n_afe + 1, dtype=float)
@@ -200,32 +196,26 @@ class ScanResult:
     )
 
 
+# The scan relaxes the weight floor: its values carry ~1e-3 relative
+# accuracy, which the envelope fit cannot distinguish from exact ones, and
+# the sums stay short enough to cover hundreds of sample points.
+SCAN_CONFIG = AfeConfig(weight_floor=3e-4)
+
+
 def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
-    """Coefficients `growth_scan` reads over `t_grid` in its default configuration."""
+    """Coefficients `growth_scan` reads over `t_grid`."""
     if len(t_grid) == 0:
         raise PreconditionError("the scan grid is empty")
-    cfg = AfeConfig(weight_floor=SCAN_WEIGHT_FLOOR)
-    return max(cfg.resolved_n_afe(form, float(t)) for t in t_grid)
+    return max(SCAN_CONFIG.resolved_n_afe(form, float(t)) for t in t_grid)
 
 
-def growth_scan(
-    form: CuspForm,
-    t_grid: Sequence[float],
-    cfg: Optional[AfeConfig] = None,
-    windows: int = 12,
-    values: Optional[Sequence[float]] = None,
-) -> ScanResult:
-    """|L(1/2+it)| over the grid plus a fitted growth exponent.
+def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
+    """|L(1/2+it)| over the grid, by `afe_value` at SCAN_CONFIG, plus a
+    fitted growth exponent.
 
-    The exponent comes from window maxima (the scan envelope), fitted in
-    log-log coordinates with its standard error. `values` allows injecting
-    precomputed |L| data (used by degeneracy controls in the tests). The
-    default config relaxes the weight floor: scan values carry ~1e-3
-    relative accuracy, which the envelope fit cannot distinguish from
-    exact ones, and the sums stay short enough to cover hundreds of
-    sample points.
+    The exponent comes from the maxima of SCAN_WINDOWS windows (the scan
+    envelope), fitted in log-log coordinates with its standard error.
     """
-    cfg = cfg or AfeConfig(weight_floor=SCAN_WEIGHT_FLOOR)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid < 2.001):
         raise PreconditionError("scan grid must stay above t = 2")
@@ -233,17 +223,13 @@ def growth_scan(
         # a single t would sit in every window and fake a fit
         raise PreconditionError("the scan grid spans no interval; the exponent fit needs 2 windows")
     records = []
-    if values is None:
-        for t in t_grid:
-            res = afe_value(form, float(t), cfg)
-            l_abs = abs(res.value)
-            flagged = res.tail_estimate >= TAIL_FRACTION * max(l_abs, 1e-30)
-            records.append(ScanRecord(float(t), l_abs, res.n_used, res.tail_estimate, flagged))
-    else:
-        for t, v in zip(t_grid, values):
-            records.append(ScanRecord(float(t), float(v), 0, 0.0, False))
+    for t in t_grid:
+        res = afe_value(form, float(t), SCAN_CONFIG)
+        l_abs = abs(res.value)
+        flagged = res.tail_estimate >= TAIL_FRACTION * max(l_abs, 1e-30)
+        records.append(ScanRecord(float(t), l_abs, res.n_used, res.tail_estimate, flagged))
 
-    edges = np.exp(np.linspace(math.log(t_grid[0]), math.log(t_grid[-1]), windows + 1))
+    edges = np.exp(np.linspace(math.log(t_grid[0]), math.log(t_grid[-1]), SCAN_WINDOWS + 1))
     # exp(log t) rounds the outer edges inward, past the grid's own ends
     edges[0], edges[-1] = t_grid[0], t_grid[-1]
     maxima = []
@@ -254,7 +240,7 @@ def growth_scan(
             maxima.append((math.sqrt(lo * hi), best.l_abs))
     if len(maxima) < 2:
         raise PreconditionError(
-            f"the scan grid fills {len(maxima)} of {windows} windows; the exponent fit needs 2"
+            f"the scan grid fills {len(maxima)} of {SCAN_WINDOWS} windows; the exponent fit needs 2"
         )
     xs = [m[0] for m in maxima]
     vals = [m[1] for m in maxima]

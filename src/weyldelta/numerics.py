@@ -1,10 +1,10 @@
 """Shared quadrature rules and small fitting helpers.
 
 Everything here is deliberately plain: cached Gauss-Legendre nodes, composite
-panels (with a factored equal-panel grid for exponential sums over its
-nodes), barycentric Chebyshev interpolation, and a least-squares log-log
-fit. The oscillatory machinery lives in :mod:`weyldelta.oscillate` and
-builds on these pieces.
+panels over explicit edges, the equal-panel rule (kept in factored form for
+exponential sums over its nodes), barycentric Chebyshev interpolation, and a
+least-squares log-log fit. The oscillatory machinery lives in
+:mod:`weyldelta.oscillate` and builds on these pieces.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ def gauss_legendre(order: int):
     """Nodes and weights of the `order`-point Gauss-Legendre rule on [-1, 1]."""
     x, w = leggauss(order)
     return x.copy(), w.copy()
-
-
-def panel_rule(a: float, b: float, panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes/weights on [a, b] with equal panels."""
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    return edges_rule(np.linspace(a, b, panels + 1), order)
 
 
 def edges_rule(edges, order: int = 16):
@@ -66,8 +59,9 @@ class PanelGrid:
     """The equal-panel Gauss-Legendre rule on [a, b], kept in factored form.
 
     Node (p, k) is mids[p] + offsets[k], stored panel-major like
-    :func:`panel_rule` (the two agree to rounding: here every panel has the
-    same half-width). Because every node splits the same way,
+    :func:`edges_rule` over equally spaced edges (the two agree to rounding:
+    here every panel has the same half-width). Because every node splits the
+    same way,
 
         exp(-i f tau_(p,k)) = exp(-i f mids[p]) * exp(-i f offsets[k]),
 

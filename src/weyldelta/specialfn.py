@@ -1,4 +1,4 @@
-"""Complex gamma function, archimedean gamma-factor ratios, and their
+"""Complex log-gamma, archimedean gamma-factor ratios, and their
 high-frequency phase profiles.
 
 The two factor families implemented here are
@@ -165,22 +165,6 @@ def _log_gamma_array(s: np.ndarray) -> np.ndarray:
     return res
 
 
-def complex_gamma(s: complex) -> complex:
-    """Gamma(s) in double precision.
-
-    Raises :class:`PoleError` at non-positive integers and
-    :class:`OverflowRangeError` when |Gamma(s)| exceeds the double range.
-    Results that underflow return 0.0 (signed information is lost there;
-    use :func:`log_gamma` for ratios of huge/tiny values).
-    """
-    lg = log_gamma(s)
-    if lg.real > _EXP_LIMIT:
-        raise OverflowRangeError(f"|gamma({s})| overflows double precision")
-    if lg.real < -745.0:
-        return 0.0 + 0.0j
-    return cmath.exp(lg)
-
-
 @dataclass(frozen=True)
 class GammaFactorKind:
     """Which archimedean factor family to use.
@@ -302,9 +286,6 @@ class StirlingProfile:
     tau: float
     leading_phase: complex
     residual: complex
-
-    def value(self) -> complex:
-        return self.leading_phase * self.residual
 
 
 def stirling_profile(kind: GammaFactorKind, tau: float) -> StirlingProfile:

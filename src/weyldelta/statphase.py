@@ -16,7 +16,6 @@ e(-1/8) convention for beta > 0.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,16 +26,10 @@ from .oscillate import OscillatoryResult, integrate_1d
 from .testfn import SmoothWindow
 
 
-class Regime(enum.Enum):
-    NO_STATIONARY_POINT = "no-stationary-point"
-    INTERIOR = "interior"
-
-
 @dataclass
 class DaggerValue:
     value: complex
     abs_error_estimate: float
-    regime: Regime = Regime.INTERIOR
 
 
 def u_dagger_direct(
@@ -104,8 +97,8 @@ def u_dagger_asymptotic(window: SmoothWindow, r: float, s: complex) -> DaggerVal
 
     Valid for |Im s| >= 20. When x0 = beta/(2 pi r) falls outside the
     enlarged support [a/2, 2b] the transform is rapidly decaying; the value
-    0 is returned with the no-stationary regime flag and the j = 3
-    integration-by-parts bound as the error estimate.
+    0 is returned with the j = 3 integration-by-parts bound as the error
+    estimate.
     """
     sigma, beta = s.real, s.imag
     if abs(beta) < MIN_ASYMPTOTIC_BETA:
@@ -120,11 +113,7 @@ def u_dagger_asymptotic(window: SmoothWindow, r: float, s: complex) -> DaggerVal
             bound = min((1 + abs(beta)) / abs(r), (1 + abs(r)) / abs(beta)) ** j
         else:
             bound = (1 / abs(beta)) ** j
-        return DaggerValue(
-            value=0.0 + 0.0j,
-            abs_error_estimate=float(bound),
-            regime=Regime.NO_STATIONARY_POINT,
-        )
+        return DaggerValue(value=0.0 + 0.0j, abs_error_estimate=float(bound))
     # x0 in support implies beta/r > 0, so the phase base is a positive real
     base = beta / (2 * math.pi * math.e * r)
     phase = cmath.exp(1j * beta * math.log(base))

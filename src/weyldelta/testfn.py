@@ -3,7 +3,10 @@
 Two constructions, both based on the bump phi(x) = exp(-1/(1-x^2)) on (-1,1):
 
 * :func:`make_window_v` - unit-integral window on [1, 2],
-* :func:`make_window_u` - plateau window, 1 on [1, 2], supported [1/2, 5/2].
+* :func:`make_window_u` - plateau window, 1 on [1, 2], supported [1/2, 5/2],
+
+built once each as :data:`WINDOW_V` and :data:`WINDOW_U`, the V and U of
+the delta-method chain.
 
 Derivatives are evaluated through the exact rational recurrence
 
@@ -16,13 +19,14 @@ the support edges where finite differences would collapse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numerics import panel_rule
+from .numerics import PanelGrid, gauss_legendre
 
 _J_MAX = 6
 
@@ -91,16 +95,14 @@ def bump(u, order: int = 0):
 # integral of the bump over (-1, 1); fixed panels of GL-20 reach ~1e-15
 _RAMP_PANELS = 64
 _RAMP_ORDER = 20
-_ramp_nodes, _ramp_weights = panel_rule(-1.0, 1.0, _RAMP_PANELS, _RAMP_ORDER)
+_ramp = PanelGrid(-1.0, 1.0, _RAMP_PANELS, _RAMP_ORDER)
 _ramp_edges = np.linspace(-1.0, 1.0, _RAMP_PANELS + 1)
-_panel_sums = (_ramp_weights * bump(_ramp_nodes)).reshape(_RAMP_PANELS, _RAMP_ORDER).sum(axis=1)
+_panel_sums = (_ramp.weights * bump(_ramp.nodes)).reshape(_RAMP_PANELS, _RAMP_ORDER).sum(axis=1)
 _panel_cumsum = np.concatenate([[0.0], np.cumsum(_panel_sums)])
 
 BUMP_MASS = float(_panel_cumsum[-1])  # integral of phi over (-1, 1)
 
-from .numerics import gauss_legendre as _gl  # noqa: E402
-
-_gl20_x, _gl20_w = _gl(20)
+_gl20_x, _gl20_w = gauss_legendre(_RAMP_ORDER)
 
 
 def _bump_cdf(s):
@@ -156,6 +158,12 @@ class SmoothWindow:
         out = self.evaluator(np.asarray(x, dtype=float), order)
         return float(np.asarray(out).reshape(-1)[0]) if np.ndim(x) == 0 else out
 
+    def indices(self, scale: float) -> np.ndarray:
+        """n = max(1, floor(a * scale)), ..., ceil(b * scale): every n >= 1 with
+        n / scale in the support [a, b], the range of a sum of window(n / scale)."""
+        a, b = self.support
+        return np.arange(max(1, math.floor(a * scale)), math.ceil(b * scale) + 1)
+
 
 def make_window_v() -> SmoothWindow:
     """Unit-integral window V supported on [1, 2].
@@ -194,3 +202,7 @@ def make_window_u() -> SmoothWindow:
         return out if out.shape else float(out)
 
     return SmoothWindow(support=(0.5, 2.5), evaluator=evaluate)
+
+
+WINDOW_V = make_window_v()
+WINDOW_U = make_window_u()

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CalibrationError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, modular_inverse, panel_rule, unit_phases
+from .numerics import PanelGrid, modular_inverse, unit_phases
 from .specialfn import GammaFactorKind, gamma_factor
 from .testfn import SmoothWindow
 
@@ -125,9 +125,10 @@ class WhatTransform:
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
 
         # m_W(sigma + i tau) = int Wt(u) e^{-i tau u / 2} du after x = e^u
-        u_nodes, u_weights = panel_rule(math.log(a), math.log(b), self.U_PANELS, 16)
-        wt = window(np.exp(u_nodes)) * np.exp(u_nodes * (1 - self.sigma / 2)) * u_weights
-        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u_nodes)
+        u_grid = PanelGrid(math.log(a), math.log(b), self.U_PANELS)
+        u = u_grid.nodes
+        wt = window(np.exp(u)) * np.exp(u * (1 - self.sigma / 2)) * u_grid.weights
+        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u)
 
         s_nodes = self.sigma + 1j * self.tau_nodes
         if kind.family == "holomorphic":
@@ -255,15 +256,9 @@ class VoronoiCheck:
 
 def direct_side(inst: VoronoiInstance) -> complex:
     """lhs = sum_n lambda(n) e(a n / c) W(n / N); finite by support."""
-    a_supp, b_supp = inst.window.support
-    n_lo = max(1, int(math.floor(a_supp * inst.scale)))
-    n_hi = int(math.ceil(b_supp * inst.scale))
-    form = inst.form
-    if n_hi > form.n_max:
-        raise PreconditionError(f"need coefficients to {n_hi}, stored {form.n_max}")
-    ns = np.arange(n_lo, n_hi + 1)
-    phases = unit_phases(inst.a * ns, inst.c)
-    return complex(np.sum(form.lam_slice(n_hi)[n_lo - 1 :] * phases * inst.window(ns / inst.scale)))
+    ns = inst.window.indices(inst.scale)
+    lam = inst.form.lam_slice(ns[-1])[ns[0] - 1 :]
+    return complex(np.sum(lam * unit_phases(inst.a * ns, inst.c) * inst.window(ns / inst.scale)))
 
 
 def dual_side(

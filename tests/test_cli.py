@@ -87,9 +87,11 @@ def test_verify_voronoi_suite(tmp_path):
     report = json.loads(report_path.read_text())
     assert [c["name"] for c in report["checks"]] == registry_names("voronoi")
     assert report["all_passed"] is True
-    # the form holds every coefficient the cells read, so no dual sum is cut
+    # the form holds every coefficient the fit and the cells read, so no dual
+    # sum is cut; each cell reports the size of its last included decade
+    assert not any(c["values"]["n_cut_capped"] for c in report["checks"])
     cells = [c for c in report["checks"] if c["name"].startswith("voronoi-")]
-    assert not any(c["values"]["n_cut_capped"] for c in cells)
+    assert all(0 < c["values"]["tail_estimate"] < 1e-6 for c in cells)
 
 
 def test_verify_pipeline_suite(tmp_path):
@@ -241,6 +243,18 @@ def test_calibrate_subcommand(tmp_path):
     assert abs(payload["eta_modulus_raw"] - 1.0) < 1e-6
 
 
+def test_calibrate_fails_on_a_form_too_short_for_its_probes(tmp_path, capsys):
+    # the (a, c, N) = (1, 3, 50) probe's dual sum wants 1440 terms: cut at 500,
+    # the fit misses modulus one by ten times the tolerance
+    form_path, out = tmp_path / "short.coef", tmp_path / "eta.json"
+    assert run_cli(["export-form", str(form_path), "--n-max", "500"]) == 0
+    assert run_cli(["calibrate", "--form", str(form_path), "--output", str(out)]) == 1
+    assert "[FAIL] eta-calibration" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["n_cut_capped"] is True
+    assert abs(payload["eta_modulus_raw"] - 1.0) > 1e-6
+
+
 def test_calibrate_is_the_verify_voronoi_fit(tmp_path, monkeypatch):
     built, fits = [], []
     real_fit = checks.calibrate_eta
@@ -268,6 +282,7 @@ def test_calibrate_is_the_verify_voronoi_fit(tmp_path, monkeypatch):
     assert payload["eta"] == report["calibration"]["eta"] == fit["eta"]
     assert payload["eta_modulus_raw"] == report["calibration"]["eta_modulus_raw"]
     assert payload["probe_spread"] == fit["probe_spread"]
+    assert payload["n_cut_capped"] is fit["n_cut_capped"] is False
 
 
 def test_console_entry_point_help():
@@ -291,12 +306,26 @@ def test_negative_sample_count_is_a_usage_error(capsys):
         assert "expected an integer >= 0" in capsys.readouterr().err
 
 
-def test_usage_error_exits_3(capsys):
+def test_usage_error_exits_3(capsys, monkeypatch):
     # argparse's own exit code 2 is the documented "budget exhausted"
-    for args in (["verify", "bogus"], ["verify", "delta", "--samples", "x"]):
+    for args in (
+        ["verify", "bogus"],
+        ["verify", "delta", "--samples", "x"],
+        ["verify", "delta", "--seed", "-1"],
+        ["verify", "scan", "--t-min", "nan"],
+        ["verify", "scan", "--t-max", "inf"],
+        ["scan", "--t-max", "inf"],
+    ):
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 3
+    # the environment's budget is parsed as `--budget` is
+    monkeypatch.setenv("WEYL_DELTA_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "delta"])
+    assert exc.value.code == 3
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    monkeypatch.delenv("WEYL_DELTA_BUDGET")
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--help"])
     assert exc.value.code == 0

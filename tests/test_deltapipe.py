@@ -6,15 +6,14 @@ import pytest
 
 from weyldelta import deltapipe, oscillate
 from weyldelta.errors import BudgetExceededError, PreconditionError
-from weyldelta.forms import constant_form, delta_form
-from weyldelta.numerics import loglog_slope, panel_rule, primes_in
+from weyldelta.forms import constant_form, delta_form, ramanujan_tau
+from weyldelta.numerics import PanelGrid, loglog_slope, primes_in
 from weyldelta.deltapipe import (
     DualKernel,
     PipelineConfig,
     averaged_delta,
     averaged_delta_alpha_sum,
     dual_identity_check,
-    i_star_direct,
     i_star_main,
     s_c_direct,
     s_direct,
@@ -22,8 +21,14 @@ from weyldelta.deltapipe import (
     trivial_delta,
     trivial_delta_alpha_sum,
 )
+from weyldelta.specialfn import holomorphic_kind
 from weyldelta.statphase import u_dagger_direct
 from weyldelta.testfn import make_window_u, make_window_v
+
+
+def i_star_direct(r, c, tau, cfg):
+    """Istar(r, c, 1 + i tau) by direct nested quadrature."""
+    return DualKernel(cfg, c, holomorphic_kind(12)).istar_value(r, tau)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +155,7 @@ def test_s_direct_high_precision_resum(form):
     mp.mp.dps = 30
     N, t = 50.0, 10.0
     val = s_direct(form, N, t)
+    tau = ramanujan_tau(100)
     c_norm = 2 / mp.quad(lambda u: mp.e ** (-1 / (1 - u**2)), [-1, 1])
     total = mp.mpc(0)
     for r in range(50, 101):
@@ -157,7 +163,7 @@ def test_s_direct_high_precision_resum(form):
         if abs(u) >= 1:
             continue
         v_val = c_norm * mp.e ** (-1 / (1 - u**2))
-        lam = mp.mpf(form.tau_at(r)) / mp.mpf(r) ** mp.mpf("5.5")
+        lam = mp.mpf(tau[r - 1]) / mp.mpf(r) ** mp.mpf("5.5")
         total += lam * mp.e ** (-1j * t * mp.log(r)) * v_val
     assert abs(val - complex(total)) < 1e-12
 
@@ -220,8 +226,9 @@ def _udag_per_row(kernel, r):
     ua, ub = u.support
     rho = cfg.N * r / kernel.c - cfg.K * kernel.x_nodes
     cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / (2 * math.pi)
-    uu, wu = panel_rule(ua, ub, max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale))), 16)
-    amp = wu * u(uu) * np.exp(-1j * cfg.t * np.log(uu))
+    grid = PanelGrid(ua, ub, max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale))))
+    uu = grid.nodes
+    amp = grid.weights * u(uu) * np.exp(-1j * cfg.t * np.log(uu))
     return np.exp(-2j * np.pi * np.outer(rho, uu)) @ amp
 
 
@@ -245,8 +252,10 @@ def _vdag_per_node(kernel):
     v = make_window_v()
     va, vb = v.support
     v_cycles = 2 * abs(cfg.K) * (vb - va) + kernel.tau_cut * math.log(vb / va) / (4 * math.pi)
-    uv, wv = panel_rule(va, vb, max(12, int(math.ceil(1.6 * v_cycles * cfg.grid_scale))), 16)
-    t1 = np.exp(-2j * np.pi * cfg.K * np.outer(kernel.x_nodes, uv)) * (wv * v(uv) * uv ** (-0.5))
+    grid = PanelGrid(va, vb, max(12, int(math.ceil(1.6 * v_cycles * cfg.grid_scale))))
+    uv = grid.nodes
+    amp = grid.weights * v(uv) * uv ** (-0.5)
+    t1 = np.exp(-2j * np.pi * cfg.K * np.outer(kernel.x_nodes, uv)) * amp
     return t1 @ np.exp(-0.5j * np.outer(np.log(uv), kernel.tau_nodes))
 
 

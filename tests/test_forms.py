@@ -96,26 +96,25 @@ def test_tau_small_values():
 
 
 def test_normalization(delta10k):
-    assert delta10k.lam_at(1) == 1.0
-    assert delta10k.lam_at(2) == pytest.approx(-24 / 2**5.5, rel=1e-15)
+    lam = delta10k.lam  # lam[n - 1] = lambda(n)
+    assert lam[0] == 1.0
+    assert lam[1] == pytest.approx(-24 / 2**5.5, rel=1e-15)
 
 
 def test_multiplicativity_at_coprime_arguments(delta10k):
-    assert delta10k.lam_at(6) == pytest.approx(
-        delta10k.lam_at(2) * delta10k.lam_at(3), rel=1e-13
-    )
+    lam = delta10k.lam
+    assert lam[5] == pytest.approx(lam[1] * lam[2], rel=1e-13)
 
 
 def test_prime_power_recursion(delta10k):
     # lambda(4) = lambda(2)^2 - chi(2) lambda(1), trivial character
-    assert delta10k.lam_at(4) == pytest.approx(
-        delta10k.lam_at(2) ** 2 - delta10k.lam_at(1), rel=1e-13
-    )
+    lam = delta10k.lam
+    assert lam[3] == pytest.approx(lam[1] ** 2 - lam[0], rel=1e-13)
 
 
 def test_hecke_verify_delta(delta10k):
     report = hecke_verify(delta10k, 10000)
-    assert report.ok
+    assert report.first_violation is None
     assert report.max_violation <= 1e-12
     assert report.pairs_checked > 10000
 
@@ -131,7 +130,7 @@ def test_hecke_verify_flags_corruption(delta10k):
         epsilon_f=1.0,
     )
     report = hecke_verify(broken, 100)
-    assert not report.ok
+    assert report.first_violation is not None
     m, n, viol = report.first_violation
     assert m * n == 6
     assert viol > 1e-4
@@ -139,7 +138,7 @@ def test_hecke_verify_flags_corruption(delta10k):
 
 def test_deligne_band(delta10k):
     for p in primes_in(2, 10000):
-        assert abs(delta10k.lam_at(p)) <= 2.0
+        assert abs(delta10k.lam[p - 1]) <= 2.0
 
 
 def test_rankin_average_band_and_slope(delta10k):
@@ -161,9 +160,10 @@ def test_rankin_range_guard(delta10k):
         rankin_average(delta10k, [20000])
 
 
-def test_tau_exact_access(delta10k):
-    assert delta10k.tau_at(2) == -24
-    assert delta10k.tau_at(100) == 37534859200
+def test_tau_exact_access():
+    tau = ramanujan_tau(100)
+    assert tau[1] == -24
+    assert tau[99] == 37534859200
 
 
 def test_uncalibrated_form_reads_no_eta_fit():
@@ -276,7 +276,7 @@ def test_maass_fixture_roundtrip(tmp_path):
     assert loaded.epsilon_g == 1.0
     assert np.array_equal(loaded.lam, fixture.lam)
     report = hecke_verify(loaded)
-    assert report.ok
+    assert report.first_violation is None
 
 
 def test_tau_range_guard():

@@ -16,7 +16,7 @@ from weyldelta.lfunc import (
     scan_length,
     weight_quartic,
 )
-from weyldelta.numerics import panel_rule
+from weyldelta.numerics import PanelGrid
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +71,9 @@ def test_coefficient_shortfall_detected():
 
 def _afe_weight_contour(form, s, ys, cfg):
     """V_s(y) by one complex exponential per (y, contour node) pair (oracle)."""
-    vs, ws = panel_rule(-lfunc.V_CUT, lfunc.V_CUT, lfunc.V_PANELS, 16)
-    u = cfg.abscissa + 1j * vs
+    grid = PanelGrid(-lfunc.V_CUT, lfunc.V_CUT, lfunc.V_PANELS)
+    ws = grid.weights
+    u = cfg.abscissa + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])
     core = ws * np.asarray(cfg.weight(u)) * ratio / u
@@ -96,7 +97,7 @@ def test_weight_matches_contour_loop(form, t, weight_cfg):
 def test_weight_matches_contour_loop_high_t(form):
     # both routes carry rounding of order eps * sum|core|, which grows like
     # t^3 e^9 on Re u = 3, so the comparison is absolute
-    cfg = AfeConfig(weight_floor=3e-4)  # the scan configuration
+    cfg = lfunc.SCAN_CONFIG
     ys = np.arange(1, cfg.resolved_n_afe(form, 250.0) + 1, dtype=float)
     for s in (0.5 + 250j, 0.5 - 250j):
         ref = _afe_weight_contour(form, s, ys, cfg)
@@ -138,17 +139,25 @@ def test_growth_scan_smoke(form):
     assert "not a certification" in scan.disclaimer
 
 
-def test_growth_scan_constant_injection(form):
-    grid = np.linspace(10.0, 500.0, 40)
-    scan = growth_scan(form, grid, values=np.ones(40))
+def inject_values(monkeypatch, value_at):
+    """The scan reads |L(1/2 + it)| = value_at(t) instead of evaluating the AFE."""
+    monkeypatch.setattr(
+        lfunc, "afe_value", lambda form, t, cfg: lfunc.AfeValue(value_at(t), 0, 0.0)
+    )
+
+
+def test_growth_scan_constant_injection(form, monkeypatch):
+    inject_values(monkeypatch, lambda t: 1.0)
+    scan = growth_scan(form, np.linspace(10.0, 500.0, 40))
     assert scan.exponent == pytest.approx(0.0, abs=1e-12)
 
 
-def test_growth_scan_density_stability(form):
+def test_growth_scan_density_stability(form, monkeypatch):
     # stability requires grids dense enough to resolve the |L| oscillation
     # (spacing well under 1 in t); undersampled envelopes are noisy
-    coarse = growth_scan(form, np.linspace(10.0, 40.0, 60), windows=6)
-    fine = growth_scan(form, np.linspace(10.0, 40.0, 120), windows=6)
+    monkeypatch.setattr(lfunc, "SCAN_WINDOWS", 6)
+    coarse = growth_scan(form, np.linspace(10.0, 40.0, 60))
+    fine = growth_scan(form, np.linspace(10.0, 40.0, 120))
     assert abs(coarse.exponent - fine.exponent) <= 0.05
 
 
@@ -157,27 +166,31 @@ def test_growth_scan_guards_low_t(form):
         growth_scan(form, [1.0, 10.0])
 
 
-def test_growth_scan_guards_a_grid_too_sparse_to_fit(form):
+def test_growth_scan_guards_a_grid_too_sparse_to_fit(form, monkeypatch):
+    inject_values(monkeypatch, lambda t: 1.0)
+    monkeypatch.setattr(lfunc, "SCAN_WINDOWS", 1)
     with pytest.raises(PreconditionError, match="fit needs 2"):
-        growth_scan(form, [20.0, 21.0], values=[1.0, 1.0], windows=1)
+        growth_scan(form, [20.0, 21.0])
 
 
 def test_scan_length_is_the_longest_afe_sum(form):
     grid = np.linspace(10.0, 500.0, 200)
     n = scan_length(form, grid)
-    assert n == AfeConfig(weight_floor=3e-4).resolved_n_afe(form, 500.0) <= 30000
+    assert n == lfunc.SCAN_CONFIG.resolved_n_afe(form, 500.0) <= 30000
     # it reads the gamma factor and level only, so a coefficient-free stand-in agrees
     assert scan_length(constant_form(0), grid) == n
     assert scan_length(form, [20.0, 700.0]) > 30000
 
 
-def test_growth_scan_window_edges_keep_the_grid_ends(form):
+def test_growth_scan_window_edges_keep_the_grid_ends(form, monkeypatch):
     # exp(log 700) rounds to 700 - 2.3e-13: the last window must still hold t = 700
-    scan = growth_scan(form, [600.0, 700.0], values=[1.0, 2.0])
+    inject_values(monkeypatch, {600.0: 1.0, 700.0: 2.0}.get)
+    scan = growth_scan(form, [600.0, 700.0])
     assert [best for _, best in scan.window_maxima] == [1.0, 2.0]
 
 
-def test_growth_scan_guards_a_single_point_grid(form):
+def test_growth_scan_guards_a_single_point_grid(form, monkeypatch):
     # one t lies in every window at once; it is no interval to fit over
+    inject_values(monkeypatch, lambda t: 1.0)
     with pytest.raises(PreconditionError, match="spans no interval"):
-        growth_scan(form, [600.0, 600.0], values=[1.0, 1.0])
+        growth_scan(form, [600.0, 600.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weyldelta.numerics import PanelGrid, chebyshev_interpolant, panel_rule
+from weyldelta.numerics import PanelGrid, chebyshev_interpolant, edges_rule
 
 
 def _phase_table(freqs, nodes):
@@ -12,7 +12,7 @@ def _phase_table(freqs, nodes):
 @pytest.mark.parametrize("a, b, panels", [(-300.0, 300.0, 300), (-13.0, 13.0, 70), (0.5, 2.5, 7)])
 def test_panel_grid_is_the_panel_rule(a, b, panels):
     grid = PanelGrid(a, b, panels, 16)
-    nodes, weights = panel_rule(a, b, panels, 16)
+    nodes, weights = edges_rule(np.linspace(a, b, panels + 1), 16)
     scale = max(abs(a), abs(b))
     assert np.max(np.abs(grid.nodes - nodes)) <= 1e-14 * scale
     assert np.max(np.abs(grid.weights - weights)) <= 1e-15 * scale

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,94 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Library names that no library module and no perfbench script reaches: each
+# is the oracle of the named test (or, for multiplicative_extension, the
+# fixture generator that the level and nebentypus forms of ROADMAP item 1
+# build on).
+ORACLES = {
+    "ramanujan_tau_naive": "tests/test_forms.py::test_tau_against_naive_eta_product_expansion",
+    "DualKernel.vdag": "tests/test_deltapipe.py::test_kernel_vdag_matches_per_node_table",
+    "edges_rule": "tests/test_voronoi.py::test_transform_matches_adaptive_edge_routes",
+    "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",
+}
+
+REPO = Path(weyldelta.__file__).resolve().parents[2]
+PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
+
+
+def definitions(tree: ast.AST):
+    """(qualified name, node) of every function, class and method in a module."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((prefix + child.name, child))
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def unreached(library, readers, exempt=lambda module, qualname: False):
+    """Definitions in `library` ({module: source}) whose name is loaded nowhere
+    in `library` or `readers` (sources) outside their own body, by name or
+    attribute, unless `exempt(module, qualname)`."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    loads = []  # (tree index, line, name)
+    for i, tree in enumerate([*trees.values(), *(ast.parse(src) for src in readers)]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append((i, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((i, node.lineno, node.attr))
+    out = []
+    for i, (module, tree) in enumerate(trees.items()):
+        for qualname, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or exempt(module, qualname):
+                continue
+            if not any(
+                n == name and (j != i or not node.lineno <= line <= node.end_lineno)
+                for j, line, n in loads
+            ):
+                out.append(f"{module}:{qualname}")
+    return out
+
+
+def _registered_or_override(module, qualname):
+    """A registered check, or a method that overrides one of a base class."""
+    from weyldelta.checks import CHECKS
+
+    if qualname in {getattr(c.compute, "func", c.compute).__name__ for c in CHECKS}:
+        return True
+    owner, _, method = qualname.rpartition(".")
+    cls = getattr(importlib.import_module(f"weyldelta.{module}"), owner, None)
+    return isinstance(cls, type) and any(hasattr(base, method) for base in cls.__mro__[1:])
+
+
+def test_the_guard_flags_a_test_only_function():
+    library = {
+        "lib": "def used():\n    return 1\n\n\ndef oracle():\n    return oracle\n",
+        "user": "from lib import used\n\nx = used()\n",
+    }
+    assert unreached(library, []) == ["lib:oracle"]
+    assert unreached(library, ["import lib\n\nlib.oracle()\n"]) == []
+
+
+def test_every_definition_is_reached_or_an_oracle():
+    library = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    found = set(unreached(library, readers, _registered_or_override))
+    oracles = {name for name in found if name.split(":")[1] in ORACLES}
+    assert found == oracles, "reached only by tests: " + ", ".join(sorted(found - oracles))
+    # every oracle is a name the guard would flag, and its test uses it
+    assert {name.split(":")[1] for name in oracles} == set(ORACLES)
+    for qualname, test in ORACLES.items():
+        path, test_name = test.split("::")
+        source = (REPO / path).read_text(encoding="utf-8")
+        assert f"def {test_name}(" in source and qualname.split(".")[-1] in source, test

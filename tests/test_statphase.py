@@ -10,7 +10,6 @@ from weyldelta.cli import main
 from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.numerics import loglog_fit
 from weyldelta.statphase import (
-    Regime,
     sharp_weight,
     sharp_weight_0,
     sharp_weight_1,
@@ -45,7 +44,7 @@ def test_dagger_two_method_agreement_and_slope():
         s = complex(1.0, beta)
         direct = u_dagger_direct(U, r, s, tol=1e-12)
         asym = u_dagger_asymptotic(U, r, s)
-        assert asym.regime == Regime.INTERIOR
+        assert asym.value != 0  # x0 = 1.5 lies in the support
         rels.append(abs(direct.value - asym.value) / abs(direct.value))
     slope, _, _ = loglog_fit(betas, rels)
     assert slope <= -1.8
@@ -67,7 +66,6 @@ def test_dagger_no_stationary_point():
     r = -beta / (2 * math.pi * 1.5)  # opposite signs: x0 < 0
     direct = u_dagger_direct(U, r, complex(1.0, beta), tol=1e-12)
     asym = u_dagger_asymptotic(U, r, complex(1.0, beta))
-    assert asym.regime == Regime.NO_STATIONARY_POINT
     assert asym.value == 0
     assert abs(direct.value) < 1e-6
     # the recorded j = 3 integration-by-parts bound dominates the true value

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyldelta.numerics import panel_rule
+from weyldelta.numerics import PanelGrid
 from weyldelta.testfn import (
     BUMP_MASS,
     bump,
@@ -47,15 +47,15 @@ def test_v_outside_support(v_window):
 
 
 def test_v_unit_integral(v_window):
-    xs, ws = panel_rule(1.0, 2.0, 24, 16)
-    assert np.sum(ws * v_window(xs)) == pytest.approx(1.0, abs=1e-10)
+    grid = PanelGrid(1.0, 2.0, 24)
+    assert np.sum(grid.weights * v_window(grid.nodes)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_v_unit_integral_stable_under_refinement(v_window):
     vals = []
     for panels in (8, 16, 32):
-        xs, ws = panel_rule(1.0, 2.0, panels, 16)
-        vals.append(np.sum(ws * v_window(xs)))
+        grid = PanelGrid(1.0, 2.0, panels)
+        vals.append(np.sum(grid.weights * v_window(grid.nodes)))
     # refinement converges: successive differences shrink and the finest
     # rule reproduces the unit integral
     assert abs(vals[1] - vals[2]) <= max(abs(vals[0] - vals[1]), 1e-14)

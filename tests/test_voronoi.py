@@ -6,7 +6,7 @@ import pytest
 from weyldelta import checks
 from weyldelta.errors import PreconditionError
 from weyldelta.forms import constant_form, delta_form
-from weyldelta.numerics import edges_rule, loglog_slope, panel_rule
+from weyldelta.numerics import PanelGrid, edges_rule, loglog_slope
 from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.testfn import make_window_v
 from weyldelta.voronoi import (
@@ -130,8 +130,9 @@ def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=2000.0, u_panels=16
         t = min(t + min(2 * math.pi * 1.5 / rate, 8.0), tau_max)
         edges.append(t)
     tau, w_tau = edges_rule(np.array(edges), 16)
-    u, w_u = panel_rule(math.log(a), math.log(b), u_panels, 16)
-    wt = window(np.exp(u)) * np.exp(u * (1 - sigma / 2)) * w_u
+    u_grid = PanelGrid(math.log(a), math.log(b), u_panels)
+    u = u_grid.nodes
+    wt = window(np.exp(u)) * np.exp(u * (1 - sigma / 2)) * u_grid.weights
     mellin = np.concatenate(
         [np.exp(-0.5j * np.outer(tau[i : i + 2000], u)) @ wt for i in range(0, len(tau), 2000)]
     )
@@ -141,9 +142,9 @@ def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=2000.0, u_panels=16
     out[near] = _contour_per_y(tau, w_tau, kernel, sigma, 1j ** (k - 1) / 2.0, ys[near])
     far = ys[~near]
     cycles = 2 * math.sqrt(far.max()) * (math.sqrt(b) - math.sqrt(a))
-    xs, ws = panel_rule(a, b, max(8, math.ceil(1.2 * cycles)), 16)
-    bessel = _hankel_j(k - 1, 4 * math.pi * np.sqrt(np.outer(far, xs)))
-    out[~near] = 2 * math.pi * 1j**k * (bessel @ (ws * window(xs)))
+    x_grid = PanelGrid(a, b, max(8, math.ceil(1.2 * cycles)))
+    bessel = _hankel_j(k - 1, 4 * math.pi * np.sqrt(np.outer(far, x_grid.nodes)))
+    out[~near] = 2 * math.pi * 1j**k * (bessel @ (x_grid.weights * window(x_grid.nodes)))
     return out
 
 
