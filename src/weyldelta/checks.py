@@ -442,8 +442,10 @@ def _dual_stability(ctx):
     # every doubling must move the dual side by less than 1/20 of the claimed
     # tolerance (the measured residual sits far below it, so a bound tied to
     # the measured residual would punish extra accuracy)
-    stability = _dual_identity(ctx).stability
-    return max(stability.values()) if stability else 0.0, 1e-3 / 20, {}
+    res = _dual_identity(ctx)
+    # a form shorter than 2 n_cut caps the n_cut doubling; the values say so
+    values = {"doubled_n_cut": res.doubled_n_cut, "n_cut_capped": res.n_cut_capped}
+    return max(res.stability.values()) if res.stability else 0.0, 1e-3 / 20, values
 
 
 # -- afe: central values, then the coefficient-side checks (criteria 8, 9) ---

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, chebyshev_interpolant, modular_inverse, unit_phases
+from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, modular_inverse, unit_phases
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
@@ -333,8 +333,6 @@ class DualKernel:
     (~K cycles across supp V for the x-integral, O(1) cycles per unit tau).
     """
 
-    CHEB_EXTRA = 30  # Chebyshev x points beyond the demodulated bandwidth
-
     def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind):
         self.cfg = cfg
         self.c = int(c)
@@ -362,7 +360,7 @@ class DualKernel:
         with u in supp V = [va, vb]. Without the carrier e^(-2 pi i K uc x),
         uc = (va + vb)/2, what is left has bandwidth
         omega = pi |K| (xb - xa)(vb - va)/2 on [xa, xb] = X_RANGE, so it is
-        tabulated on m = ceil(omega) + CHEB_EXTRA Chebyshev points (35 at
+        tabulated on m = chebyshev_size(omega) Chebyshev points (35 at
         K = 3) and carried to the Gauss x nodes by one barycentric matrix
         that also puts the carrier back. The (m x n_u) x (n_u x n_tau)
         product dominates the kernel cost, so paths that never integrate
@@ -378,7 +376,7 @@ class DualKernel:
         xa, xb = X_RANGE
         uc = 0.5 * (va + vb)
         omega = math.pi * abs(cfg.K) * (xb - xa) * (vb - va) / 2
-        xi, interp = chebyshev_interpolant(xa, xb, math.ceil(omega) + self.CHEB_EXTRA, self.x_nodes)
+        xi, interp = chebyshev_interpolant(xa, xb, chebyshev_size(omega), self.x_nodes)
         demod = np.exp(-2j * np.pi * cfg.K * np.outer(xi, uv - uc)) * amp_v[None, :]
         # u^(-i tau/2) = exp(-i (log u / 2) tau)
         self._vdag_cheb = self.tau_grid.sums_at_nodes(demod, 0.5 * np.log(uv))
@@ -542,6 +540,8 @@ class DualCheckResult:
     s_c_dual: complex
     residual: float
     stability: Dict[str, float] = field(default_factory=dict)
+    doubled_n_cut: Optional[int] = None  # the n_cut of the double_n_cut entry
+    n_cut_capped: bool = False  # that doubling stopped at the stored coefficients
 
 
 def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
@@ -635,8 +635,10 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
     """Compare S_c computed both ways for c = the configured prime.
 
     The stability entries record how much the dual side moves when each
-    truncation is halved (n_cut, r_cut) or when the grids are refined; a
-    trustworthy residual must dominate those movements.
+    truncation is doubled (n_cut, r_cut, tau_cut) or when the grids are
+    refined; a trustworthy residual must dominate those movements. The
+    n_cut doubling cannot read past the form's stored coefficients: the
+    result reports the n_cut it used and whether it was capped.
     """
     if cfg.c <= 1:
         raise PreconditionError("dual_identity_check needs c = a prime from the prime set")
@@ -651,6 +653,7 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
     dual = s_c_dual(form, cfg, c, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
     residual = abs(direct - dual) / max(abs(direct), 1e-30)
     stability = {}
+    n_double = None
     if sweep:
         scale = max(abs(direct), 1e-30)
         n_double = min(2 * n_cut, form.n_max)
@@ -671,4 +674,6 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         s_c_dual=dual,
         residual=float(residual),
         stability=stability,
+        doubled_n_cut=n_double,
+        n_cut_capped=n_double is not None and n_double < 2 * n_cut,
     )

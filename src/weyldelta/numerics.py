@@ -34,6 +34,21 @@ def edges_rule(edges, order: int = 16):
     return nodes, weights
 
 
+CHEB_EXTRA = 30  # Chebyshev points beyond a band limit (see chebyshev_size)
+
+
+def chebyshev_size(omega: float) -> int:
+    """Chebyshev points for a function band-limited to omega on its interval.
+
+    A sum of e^(i w x) with |w| <= omega on [-1, 1] (an interval mapped
+    there, its frequencies scaled by the half-width) has Chebyshev
+    coefficients 2 i^k J_k(w), which fall off faster than geometrically
+    once k passes omega: ceil(omega) + CHEB_EXTRA points leave out only
+    that tail.
+    """
+    return math.ceil(omega) + CHEB_EXTRA
+
+
 def chebyshev_interpolant(a: float, b: float, m: int, targets):
     """Chebyshev points of the second kind on [a, b] and the barycentric matrix.
 

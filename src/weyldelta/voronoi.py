@@ -266,8 +266,9 @@ def dual_side(
 ) -> Tuple[complex, int, float]:
     """rhs (with the form's eta unless strip_eta) plus term count and tail estimate.
 
-    The tail estimate is the l2 size of the last decade of included terms,
-    a proxy for the (sign-cancelling) remainder beyond the cut.
+    The tail estimate is the l2 size of the last tenth of the included
+    terms times the rhs prefactor's modulus (N/c)/sqrt(M): a proxy, on the
+    rhs's own scale, for the (sign-cancelling) remainder beyond the cut.
     """
     form = inst.form
     big_m = form.level
@@ -297,17 +298,20 @@ def dual_side(
                 "form has no calibrated eta; run calibrate_eta or pass strip_eta=True"
             )
         prefactor *= form.eta
-    return prefactor * total, n_cut, tail
+    return prefactor * total, n_cut, abs(prefactor) * tail
 
 
 def voronoi_check(inst: VoronoiInstance, transform: WhatTransform) -> VoronoiCheck:
-    """Compute both sides independently and their scaled residual."""
+    """Compute both sides independently and their scaled residual.
+
+    The tail estimate is scaled as the residual is, so the two compare.
+    """
     lhs = direct_side(inst)
     rhs, used, tail = dual_side(inst, transform=transform)
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+    size = 1.0 + abs(lhs) + abs(rhs)
     return VoronoiCheck(
-        lhs=lhs, rhs=rhs, residual=residual, rhs_terms=used, tail_estimate=tail,
-        n_cut_wanted=inst.wanted_n_cut(),
+        lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / size, rhs_terms=used,
+        tail_estimate=tail / size, n_cut_wanted=inst.wanted_n_cut(),
     )
 
 

@@ -103,6 +103,20 @@ def test_verify_pipeline_suite(tmp_path):
     assert report["all_passed"] is True
     identity = next(c for c in report["checks"] if c["name"] == "dual-summation-identity")
     assert identity["residual"] < 1e-3
+    stability = next(c for c in report["checks"] if c["name"] == "dual-summation-stability")
+    assert stability["values"] == {"doubled_n_cut": 60000, "n_cut_capped": False}
+
+
+def test_verify_pipeline_reports_a_capped_n_cut_doubling(tmp_path):
+    # the dual sum reads n_cut = 30000; a 40000-coefficient export stops the
+    # doubling at 40000, and the stability check says so
+    form_path, report_path = tmp_path / "delta.coef", tmp_path / "report.json"
+    assert run_cli(["export-form", str(form_path), "--n-max", "40000"]) == 0
+    args = ["verify", "pipeline", "--form", str(form_path), "--output", str(report_path)]
+    assert run_cli(args) == 0
+    report = json.loads(report_path.read_text())
+    stability = next(c for c in report["checks"] if c["name"] == "dual-summation-stability")
+    assert stability["values"] == {"doubled_n_cut": 40000, "n_cut_capped": True}
 
 
 def test_verify_afe_on_exported_form(tmp_path, capsys):

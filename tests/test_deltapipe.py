@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from weyldelta import deltapipe, oscillate
+from weyldelta import deltapipe, numerics, oscillate
 from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.forms import constant_form, delta_form, ramanujan_tau
 from weyldelta.numerics import PanelGrid, loglog_slope, primes_in
@@ -286,7 +286,7 @@ def test_kernel_chebyshev_rows_are_converged(form, monkeypatch):
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
     base = DualKernel(cfg, 11, form.kind)
     assert base._tau_tables()[1].shape[0] == math.ceil(math.pi * cfg.K / 2) + 30 == 35
-    monkeypatch.setattr(DualKernel, "CHEB_EXTRA", DualKernel.CHEB_EXTRA + 10)
+    monkeypatch.setattr(numerics, "CHEB_EXTRA", numerics.CHEB_EXTRA + 10)
     finer = DualKernel(cfg, 11, form.kind)
     assert finer._tau_tables()[1].shape[0] == 45
     assert np.max(np.abs(finer.vdag - base.vdag)) <= 1e-13 * np.max(np.abs(base.vdag))

@@ -11,12 +11,13 @@ from weyldelta.lfunc import (
     AfeConfig,
     afe_value,
     afe_weight,
+    afe_weight_pair,
     growth_scan,
     log_gamma_quotient_factor,
     scan_length,
     weight_quartic,
 )
-from weyldelta.numerics import PanelGrid
+from weyldelta.numerics import PanelGrid, chebyshev_size
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +97,67 @@ def test_weight_matches_contour_loop(form, t, weight_cfg):
 
 def test_weight_matches_contour_loop_high_t(form):
     # both routes carry rounding of order eps * sum|core|, which grows like
-    # t^3 e^9 on Re u = 3, so the comparison is absolute
+    # t e on the Re u = 1 line, so the comparison is absolute; the routes
+    # agree to ~4e-15 at t = 250
     cfg = lfunc.SCAN_CONFIG
     ys = np.arange(1, cfg.resolved_n_afe(form, 250.0) + 1, dtype=float)
     for s in (0.5 + 250j, 0.5 - 250j):
         ref = _afe_weight_contour(form, s, ys, cfg)
-        assert np.max(np.abs(afe_weight(form, s, ys, cfg) - ref)) <= 1e-7
+        assert np.max(np.abs(afe_weight(form, s, ys, cfg) - ref)) <= 1e-13
+
+
+def test_weight_is_refinement_stable_at_high_t(form, monkeypatch):
+    # a longer and six times finer contour moves V_s by ~3e-12 at t = 500;
+    # on the Re u = 3 line, which cancels ~t^3 e^9, it moved by 1.3e-5
+    cfg = lfunc.SCAN_CONFIG
+    ys = np.arange(1, cfg.resolved_n_afe(form, 500.0) + 1, dtype=float)
+    s_both = (0.5 + 500j, 0.5 - 500j)
+    base = [afe_weight(form, s, ys, cfg) for s in s_both]
+    monkeypatch.setattr(lfunc, "V_CUT", 20.0)
+    monkeypatch.setattr(lfunc, "V_PANELS", 430)
+    for s, coarse in zip(s_both, base):
+        assert np.max(np.abs(afe_weight(form, s, ys, cfg) - coarse)) <= 1e-10
+
+
+INTERPOLATION_CASES = [
+    pytest.param(cfg, t, id=f"{name}-t{t:g}")
+    for name, cfg in (("gaussian", AfeConfig()), ("quartic", AfeConfig(weight=weight_quartic)))
+    for t in (0.0, 5.0, 10.0)
+] + [pytest.param(lfunc.SCAN_CONFIG, t, id=f"scan-t{t:g}") for t in (250.0, 500.0)]
+
+
+@pytest.mark.parametrize("cfg, t", INTERPOLATION_CASES)
+def test_interpolated_weights_match_the_direct_route(form, cfg, t):
+    # every y = n / sqrt(M) of the AFE sum, for V_s and V_(1-s)
+    ys = np.arange(1, cfg.resolved_n_afe(form, t) + 1, dtype=float)
+    assert chebyshev_size(lfunc.V_CUT * math.log(ys[-1]) / 2) < len(ys)  # not the short-sum branch
+    s = 0.5 + 1j * t
+    pair = afe_weight_pair(form, s, ys, cfg)
+    for column, s_col in enumerate((s, 1 - s)):
+        assert np.max(np.abs(pair[:, column] - afe_weight(form, s_col, ys, cfg))) <= 1e-13
+
+
+def test_short_sums_take_the_direct_route(form):
+    # 40 terms span log 40 in log y, which asks for chebyshev_size(24) = 54
+    # points: more than the terms, so both weights are the direct ones
+    ys = np.arange(1, 41, dtype=float)
+    s = 0.5 + 5j
+    pair = afe_weight_pair(form, s, ys, AfeConfig())
+    assert np.array_equal(pair[:, 0], afe_weight(form, s, ys, AfeConfig()))
+    assert np.array_equal(pair[:, 1], afe_weight(form, 1 - s, ys, AfeConfig()))
+
+
+@pytest.mark.parametrize("cfg, t", [(AfeConfig(), 5.0), (lfunc.SCAN_CONFIG, 250.0)])
+def test_afe_value_matches_the_direct_weights(form, cfg, t, monkeypatch):
+    value = afe_value(form, t, cfg).value
+    monkeypatch.setattr(
+        lfunc,
+        "afe_weight_pair",
+        lambda form, s, ys, cfg: np.column_stack(
+            [afe_weight(form, s, ys, cfg), afe_weight(form, 1 - s, ys, cfg)]
+        ),
+    )
+    assert abs(afe_value(form, t, cfg).value - value) <= 1e-12 * abs(value)
 
 
 def test_weight_approaches_one_at_origin(form):

@@ -6,7 +6,7 @@ import pytest
 from weyldelta import checks
 from weyldelta.errors import PreconditionError
 from weyldelta.forms import constant_form, delta_form
-from weyldelta.numerics import PanelGrid, edges_rule, loglog_slope
+from weyldelta.numerics import PanelGrid, edges_rule, loglog_slope, modular_inverse, unit_phases
 from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.testfn import make_window_v
 from weyldelta.voronoi import (
@@ -281,6 +281,24 @@ def test_linearity_in_window(calibrated, window, transform):
     rhs_1, _, _ = dual_side(inst_1, transform=transform)
     rhs_2, _, _ = dual_side(inst_2, transform=tr2)
     assert rhs_2 == pytest.approx(2 * rhs_1, rel=1e-9)
+
+
+def test_tail_estimate_is_on_the_residual_scale(calibrated, window, transform):
+    # the l2 size of the last tenth of the raw dual terms, times the rhs
+    # prefactor (N/c)/sqrt(M), over the residual's 1 + |lhs| + |rhs|
+    scale, a, c = 20.0, 1, 5
+    chk = voronoi_check(
+        VoronoiInstance(calibrated, a=a, c=c, window=window, scale=scale), transform=transform
+    )
+    ns = np.arange(1, chk.rhs_terms + 1)
+    terms = (
+        calibrated.lam[: chk.rhs_terms]
+        * unit_phases(-modular_inverse(a, c) * ns, c)
+        * transform.eval(ns * scale / c**2)
+    )
+    raw = math.sqrt(np.sum(np.abs(terms[int(0.9 * chk.rhs_terms) :]) ** 2))
+    expected = (scale / c) * raw / (1.0 + abs(chk.lhs) + abs(chk.rhs))
+    assert chk.tail_estimate == pytest.approx(expected, rel=1e-12)
 
 
 def test_calibration_modulus_and_consistency(calibrated):
