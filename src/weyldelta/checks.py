@@ -34,7 +34,7 @@ from .deltapipe import (
     trivial_delta,
     trivial_delta_alpha_sum,
 )
-from .errors import BudgetExceededError, ToolkitError
+from .errors import BudgetExceededError, CalibrationError, PreconditionError, ToolkitError
 from .forms import CuspForm, constant_form, delta_form, hecke_verify, load_form, rankin_average
 from .lfunc import AfeConfig, afe_value, growth_scan, scan_length, weight_quartic
 from .numerics import loglog_fit, loglog_slope, primes_in
@@ -133,13 +133,15 @@ def _eta_probes(form: CuspForm) -> List[VoronoiInstance]:
 class CheckResult:
     name: str
     anchor: str  # stable identifier of the mathematical claim being checked
-    residual: float
-    tolerance: float
+    residual: Optional[float]  # None (and tolerance None) when the check raised
+    tolerance: Optional[float]
     passed: bool
     values: Dict[str, object] = field(default_factory=dict)
     runtime: float = 0.0
 
     def line(self) -> str:
+        if self.residual is None:
+            return f"[FAIL] {self.name}: {self.values['error']}: {self.values['message']}"
         flag = "PASS" if self.passed else "FAIL"
         return f"[{flag}] {self.name}: residual {self.residual:.3e} vs tol {self.tolerance:.3e}"
 
@@ -164,13 +166,17 @@ class Check:
         return self.coefficients(ctx) if callable(self.coefficients) else self.coefficients
 
     def run(self, ctx: CheckContext) -> CheckResult:
+        """The result; a CalibrationError or PreconditionError inside fails it, named in values."""
         start = time.perf_counter()
-        residual, tolerance, values = self.compute(ctx)
+        try:
+            residual, tolerance, values = self.compute(ctx)
+            residual, tolerance = float(residual), float(tolerance)
+            passed = residual < tolerance if self.strict else residual <= tolerance
+        except (CalibrationError, PreconditionError) as exc:
+            residual = tolerance = None
+            passed, values = False, {"error": type(exc).__name__, "message": str(exc)}
         runtime = time.perf_counter() - start
-        passed = residual < tolerance if self.strict else residual <= tolerance
-        return CheckResult(
-            self.name, self.anchor, float(residual), float(tolerance), bool(passed), values, runtime
-        )
+        return CheckResult(self.name, self.anchor, residual, tolerance, passed, values, runtime)
 
 
 CHECKS: List[Check] = []
@@ -436,16 +442,19 @@ def _dual_summation(ctx):
 
 
 @_check(
-    "dual-summation-stability", "truncation-doubling-stability", "pipeline", 7, coefficients=60000
+    "dual-summation-stability", "truncation-doubling-stability", "pipeline", 7, strict=True,
+    coefficients=60000,
 )
 def _dual_stability(ctx):
     # every doubling must move the dual side by less than 1/20 of the claimed
     # tolerance (the measured residual sits far below it, so a bound tied to
     # the measured residual would punish extra accuracy)
     res = _dual_identity(ctx)
-    # a form shorter than 2 n_cut caps the n_cut doubling; the values say so
+    # a form shorter than 2 n_cut caps the n_cut doubling; the values say so,
+    # and as a capped step shows nothing about n_cut, the (strict) bound is 0
     values = {"doubled_n_cut": res.doubled_n_cut, "n_cut_capped": res.n_cut_capped}
-    return max(res.stability.values()) if res.stability else 0.0, 1e-3 / 20, values
+    bound = 0.0 if res.n_cut_capped else 1e-3 / 20
+    return max(res.stability.values()) if res.stability else 0.0, bound, values
 
 
 # -- afe: central values, then the coefficient-side checks (criteria 8, 9) ---

@@ -24,8 +24,8 @@ WEYL_DELTA_BUDGET) caps the oscillatory-quadrature cell count and the
 stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
 failure, 2 budget exhausted, 3 input error (a usage error, an unreadable
 or invalid form file, a form with fewer coefficients than a check reads,
-or arguments a computation rejects, such as a scan grid too sparse for
-its fit).
+or a scan grid too sparse for its fit); a check that raises a
+CalibrationError or PreconditionError fails, its entry naming the error.
 """
 
 from __future__ import annotations

@@ -163,15 +163,18 @@ def trivial_delta(n: int, q: int, X: float, budget: Optional[int] = None) -> com
     return _window_fourier(WINDOW_V, n / X, budget)
 
 
-def _character_gate(d: int, q: int) -> complex:
-    """(1/q) sum_{alpha mod q} e(d alpha / q), summed numerically: the oracle of [q | d]."""
-    alpha = np.arange(q)
-    return np.sum(np.exp(2j * np.pi * ((d * alpha) % q) / q)) / q
+def _character_gates(d: int, moduli) -> np.ndarray:
+    """(1/q) sum_{alpha mod q} e(d alpha / q) for each q in `moduli`, summed
+    numerically in one pass over all their residues: the oracle of [q | d]."""
+    moduli = np.asarray(moduli)
+    starts, q = np.cumsum(moduli) - moduli, np.repeat(moduli, moduli)
+    alpha = np.arange(q.size) - np.repeat(starts, moduli)
+    return np.add.reduceat(np.exp(2j * np.pi * ((d * alpha) % q) / q), starts) / moduli
 
 
 def trivial_delta_alpha_sum(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:
     """Same quantity with the character sum evaluated numerically (oracle)."""
-    return complex(_character_gate(n, q) * _window_fourier(WINDOW_V, n / X, budget))
+    return complex(_character_gates(n, (q,))[0] * _window_fourier(WINDOW_V, n / X, budget))
 
 
 def averaged_delta(r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None) -> complex:
@@ -200,7 +203,7 @@ def averaged_delta_alpha_sum(
     if not cfg.prime_set:
         raise PreconditionError("prime_set is empty")
     d = r - n
-    gate = sum(_character_gate(d, p) for p in cfg.prime_set) / len(cfg.prime_set)
+    gate = np.sum(_character_gates(d, cfg.prime_set)) / len(cfg.prime_set)
     integral = 1.0 + 0.0j if d == 0 else _fourier_v(cfg.K * d / cfg.N, budget)
     return gate * integral
 

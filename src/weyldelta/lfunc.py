@@ -248,11 +248,21 @@ class ScanResult:
 SCAN_CONFIG = AfeConfig(weight_floor=3e-4)
 
 
-def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
-    """Coefficients `growth_scan` reads over `t_grid`."""
+def _scan_grid(t_grid: Sequence[float]) -> np.ndarray:
+    t_grid = np.asarray(sorted(t_grid), dtype=float)
     if len(t_grid) == 0:
         raise PreconditionError("the scan grid is empty")
-    return max(SCAN_CONFIG.resolved_n_afe(form, float(t)) for t in t_grid)
+    if np.any(t_grid < 2.001):
+        raise PreconditionError("scan grid must stay above t = 2")
+    if t_grid[-1] <= t_grid[0]:
+        # a single t would sit in every window and fake a fit
+        raise PreconditionError("the scan grid spans no interval; the exponent fit needs 2 windows")
+    return t_grid
+
+
+def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
+    """Coefficients `growth_scan` reads over `t_grid`, after the same grid checks."""
+    return max(SCAN_CONFIG.resolved_n_afe(form, float(t)) for t in _scan_grid(t_grid))
 
 
 def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
@@ -262,12 +272,7 @@ def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
     The exponent comes from the maxima of SCAN_WINDOWS windows (the scan
     envelope), fitted in log-log coordinates with its standard error.
     """
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(t_grid < 2.001):
-        raise PreconditionError("scan grid must stay above t = 2")
-    if len(t_grid) == 0 or t_grid[-1] <= t_grid[0]:
-        # a single t would sit in every window and fake a fit
-        raise PreconditionError("the scan grid spans no interval; the exponent fit needs 2 windows")
+    t_grid = _scan_grid(t_grid)
     records = []
     for t in t_grid:
         res = afe_value(form, float(t), SCAN_CONFIG)

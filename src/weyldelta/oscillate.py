@@ -7,8 +7,8 @@ error indicator decides acceptance. The indicator is heuristic - downstream
 checks always cross-validate against independent oracles.
 
 `integrate_1d` works on one depth of the cell tree per pass, so g and f
-are called on flat arrays of many cells' nodes (at most EVAL_CELLS cells,
-24 nodes each, per call) instead of once per cell. Its value, error
+are called on flat arrays of many cells' nodes (at most EVAL_CELLS = 128
+cells, 24 nodes each, per call) instead of once per cell. Its value, error
 estimate and cell count equal those of a depth-first loop over single
 cells bit for bit (tests/test_oscillate.py keeps that loop as the oracle).
 A cell reaching MAX_DEPTH is accepted and counted in `depth_capped`; an
@@ -28,9 +28,9 @@ from .numerics import gauss_legendre
 
 DEFAULT_CELL_BUDGET = 10**6
 MAX_DEPTH = 60  # a cell this deep is accepted whatever its error indicator
-# cells per g call in integrate_1d: 32 x 24 nodes keeps the integrand's
-# temporaries (the window's ramp quadrature) small
-EVAL_CELLS = 32
+# cells per g call in integrate_1d: 128 x 24 nodes spreads a window's per-call
+# cost (its ramps are a table lookup); 512 gains nothing and grows peak memory
+EVAL_CELLS = 128
 
 TWO_PI = 2.0 * math.pi
 

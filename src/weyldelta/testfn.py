@@ -13,8 +13,11 @@ Derivatives are evaluated through the exact rational recurrence
     phi^(j)(x) = phi(x) * P_j(x) / (1 - x^2)^(2j),
     P_{j+1} = P_j' (1-x^2)^2 + 4 j x P_j (1-x^2) - 2 x P_j,
 
-built once in integer arithmetic, so they stay accurate arbitrarily close to
-the support edges where finite differences would collapse.
+built once in exact (small-integer) arithmetic, so they stay accurate
+arbitrarily close to the support edges where finite differences would
+collapse. U's ramps read the bump's antiderivative from a table of
+degree-16 Chebyshev series on 64 panels, built at import by GL20 partial-panel
+quadrature, which stays as the table's test oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import PreconditionError
 from .numerics import PanelGrid, gauss_legendre
@@ -35,34 +39,17 @@ _J_MAX = 6
 _W_FLOOR = 1.0 / 700.0
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _poly_diff(p):
-    return [i * c for i, c in enumerate(p)][1:] or [0]
-
-
 def _bump_prefactor_polys(j_max: int) -> List[np.ndarray]:
-    """P_0 .. P_{j_max} of the bump-derivative recurrence, as float arrays."""
-    one_minus_x2 = [1, 0, -1]
-    polys = [[1]]
+    """P_0 .. P_{j_max} of the bump-derivative recurrence, ascending coefficients
+    (small integers, so float arithmetic on them is exact)."""
+    one_minus_x2 = np.array([1.0, 0.0, -1.0])
+    polys = [np.array([1.0])]
     for j in range(j_max):
         p = polys[-1]
-        term1 = _poly_mul(_poly_diff(p), _poly_mul(one_minus_x2, one_minus_x2))
-        term2 = _poly_mul([0, 4 * j], _poly_mul(p, one_minus_x2))
-        term3 = _poly_mul([0, -2], p)
-        polys.append(_poly_add(_poly_add(term1, term2), term3))
-    return [np.array(p, dtype=float) for p in polys]
+        term1 = P.polymul(P.polyder(p), P.polymul(one_minus_x2, one_minus_x2))
+        term2 = P.polymul([0.0, 4.0 * j], P.polymul(p, one_minus_x2))
+        polys.append(P.polysub(P.polyadd(term1, term2), P.polymul([0.0, 2.0], p)))
+    return polys
 
 
 _BUMP_POLYS = _bump_prefactor_polys(_J_MAX)
@@ -105,23 +92,49 @@ BUMP_MASS = float(_panel_cumsum[-1])  # integral of phi over (-1, 1)
 _gl20_x, _gl20_w = gauss_legendre(_RAMP_ORDER)
 
 
+def _ramp_panel(s):
+    """Index of the ramp panel holding each s in (-1, 1)."""
+    return np.minimum(((s + 1.0) * (_RAMP_PANELS / 2)).astype(int), _RAMP_PANELS - 1)
+
+
+def _bump_cdf_gl20(s):
+    """int_{-1}^{s} phi(u) du for s in (-1, 1): the panels left of s, then a
+    fresh GL20 rule over the part of its own panel up to s, ~1e-15 absolute.
+    It builds the Chebyshev table below and is its test oracle."""
+    idx = _ramp_panel(s)
+    lo = _ramp_edges[idx]
+    half = (s - lo) / 2.0
+    nodes = lo[:, None] + half[:, None] * (_gl20_x[None, :] + 1.0)
+    return _panel_cumsum[idx] + (half[:, None] * _gl20_w[None, :] * bump(nodes)).sum(axis=1)
+
+
+# each panel's share of the bump integral as a degree-16 Chebyshev series in the
+# panel's coordinate (1.1e-16 off the GL20 route; 1.7e-15 at degree 12), summed
+# by the discrete orthogonality of cos(k theta_j) at its 17 interpolation points:
+# chebfit's least squares, or a BLAS product, would cost more at import than this
+_CDF_DEGREE = 16
+_cheb_theta = np.pi * (np.arange(_CDF_DEGREE + 1) + 0.5) / (_CDF_DEGREE + 1)
+_cheb_s = (_ramp_edges[:-1, None] + (np.cos(_cheb_theta) + 1.0) / _RAMP_PANELS).ravel()
+_partials = _bump_cdf_gl20(_cheb_s).reshape(_RAMP_PANELS, -1) - _panel_cumsum[:-1, None]
+_cos_k = np.cos(np.outer(np.arange(_CDF_DEGREE + 1), _cheb_theta)) * (2.0 / (_CDF_DEGREE + 1))
+_cos_k[0] /= 2.0
+_cdf_coef = np.einsum("kj,pj->kp", _cos_k, _partials)  # (degree + 1, panels)
+
+
 def _bump_cdf(s):
-    """int_{-1}^{s} phi(u) du, vectorized, ~1e-15 absolute."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(s.shape)
-    out[s <= -1.0] = 0.0
-    out[s >= 1.0] = BUMP_MASS
-    mid = (s > -1.0) & (s < 1.0)
-    if np.any(mid):
-        sm = s[mid]
-        idx = np.minimum(
-            np.searchsorted(_ramp_edges, sm, side="right") - 1, _RAMP_PANELS - 1
-        )
-        lo = _ramp_edges[idx]
-        half = (sm - lo) / 2.0
-        nodes = lo[:, None] + half[:, None] * (_gl20_x[None, :] + 1.0)
-        partial = (half[:, None] * _gl20_w[None, :] * bump(nodes)).sum(axis=1)
-        out[mid] = _panel_cumsum[idx] + partial
+    """int_{-1}^{s} phi(u) du, vectorized: the panels left of s plus s's own
+    panel's Chebyshev series by Clenshaw (within 3e-16 of the GL20 route),
+    clipped to [0, BUMP_MASS] (the table dips to -1e-17 next to s = -1),
+    and exactly 0 for s <= -1 and BUMP_MASS for s >= 1."""
+    s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), -1.0, 1.0)
+    idx = _ramp_panel(s)
+    t = (s - _ramp_edges[idx]) * _RAMP_PANELS - 1.0  # s's panel mapped to [-1, 1]
+    b1 = b2 = 0.0  # Clenshaw's recurrence, one gathered coefficient row per degree
+    for coef in _cdf_coef[:0:-1]:
+        b1, b2 = coef[idx] + 2.0 * t * b1 - b2, b1
+    out = np.clip(_panel_cumsum[idx] + _cdf_coef[0][idx] + t * b1 - b2, 0.0, BUMP_MASS)
+    out[s == -1.0] = 0.0
+    out[s == 1.0] = BUMP_MASS
     return out
 
 

@@ -11,6 +11,7 @@ import weyldelta
 from weyldelta import checks
 from weyldelta.checks import CHECKS, SUITES, CheckContext, checks_for
 from weyldelta.cli import main, run_suite
+from weyldelta.errors import CalibrationError, PreconditionError
 from weyldelta.forms import delta_form, export_form
 
 
@@ -109,14 +110,34 @@ def test_verify_pipeline_suite(tmp_path):
 
 def test_verify_pipeline_reports_a_capped_n_cut_doubling(tmp_path):
     # the dual sum reads n_cut = 30000; a 40000-coefficient export stops the
-    # doubling at 40000, and the stability check says so
+    # doubling at 40000, and the stability check says so and fails
     form_path, report_path = tmp_path / "delta.coef", tmp_path / "report.json"
     assert run_cli(["export-form", str(form_path), "--n-max", "40000"]) == 0
     args = ["verify", "pipeline", "--form", str(form_path), "--output", str(report_path)]
-    assert run_cli(args) == 0
+    assert run_cli(args) == 1
     report = json.loads(report_path.read_text())
     stability = next(c for c in report["checks"] if c["name"] == "dual-summation-stability")
     assert stability["values"] == {"doubled_n_cut": 40000, "n_cut_capped": True}
+    assert stability["passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["dual-summation-stability"]
+
+
+@pytest.mark.parametrize("error", [CalibrationError, PreconditionError])
+def test_an_error_inside_a_check_is_a_reported_failure(error, tmp_path, capsys, monkeypatch):
+    def raising(*args, **kwargs):
+        raise error("probe went astray")
+
+    monkeypatch.setattr(checks, "trivial_delta_alpha_sum", raising)
+    report_path = tmp_path / "report.json"
+    assert run_cli(["verify", "delta", "--output", str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert [c["name"] for c in report["checks"]] == registry_names("delta")
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["trivial-delta-character-sum"]
+    assert failed[0]["values"] == {"error": error.__name__, "message": "probe went astray"}
+    assert failed[0]["residual"] is failed[0]["tolerance"] is None
+    out = capsys.readouterr().out
+    assert f"[FAIL] trivial-delta-character-sum: {error.__name__}: probe went astray" in out
 
 
 def test_verify_afe_on_exported_form(tmp_path, capsys):

@@ -65,6 +65,15 @@ def test_trivial_delta_multiple_of_modulus_matches_quadrature():
     assert abs(val - trivial_delta_alpha_sum(13, 13, 10.0)) < 1e-12
 
 
+def test_character_gates_match_the_divisibility_gate():
+    # one pass over the residues of every modulus, against the integer gate [q | d]
+    for moduli in (tuple(primes_in(60, 120)), (13,)):
+        d = np.arange(-400, 401)
+        gates = np.array([deltapipe._character_gates(int(k), moduli) for k in d])
+        exact = (d[:, None] % np.array(moduli)[None, :] == 0).astype(float)
+        assert np.max(np.abs(gates - exact)) < 1e-12
+
+
 def test_trivial_delta_decay_probe():
     ns = [13 * 2**k for k in range(6)]
     vals = [abs(trivial_delta(n, 13, 10.0)) for n in ns]

@@ -131,7 +131,7 @@ def test_integrand_sees_flat_capped_node_arrays():
         shapes.append(x.shape)
         return V(x)
 
-    res = integrate_1d(g, lambda x: 40.0 * x, 1.0, 2.0, tol=1e-13)
+    res = integrate_1d(g, lambda x: 160.0 * x, 1.0, 2.0, tol=1e-13)
     assert res.cells > oscillate.EVAL_CELLS  # some pass evaluates more than one chunk
     assert all(len(shape) == 1 for shape in shapes)
     assert max(size for (size,) in shapes) == 24 * oscillate.EVAL_CELLS

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyldelta import testfn
 from weyldelta.numerics import PanelGrid
 from weyldelta.testfn import (
     BUMP_MASS,
@@ -94,6 +95,28 @@ def test_smooth_step_limits():
     assert smooth_step(-1.0) == 0.0
     assert smooth_step(1.0) == 1.0
     assert smooth_step(0.0) == pytest.approx(0.5, abs=1e-13)
+    assert smooth_step(np.array([-1.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+def test_ramp_table_matches_the_gl20_route():
+    # every panel edge, both neighbours of each, a fine grid and points just
+    # inside +-1; degree 12 would miss this bound by ten times
+    edges = testfn._ramp_edges[1:-1]
+    ends = np.array([1.1e-16, 2.2e-16, 1e-15, 1e-12, 1e-8])
+    s = np.concatenate(
+        (
+            np.linspace(-1.0, 1.0, 200_001)[1:-1],
+            edges,
+            np.nextafter(edges, -2.0),
+            np.nextafter(edges, 2.0),
+            -1.0 + ends,
+            1.0 - ends,
+        )
+    )
+    table = testfn._bump_cdf(s)
+    assert np.max(np.abs(table - testfn._bump_cdf_gl20(s))) <= 3e-16
+    # unclipped, the series dips to about -1e-17 next to s = -1
+    assert 0.0 <= table.min() and table.max() <= BUMP_MASS
 
 
 @settings(max_examples=40, deadline=None)
