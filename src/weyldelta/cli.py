@@ -55,6 +55,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
+SCAN_DEFAULTS = {"csv": None, "t_min": 10.0, "t_max": 500.0, "samples": 200}  # scan suite only
+
 
 class _Parser(argparse.ArgumentParser):
     """Exits with EXIT_INPUT on a usage error (argparse's own code, 2, means
@@ -140,11 +142,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = argparse.ArgumentParser(add_help=False)  # what `verify` and `scan` both take
     run.add_argument("--form", dest="form_path")
     run.add_argument("--output", dest="output_path")
-    run.add_argument("--csv", dest="csv_path")
     run.add_argument("--seed", type=_count, default=0)
-    run.add_argument("--t-min", type=_finite, default=10.0)
-    run.add_argument("--t-max", type=_finite, default=500.0)
-    run.add_argument("--samples", type=_count, default=200)
+    unset = argparse.SUPPRESS  # until SCAN_DEFAULTS fills them in, after `verify` vets them
+    run.add_argument("--csv", default=unset)
+    run.add_argument("--t-min", type=_finite, default=unset)
+    run.add_argument("--t-max", type=_finite, default=unset)
+    run.add_argument("--samples", type=_count, default=unset)
 
     p_verify = sub.add_parser("verify", parents=[run], help="run a verification suite")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
@@ -171,6 +174,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_imp.add_argument("path")
 
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        ignored = ["form"] if args.suite == "delta" and args.form_path else []  # reads no form
+        if args.suite not in ("scan", "all"):
+            ignored += [name for name in SCAN_DEFAULTS if name in args]
+        if ignored:
+            options = ", ".join("--" + name.replace("_", "-") for name in ignored)
+            p_verify.error(f"verify {args.suite} does not read {options}")
+    args = argparse.Namespace(**{**SCAN_DEFAULTS, **vars(args)})
 
     try:
         if args.command == "export-form":
@@ -203,8 +214,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             checks=checks_for(suite),
         )
         results, status = run_suite(suite, ctx)
-        if args.csv_path and "scan" in ctx.cache:
-            _write_scan_csv(ctx.cache["scan"], args.csv_path)
+        if args.csv and "scan" in ctx.cache:
+            _write_scan_csv(ctx.cache["scan"], args.csv)
         _write_report(suite_report(suite, ctx, results, status), args.output_path)
         if args.command == "scan":
             # the scan command is a data product: the exponent sanity check

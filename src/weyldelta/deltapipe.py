@@ -58,23 +58,11 @@ X_RANGE = (1.0, 2.0)  # the x-integral's interval, supp V
 def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = None) -> complex:
     """int e(theta x) window(x) dx over the support, in at most `budget` cells.
 
-    Raises BudgetExceededError instead of returning the truncated value of
-    an exhausted cell budget, or a value with cells accepted only at the
-    depth cap, so no caller (or cache) keeps it.
+    An unconverged value raises (see OscillatoryResult.converged), so no
+    caller (or cache) keeps it.
     """
-    res = integrate_1d(
-        lambda x: window(x), lambda x: theta * x, *window.support, tol=1e-13, budget=budget
-    )
-    if res.budget_exhausted:
-        raise BudgetExceededError(
-            f"window Fourier integral at theta = {theta:.6g} exhausted {res.cells} cells"
-        )
-    if res.depth_capped:
-        raise BudgetExceededError(
-            f"window Fourier integral at theta = {theta:.6g} accepted {res.depth_capped} "
-            "cells at the depth cap"
-        )
-    return complex(res.value)
+    res = integrate_1d(window, lambda x: theta * x, *window.support, tol=1e-13, budget=budget)
+    return complex(res.converged(f"window Fourier integral at theta = {theta:.6g}"))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -348,10 +336,6 @@ class DualKernel:
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
         self._vdag_cheb = None
         self._interp = None
-
-        # Udag(N r / c - K x, 1 - it) rows, cached per r with row-sized grids
-        self._udag_rows: Dict[int, np.ndarray] = {}
-
         self._gamma_cache: Dict[int, np.ndarray] = {}
         self._istar_cache: Dict[int, np.ndarray] = {}
         self.vx = WINDOW_V(self.x_nodes) * x_grid.weights
@@ -404,18 +388,16 @@ class DualKernel:
         twist frequency, so large t or large |r| only inflate the rows that
         need it. A row is one `PanelGrid.sums_at_freqs` at the frequencies
         2 pi rho, i.e. about 2 sqrt(panels) + 16 complex exponentials per
-        x node.
+        x node. Not cached: :meth:`istar_row` keeps its product per r.
         """
-        if r not in self._udag_rows:
-            cfg = self.cfg
-            ua, ub = WINDOW_U.support
-            rho = cfg.N * r / self.c - cfg.K * self.x_nodes
-            cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
-            panels = max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
-            grid = PanelGrid(ua, ub, panels, 16)
-            amp = grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
-            self._udag_rows[r] = grid.sums_at_freqs(TWO_PI * rho, amp)
-        return self._udag_rows[r]
+        cfg = self.cfg
+        ua, ub = WINDOW_U.support
+        rho = cfg.N * r / self.c - cfg.K * self.x_nodes
+        cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
+        panels = max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
+        grid = PanelGrid(ua, ub, panels, 16)
+        amp = grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
+        return grid.sums_at_freqs(TWO_PI * rho, amp)
 
     def gamma_on_grid(self, delta: int) -> np.ndarray:
         if delta not in self._gamma_cache:
@@ -548,14 +530,10 @@ class DualCheckResult:
 
 
 def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
-    """S_c(N) from its definition: nonzero residues alpha mod c, both sums
-    and the coupling x-integral evaluated directly (c = 1 means the single
-    alpha = 0 stratum)."""
+    """S_c(N) from its definition at a prime c of the prime set: the nonzero
+    residues alpha mod c, both sums and the coupling x-integral directly."""
     strata = _Strata(cfg, *_amplitudes(form, cfg))
-    pstar = max(len(cfg.prime_set), 1)
-    if c == 1:
-        return strata([0], 1) / pstar * sum(1.0 / p for p in cfg.prime_set or (1,))
-    return strata(np.arange(1, c), c) / (pstar * c)
+    return strata(np.arange(1, c), c) / (len(cfg.prime_set) * c)
 
 
 def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
@@ -654,24 +632,23 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
     n_cut = cfg.resolved_n_cut(c, form.level)
     r_cut = cfg.resolved_r_cut(c)
     dual = s_c_dual(form, cfg, c, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
-    residual = abs(direct - dual) / max(abs(direct), 1e-30)
+    scale = max(abs(direct), 1e-30)
+    residual = abs(direct - dual) / scale
     stability = {}
     n_double = None
     if sweep:
-        scale = max(abs(direct), 1e-30)
         n_double = min(2 * n_cut, form.n_max)
-        dual_n = s_c_dual(form, cfg, c, kernel=kernel, n_cut=n_double, r_cut=r_cut)
-        dual_r = s_c_dual(form, cfg, c, kernel=kernel, n_cut=n_cut, r_cut=2 * r_cut)
-        stability["double_n_cut"] = abs(dual - dual_n) / scale
-        stability["double_r_cut"] = abs(dual - dual_r) / scale
         tau_cfg = replace(cfg, tau_cut=2 * cfg.resolved_tau_cut())
-        tau_kernel = DualKernel(tau_cfg, c, form.kind)
-        dual_tau = s_c_dual(form, tau_cfg, c, kernel=tau_kernel, n_cut=n_cut, r_cut=r_cut)
-        stability["double_tau_cut"] = abs(dual - dual_tau) / scale
         fine_cfg = replace(cfg, grid_scale=cfg.grid_scale * 1.5)
-        fine_kernel = DualKernel(fine_cfg, c, form.kind)
-        dual_fine = s_c_dual(form, fine_cfg, c, kernel=fine_kernel, n_cut=n_cut, r_cut=r_cut)
-        stability["refine_grids"] = abs(dual - dual_fine) / scale
+        variants = {  # key: (config, kernel, n_cut, r_cut) of the dual side it compares
+            "double_n_cut": (cfg, kernel, n_double, r_cut),
+            "double_r_cut": (cfg, kernel, n_cut, 2 * r_cut),
+            "double_tau_cut": (tau_cfg, DualKernel(tau_cfg, c, form.kind), n_cut, r_cut),
+            "refine_grids": (fine_cfg, DualKernel(fine_cfg, c, form.kind), n_cut, r_cut),
+        }
+        for key, (v_cfg, v_kernel, v_n_cut, v_r_cut) in variants.items():
+            moved = s_c_dual(form, v_cfg, c, kernel=v_kernel, n_cut=v_n_cut, r_cut=v_r_cut)
+            stability[key] = abs(dual - moved) / scale
     return DualCheckResult(
         s_c_direct=direct,
         s_c_dual=dual,

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_fit
+from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_fit, tail_norm
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
@@ -159,13 +159,12 @@ def afe_weight_pair(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) 
     (87 for the 5920-term sum at t = 0; 69 to 97 over the scan's t in
     [10, 500], where the sums run to 27300 terms) and reach every y by one
     (len(ys) x m) @ (m x 2) barycentric product, built and applied
-    INTERP_BLOCK rows at a time. When m >= len(ys) the interpolant saves
-    nothing, and both columns are :func:`afe_weight` at the ys themselves.
+    INTERP_BLOCK rows at a time. A sum shorter than m takes the same
+    route: for 40 terms (m = 54) both columns are within 1e-13 of
+    :func:`afe_weight` at the ys themselves.
     """
     log_y = np.log(ys)
     m = chebyshev_size(V_CUT * (log_y[-1] - log_y[0]) / 2)
-    if m >= len(ys):
-        return np.column_stack([afe_weight(form, s, ys, cfg), afe_weight(form, 1 - s, ys, cfg)])
     lo, hi, block = log_y[0], log_y[-1], INTERP_BLOCK
     nodes, interp = chebyshev_interpolant(lo, hi, m, log_y[:block])
     y_nodes = np.exp(nodes)
@@ -214,10 +213,7 @@ def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeV
     )
     second = complex(reflect_factor * np.sum(terms_2))
 
-    tail = float(
-        np.sqrt(np.sum(np.abs(terms_1[int(0.9 * n_afe) :]) ** 2))
-        + np.sqrt(np.sum(np.abs(terms_2[int(0.9 * n_afe) :]) ** 2))
-    )
+    tail = tail_norm(terms_1) + tail_norm(terms_2)
     return AfeValue(value=first + second, n_used=n_afe, tail_estimate=tail)
 
 

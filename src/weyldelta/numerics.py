@@ -150,27 +150,26 @@ class PanelGrid:
     def sums_at_freqs(self, freqs, values) -> np.ndarray:
         """E @ values: sum over nodes of values(tau) exp(-i f tau), for each f.
 
-        `values` is (n_nodes,) or (n_nodes, C); the result is (J,) or (J, C).
-        Per block of frequencies it is one (J, order) @ (order, panels * C)
-        product followed by a row-wise product with exp(-i f mids), so all
-        C columns share one phase table.
+        `values` is (n_nodes,) or (n_nodes, C); the result is (J,) or (J, C),
+        a 1-d `values` taken as one column. Per block of frequencies it is
+        one (J, order) @ (order, panels * C) product followed by a row-wise
+        product with exp(-i f mids), so all C columns share one phase table.
         """
         freqs = np.asarray(freqs, dtype=float)
         values = np.asarray(values)
         n_mid, n_off = len(self.mids), len(self.offsets)
-        if values.ndim == 1:
-            table = values.reshape(n_mid, n_off).T
-            out = np.empty(len(freqs), dtype=complex)
-            for sl, mid, off in self._phase_blocks(freqs):
-                out[sl] = np.sum((off @ table) * mid, axis=1)
-            return out
-        width = values.shape[1]
+        width = values.size // len(self.nodes)
         table = values.reshape(n_mid, n_off, width).transpose(1, 0, 2).reshape(n_off, -1)
         out = np.empty((len(freqs), width), dtype=complex)
         for sl, mid, off in self._phase_blocks(freqs, width):
             inner = (off @ table).reshape(len(mid), n_mid, width)
             out[sl] = np.matmul(mid[:, None, :], inner)[:, 0, :]
-        return out
+        return out.reshape(freqs.shape + values.shape[1:])
+
+
+def tail_norm(terms) -> float:
+    """The l2 norm of the last tenth of `terms`, a sum's truncation-tail proxy."""
+    return float(np.sqrt(np.sum(np.abs(terms[int(0.9 * len(terms)) :]) ** 2)))
 
 
 def loglog_slope(xs, ys):

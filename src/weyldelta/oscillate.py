@@ -13,6 +13,7 @@ estimate and cell count equal those of a depth-first loop over single
 cells bit for bit (tests/test_oscillate.py keeps that loop as the oracle).
 A cell reaching MAX_DEPTH is accepted and counted in `depth_capped`; an
 exhausted cell budget sets `budget_exhausted` and returns the partial sum.
+`OscillatoryResult.converged` turns either into a BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .numerics import gauss_legendre
 
 DEFAULT_CELL_BUDGET = 10**6
@@ -48,6 +49,15 @@ class OscillatoryResult:
     cells: int
     budget_exhausted: bool = False
     depth_capped: int = 0  # cells accepted only because they reached the depth cap
+
+    def converged(self, what: str) -> complex:
+        """The value, or BudgetExceededError naming `what` when the cell budget
+        ran out or a cell was accepted only at the depth cap."""
+        if self.budget_exhausted:
+            raise BudgetExceededError(f"{what} exhausted {self.cells} cells")
+        if self.depth_capped:
+            raise BudgetExceededError(f"{what} accepted {self.depth_capped} cells at the depth cap")
+        return self.value
 
 
 def _phase_span(f, lo, mid, hi):

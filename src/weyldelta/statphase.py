@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
-from .oscillate import OscillatoryResult, integrate_1d
+from .errors import PreconditionError
+from .oscillate import integrate_1d
 from .testfn import SmoothWindow
 
 
@@ -52,14 +52,8 @@ def u_dagger_direct(
     def f(x):
         return -r * x + beta * np.log(x) / (2 * math.pi)
 
-    res: OscillatoryResult = integrate_1d(g, f, a, b, tol=tol, budget=budget)
-    if res.budget_exhausted:
-        raise BudgetExceededError(f"W_dagger at r = {r:.6g}, s = {s} exhausted {res.cells} cells")
-    if res.depth_capped:
-        raise BudgetExceededError(
-            f"W_dagger at r = {r:.6g}, s = {s} accepted {res.depth_capped} cells at the depth cap"
-        )
-    return DaggerValue(value=res.value, abs_error_estimate=res.abs_error_estimate)
+    res = integrate_1d(g, f, a, b, tol=tol, budget=budget)
+    return DaggerValue(res.converged(f"W_dagger at r = {r:.6g}, s = {s}"), res.abs_error_estimate)
 
 
 def sharp_weight_0(window: SmoothWindow, sigma: float, x):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CalibrationError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, modular_inverse, unit_phases
+from .numerics import PanelGrid, modular_inverse, tail_norm, unit_phases
 from .specialfn import GammaFactorKind, gamma_factor
 from .testfn import SmoothWindow
 
@@ -289,8 +289,7 @@ def dual_side(
         w_vals = transform.eval(ys, sign=sign, eps_g=eps_g)
         terms = chi_factor * lam * unit_phases(-sign * a_bar_m * ns, inst.c) * w_vals
         total += complex(np.sum(terms))
-        last = terms[int(0.9 * n_cut) :]
-        tail = max(tail, float(np.sqrt(np.sum(np.abs(last) ** 2))))
+        tail = max(tail, tail_norm(terms))
     prefactor = (inst.scale / inst.c) / math.sqrt(big_m)
     if not strip_eta:
         if form.eta is None:

@@ -367,6 +367,24 @@ def test_usage_error_exits_3(capsys, monkeypatch):
     assert "usage" in capsys.readouterr().out
 
 
+def test_verify_refuses_options_its_suite_does_not_read(tmp_path, capsys):
+    # `delta` reads no form; only `scan` and `all` read the scan options
+    csv_path = tmp_path / "x.csv"
+    args = ["verify", "delta", "--form", "/nonexistent.coef", "--csv", str(csv_path), "--t-min", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*args, "--samples", "1"])
+    assert exc.value.code == 3
+    assert "does not read --form, --csv, --t-min, --samples" in capsys.readouterr().err
+    assert not csv_path.exists()
+    scan_options = (("--csv", str(csv_path)), ("--t-min", "3"), ("--t-max", "40"), ("--samples", "1"))
+    for suite in ("delta", "statphase", "voronoi", "pipeline", "afe"):
+        for option, value in scan_options:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["verify", suite, option, value])
+            assert exc.value.code == 3
+            assert f"verify {suite} does not read {option}\n" in capsys.readouterr().err
+
+
 def test_verify_all_suite(tmp_path):
     report_path = tmp_path / "all.json"
     args = ["verify", "all", "--t-min", "10", "--t-max", "40", "--samples", "8"]

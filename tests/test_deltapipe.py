@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weyldelta import deltapipe, numerics, oscillate
+from weyldelta.checks import CHECKS, CheckContext
 from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.forms import constant_form, delta_form, ramanujan_tau
 from weyldelta.numerics import PanelGrid, loglog_slope, primes_in
@@ -72,6 +73,31 @@ def test_character_gates_match_the_divisibility_gate():
         gates = np.array([deltapipe._character_gates(int(k), moduli) for k in d])
         exact = (d[:, None] % np.array(moduli)[None, :] == 0).astype(float)
         assert np.max(np.abs(gates - exact)) < 1e-12
+
+
+def _run_check(name):
+    (check,) = [c for c in CHECKS if c.name == name]
+    return check.run(CheckContext(checks=[check]))
+
+
+def test_quadrature_check_sees_an_off_quadrature(monkeypatch):
+    # its oracle is a fixed rule, so every integrate_1d value 1e-6 off fails it
+    assert _run_check("trivial-delta-quadrature").residual < 1e-14
+    real = oscillate._cell_rules
+
+    def off(g, f, lo, hi):
+        fine, err, mass = real(g, f, lo, hi)
+        return fine * (1 + 1e-6), err, mass
+
+    monkeypatch.setattr(oscillate, "_cell_rules", off)
+    assert not _run_check("trivial-delta-quadrature").passed
+
+
+def test_character_sum_check_sees_a_gate_stuck_at_one(monkeypatch):
+    # the check also evaluates n off the multiples of 13, where the gate is 0
+    assert _run_check("trivial-delta-character-sum").residual < 1e-14
+    monkeypatch.setattr(deltapipe, "_character_gates", lambda d, moduli: np.ones(len(moduli)))
+    assert not _run_check("trivial-delta-character-sum").passed
 
 
 def test_trivial_delta_decay_probe():

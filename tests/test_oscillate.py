@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from weyldelta import oscillate
-from weyldelta.errors import PreconditionError
+from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.numerics import gauss_legendre
-from weyldelta.oscillate import integrate_1d
+from weyldelta.oscillate import OscillatoryResult, integrate_1d
 from weyldelta.testfn import make_window_u, make_window_v
 
 # int_0^1 e(x^2) dx at 40 digits
@@ -207,6 +207,16 @@ def test_budget_flag_returns_partial():
     )
     assert res.budget_exhausted
     assert res.cells >= 10
+
+
+def test_converged_returns_the_value_or_names_the_failure():
+    assert OscillatoryResult(1.5 + 2j, 1e-14, 7).converged("x") == 1.5 + 2j
+    exhausted = OscillatoryResult(0.1j, 1e-3, 11, budget_exhausted=True, depth_capped=2)
+    with pytest.raises(BudgetExceededError, match=r"^the probe exhausted 11 cells$"):
+        exhausted.converged("the probe")
+    capped = OscillatoryResult(2.0, 1e-3, 90, depth_capped=3)
+    with pytest.raises(BudgetExceededError, match=r"^the probe accepted 3 cells at the depth cap$"):
+        capped.converged("the probe")
 
 
 def test_tolerance_must_be_positive():

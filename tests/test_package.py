@@ -34,6 +34,37 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def convergence_flag_reads(source: str):
+    """(line, name) of every read of an OscillatoryResult convergence flag."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in ("budget_exhausted", "depth_capped")
+    )
+
+
+def test_the_guard_sees_a_convergence_flag_read():
+    source = (
+        "res = integrate_1d(g, f, 0.0, 1.0)\n"
+        "if res.depth_capped or res.value:\n"
+        "    res.budget_exhausted = True\n"
+        "report = {'budget_exhausted': res.budget_exhausted}\n"
+    )
+    assert convergence_flag_reads(source) == [(2, "depth_capped"), (4, "budget_exhausted")]
+
+
+def test_only_oscillate_reads_the_convergence_flags():
+    # the rule that turns them into an error is OscillatoryResult.converged
+    reads = {
+        path.name: convergence_flag_reads(path.read_text(encoding="utf-8"))
+        for path in MODULES
+        if path.name != "oscillate.py"
+    }
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
 # Library names that no library module and no perfbench script reaches: each
 # is the oracle of the named test (or, for multiplicative_extension, the
 # fixture generator that the level and nebentypus forms of ROADMAP item 1
