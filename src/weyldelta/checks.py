@@ -457,8 +457,9 @@ def _dual_stability(ctx):
 
 # -- afe: central values, then the coefficient-side checks (criteria 8, 9) ---
 #
-# For the discriminant form the AFE reads 5920 coefficients at t = 0 and
-# 7691 at t = +-5 (AfeConfig.resolved_n_afe); the declared counts round up.
+# For the discriminant form the AFE reads 5920 coefficients at t = 0, 6001
+# at t = 1 and 7691 at t = +-5 (AfeConfig.resolved_n_afe); the declared
+# counts round up, except the exact 6001.
 
 
 def _afe(ctx: CheckContext, key: str, t: float):
@@ -474,6 +475,18 @@ def _afe_two_weight(ctx):
     other = afe_value(ctx.form(), 0.0, AfeConfig(weight=weight_quartic))
     values = {"central_value": fmt_complex(base.value), "n_used": base.n_used}
     return abs(base.value - other.value), 1e-6, values
+
+
+@_check(
+    "afe-two-weight-off-center", "weight-independence-off-center", "afe", 8, coefficients=6001
+)
+def _afe_two_weight_off_center(ctx):
+    # at t = 0 a self-dual form gives L = (1 + eps) x (first sum) under every
+    # weight, so only t != 0 sees the root number: on the discriminant form a
+    # wrong eps (-1 or i) moves this residual from ~1e-11 to ~0.1
+    weights = (AfeConfig(), AfeConfig(weight=weight_quartic))
+    base, other = (afe_value(ctx.form(), 1.0, cfg) for cfg in weights)
+    return abs(base.value - other.value), 1e-6, {"value": fmt_complex(base.value)}
 
 
 @_check("afe-central-reality", "self-dual-central-reality", "afe", 8, coefficients=6000)

@@ -21,11 +21,14 @@ from the determinism guarantee (identical suite and seed reproduce the
 rest byte for byte). Scan/probe points go to CSV with a header row and
 plain decimal formatting. `verify --budget` (default: the env variable
 WEYL_DELTA_BUDGET) caps the oscillatory-quadrature cell count and the
-stratum-sum evaluation count. Exit codes: 0 all checks pass, 1 check
-failure, 2 budget exhausted, 3 input error (a usage error, an unreadable
-or invalid form file, a form with fewer coefficients than a check reads,
-or a scan grid too sparse for its fit); a check that raises a
-CalibrationError or PreconditionError fails, its entry naming the error.
+stratum-sum evaluation count. An option that the suite never reads is a
+usage error: `--seed` is read by delta and statphase, `--budget` also by
+pipeline (`all` reads both), and the scan suite and command read neither.
+Exit codes: 0 all checks pass, 1 check failure, 2 budget exhausted, 3
+input error (a usage error, an unreadable or invalid form file, a form
+with fewer coefficients than a check reads, or a scan grid too sparse for
+its fit); a check that raises a CalibrationError or PreconditionError
+fails, its entry naming the error.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 SCAN_DEFAULTS = {"csv": None, "t_min": 10.0, "t_max": 500.0, "samples": 200}  # scan suite only
+READERS = {"seed": ("delta", "statphase", "all"), "budget": ("delta", "statphase", "pipeline", "all")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,8 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run = argparse.ArgumentParser(add_help=False)  # what `verify` and `scan` both take
     run.add_argument("--form", dest="form_path")
     run.add_argument("--output", dest="output_path")
-    run.add_argument("--seed", type=_count, default=0)
-    unset = argparse.SUPPRESS  # until SCAN_DEFAULTS fills them in, after `verify` vets them
+    unset = argparse.SUPPRESS  # until the defaults fill them in, after they are vetted
+    run.add_argument("--seed", type=_count, default=unset)
     run.add_argument("--csv", default=unset)
     run.add_argument("--t-min", type=_finite, default=unset)
     run.add_argument("--t-max", type=_finite, default=unset)
@@ -151,12 +155,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_verify = sub.add_parser("verify", parents=[run], help="run a verification suite")
     p_verify.add_argument("suite", choices=[*SUITES, "all"])
-    # argparse parses a string default like the option itself, so a
-    # malformed WEYL_DELTA_BUDGET is a usage error too
     p_verify.add_argument(
         "--budget",
         type=int,
-        default=os.environ.get("WEYL_DELTA_BUDGET") or None,
+        default=unset,
         help="quadrature cell and stratum-sum evaluation cap (default: $WEYL_DELTA_BUDGET)",
     )
 
@@ -174,14 +176,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_imp.add_argument("path")
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        ignored = ["form"] if args.suite == "delta" and args.form_path else []  # reads no form
-        if args.suite not in ("scan", "all"):
+    if args.command in ("verify", "scan"):
+        suite = args.suite if args.command == "verify" else "scan"
+        ignored = ["form"] if suite == "delta" and args.form_path else []  # reads no form
+        ignored += [name for name, suites in READERS.items() if name in args and suite not in suites]
+        if suite not in ("scan", "all"):
             ignored += [name for name in SCAN_DEFAULTS if name in args]
         if ignored:
             options = ", ".join("--" + name.replace("_", "-") for name in ignored)
-            p_verify.error(f"verify {args.suite} does not read {options}")
-    args = argparse.Namespace(**{**SCAN_DEFAULTS, **vars(args)})
+            command = f"verify {suite}" if args.command == "verify" else "scan"
+            sub.choices[args.command].error(f"{command} does not read {options}")
+    budget = os.environ.get("WEYL_DELTA_BUDGET") or None
+    if args.command == "verify" and "budget" not in args and budget is not None:
+        # the environment's budget stands in for --budget, silently where no check reads it
+        try:
+            args.budget = int(budget)
+        except ValueError:
+            p_verify.error(f"argument --budget: invalid int value: {budget!r}")
+    args = argparse.Namespace(**{**SCAN_DEFAULTS, "seed": 0, "budget": None, **vars(args)})
 
     try:
         if args.command == "export-form":
@@ -205,10 +217,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(result.line())
             return EXIT_OK if result.passed else EXIT_CHECK_FAILED
         # verify and scan
-        suite = "scan" if args.command == "scan" else args.suite
         ctx = CheckContext(
             seed=args.seed,
-            budget=getattr(args, "budget", None),
+            budget=args.budget,
             form_path=args.form_path,
             scan_grid=np.linspace(args.t_min, args.t_max, args.samples),
             checks=checks_for(suite),

@@ -26,11 +26,11 @@ The weight decays superpolynomially past n ~ (1+|t|) sqrt(M), so the sums
 are effectively that long; truncation defaults carry a x3 margin.
 
 The contour is a finite sum over |Im u| <= V_CUT, so y^a V_s(y) is
-band-limited in log y. `afe_value` therefore evaluates V_s and V_(1-s) by
-contour quadrature at m Chebyshev points of [log y_1, log y_n] only, with
-m = chebyshev_size(V_CUT (log y_n - log y_1) / 2), and interpolates both to
-every n with one shared barycentric matrix (Berrut & Trefethen, SIAM Rev.
-46 (2004)); see :func:`afe_weight_pair`.
+band-limited in log y. :func:`afe_values` takes V_s and V_(1-s), for every
+t at once, by contour quadrature at the m = chebyshev_size(V_CUT (log y_n -
+log y_1) / 2) Chebyshev points of [log y_1, log y_n] only (n the longest
+sum), and reaches every n by one barycentric matrix that all t share
+(Berrut & Trefethen, SIAM Rev. 46 (2004)); :func:`afe_weight` is the direct route.
 """
 
 from __future__ import annotations
@@ -44,16 +44,16 @@ import numpy as np
 
 from .errors import PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_fit, tail_norm
+from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_fit
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
 # the weight's contour: v in [-V_CUT, V_CUT] (u = abscissa + iv), V_PANELS panels
 V_CUT = 13.0
 V_PANELS = 70
-# rows of the barycentric matrix built at a time: a block (~1.5 MB) stays in
-# cache, and the whole (n x m) matrix is never held
-INTERP_BLOCK = 2048
+# rows of n per block of the sums and t per contour pass: no (n x m) or (n x t) table is held
+ROW_BLOCK = 256
+T_BLOCK = 8
 TAIL_FRACTION = 1e-3  # scan records above this tail/value ratio are flagged
 SCAN_WINDOWS = 12  # the growth exponent is fitted to the |L| maxima of this many windows
 
@@ -91,11 +91,8 @@ def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
 
 @dataclass(frozen=True)
 class AfeConfig:
-    """Weight function, contour abscissa and truncations for the AFE.
-
-    The contour's v range and panels are the module constants V_CUT and
-    V_PANELS.
-    """
+    """Weight function, contour abscissa and truncations for the AFE (the
+    contour's v range and panels are the module constants V_CUT and V_PANELS)."""
 
     weight: Callable = weight_gaussian
     abscissa: float = 1.0
@@ -131,9 +128,6 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     v-integral for every y is a sum over the factored v grid: per y, about
     2 sqrt(V_PANELS) + 16 complex exponentials and one row of a
     (len(ys) x 16) @ (16 x V_PANELS) product.
-
-    This is the direct route: :func:`afe_weight_pair` calls it at its
-    Chebyshev points only and interpolates the rest.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys <= 0):
@@ -149,36 +143,6 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     return np.exp(-a * log_y) * grid.sums_at_freqs(log_y, core) / TWO_PI
 
 
-def afe_weight_pair(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np.ndarray:
-    """(V_s(y), V_(1-s)(y)) as the two columns of a (len(ys), 2) array.
-
-    `ys` must increase. y^a V(y) is a sum of exp(-i v log y) over
-    |v| <= V_CUT, so on [log y_1, log y_n] its bandwidth is exactly
-    omega = V_CUT (log y_n - log y_1) / 2. Both weights come from
-    :func:`afe_weight` at the m = chebyshev_size(omega) Chebyshev points
-    (87 for the 5920-term sum at t = 0; 69 to 97 over the scan's t in
-    [10, 500], where the sums run to 27300 terms) and reach every y by one
-    (len(ys) x m) @ (m x 2) barycentric product, built and applied
-    INTERP_BLOCK rows at a time. A sum shorter than m takes the same
-    route: for 40 terms (m = 54) both columns are within 1e-13 of
-    :func:`afe_weight` at the ys themselves.
-    """
-    log_y = np.log(ys)
-    m = chebyshev_size(V_CUT * (log_y[-1] - log_y[0]) / 2)
-    lo, hi, block = log_y[0], log_y[-1], INTERP_BLOCK
-    nodes, interp = chebyshev_interpolant(lo, hi, m, log_y[:block])
-    y_nodes = np.exp(nodes)
-    a = cfg.abscissa
-    nodal = [afe_weight(form, s, y_nodes, cfg), afe_weight(form, 1 - s, y_nodes, cfg)]
-    # the matrix is real: real (block x m) @ (m x 4) products on the (re, im) pairs
-    banded = (y_nodes[:, None] ** a * np.column_stack(nodal)).view(float)
-    out = np.empty((len(ys), 4))
-    out[:block] = interp @ banded
-    for i in range(block, len(ys), block):
-        out[i : i + block] = chebyshev_interpolant(lo, hi, m, log_y[i : i + block])[1] @ banded
-    return np.exp(-a * log_y)[:, None] * out.view(complex)
-
-
 @dataclass
 class AfeValue:
     value: complex
@@ -186,35 +150,75 @@ class AfeValue:
     tail_estimate: float
 
 
-def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeValue:
-    """L(1/2 + it) by the approximate functional equation (R taken as 0).
+def _nodal_weights(form: CuspForm, ts: np.ndarray, log_nodes: np.ndarray, cfg: AfeConfig):
+    """y^a V_s(y), y^a V_(1-s)(y) at y = exp(log_nodes) for each s = 1/2 + it,
+    as a real (nodes, t, 4) array: :func:`afe_weight`'s contour, T_BLOCK t at
+    a time. With 1 - s = conj(s) and the v nodes symmetric, V_(1-s)'s gamma
+    ratio is V_s's conjugated and reversed in v."""
+    grid = PanelGrid(-V_CUT, V_CUT, V_PANELS, 16)
+    u = cfg.abscissa + 1j * grid.nodes
+    pre = grid.weights * np.asarray(cfg.weight(u)) / (u * TWO_PI)
+    out = np.empty((len(log_nodes), len(ts), 2), dtype=complex)
+    for i in range(0, len(ts), T_BLOCK):
+        s = 0.5 + 1j * ts[i : i + T_BLOCK, None]
+        ratio = np.exp(log_gamma_quotient_factor(form, s + u) - log_gamma_quotient_factor(form, s))
+        core = np.stack([ratio, ratio[:, ::-1].conj()], axis=1) * pre
+        sums = grid.sums_at_freqs(log_nodes, core.reshape(-1, len(u)).T)
+        out[:, i : i + T_BLOCK] = sums.reshape(len(log_nodes), -1, 2)
+    return out.view(float)
 
-    Needs the form's root number; coefficients must reach the resolved
-    truncation length.
+
+def afe_values(
+    form: CuspForm, ts: Sequence[float], cfg: Optional[AfeConfig] = None
+) -> List[AfeValue]:
+    """L(1/2 + it) for each t in `ts`, in order, by the AFE (R taken as 0).
+
+    Needs the form's root number; coefficients must reach the longest
+    resolved truncation, and each t sums its own n_afe terms. Each block of
+    ROW_BLOCK rows of the barycentric matrix takes the n^(-it) phases of the
+    t whose sums reach it. V_(1-s) takes V_s's gamma ratio conjugated, as
+    1 - s = conj(s): the gamma factor and `cfg.weight` must satisfy
+    g(conj z) = conj g(z), as every admitted factor (real weight, real or
+    imaginary ell) and both built-in weights do.
     """
     cfg = cfg or AfeConfig()
     if form.epsilon_f is None:
         raise PreconditionError("form has no root number; the reflected term is unavailable")
-    n_afe = cfg.resolved_n_afe(form, t)
-    s = 0.5 + 1j * t
-    sqrt_m = math.sqrt(form.level)
-    ns = np.arange(1, n_afe + 1, dtype=float)
-    lam = form.lam_slice(n_afe)
-    weights = afe_weight_pair(form, s, ns / sqrt_m, cfg)
+    ts = np.asarray(ts, dtype=float)
+    n_afe = np.array([cfg.resolved_n_afe(form, float(t)) for t in ts])
+    lam = form.lam_slice(int(n_afe.max(initial=1)))
+    log_n = np.log(np.arange(1, len(lam) + 1, dtype=float))
+    log_y = log_n - 0.5 * math.log(form.level)
+    lo, hi = log_y[0], log_y[-1]
+    m = chebyshev_size(V_CUT * (hi - lo) / 2)
+    banded = _nodal_weights(form, ts, chebyshev_interpolant(lo, hi, m, [])[0], cfg)
+    # lambda(n) n^(-1/2) y^(-a), and its conjugate for the reflected sum
+    scale = np.exp(-0.5 * log_n - cfg.abscissa * log_y)
+    coef = np.stack([lam, lam.conj()], axis=1) * scale[:, None]
+    sums = np.zeros((len(ts), 2), dtype=complex)
+    tail_sq = np.zeros((len(ts), 2))
+    for i in range(0, len(lam), ROW_BLOCK):
+        rows = np.arange(i, min(i + ROW_BLOCK, len(lam)))
+        live = n_afe > i  # the t whose sums reach this block
+        interp = chebyshev_interpolant(lo, hi, m, log_y[rows])[1]
+        terms = (interp @ banded[:, live].reshape(m, -1)).view(complex).reshape(len(rows), -1, 2)
+        phase = np.exp(-1j * np.outer(log_n[rows], ts[live]))
+        terms *= coef[rows, None, :] * np.stack([phase, phase.conj()], axis=2)
+        terms[rows[:, None] >= n_afe[live]] = 0
+        sums[live] += terms.sum(axis=0)
+        tail = rows[:, None] >= (0.9 * n_afe[live]).astype(int)  # tail_norm's last tenth
+        tail_sq[live] += np.sum(np.abs(terms) ** 2 * tail[:, :, None], axis=0)
+    lg_s = log_gamma_quotient_factor(form, 0.5 + 1j * ts)
+    # eps M^(1/2 - s) gamma(f, 1 - s) / gamma(f, s), with gamma(f, 1 - s) = conj gamma(f, s)
+    reflect = form.epsilon_f * np.exp(-1j * ts * math.log(form.level) + lg_s.conj() - lg_s)
+    values = sums[:, 0] + reflect * sums[:, 1]
+    tails = np.sqrt(tail_sq).sum(axis=1)
+    return [AfeValue(complex(v), int(n), float(tl)) for v, n, tl in zip(values, n_afe, tails)]
 
-    terms_1 = lam * np.exp(-s * np.log(ns)) * weights[:, 0]
-    first = complex(np.sum(terms_1))
 
-    terms_2 = np.conj(lam) * np.exp(-(1 - s) * np.log(ns)) * weights[:, 1]
-    reflect_factor = form.epsilon_f * cmath.exp(
-        (0.5 - s) * math.log(form.level)
-        + log_gamma_quotient_factor(form, 1 - s)
-        - log_gamma_quotient_factor(form, s)
-    )
-    second = complex(reflect_factor * np.sum(terms_2))
-
-    tail = tail_norm(terms_1) + tail_norm(terms_2)
-    return AfeValue(value=first + second, n_used=n_afe, tail_estimate=tail)
+def afe_value(form: CuspForm, t: float, cfg: Optional[AfeConfig] = None) -> AfeValue:
+    """L(1/2 + it) by :func:`afe_values` at the one t."""
+    return afe_values(form, [t], cfg)[0]
 
 
 @dataclass
@@ -262,7 +266,7 @@ def scan_length(form: CuspForm, t_grid: Sequence[float]) -> int:
 
 
 def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
-    """|L(1/2+it)| over the grid, by `afe_value` at SCAN_CONFIG, plus a
+    """|L(1/2+it)| over the grid, by one `afe_values` call at SCAN_CONFIG, plus a
     fitted growth exponent.
 
     The exponent comes from the maxima of SCAN_WINDOWS windows (the scan
@@ -270,8 +274,7 @@ def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
     """
     t_grid = _scan_grid(t_grid)
     records = []
-    for t in t_grid:
-        res = afe_value(form, float(t), SCAN_CONFIG)
+    for t, res in zip(t_grid, afe_values(form, t_grid, SCAN_CONFIG)):
         l_abs = abs(res.value)
         flagged = res.tail_estimate >= TAIL_FRACTION * max(l_abs, 1e-30)
         records.append(ScanRecord(float(t), l_abs, res.n_used, res.tail_estimate, flagged))
@@ -281,15 +284,12 @@ def growth_scan(form: CuspForm, t_grid: Sequence[float]) -> ScanResult:
     edges[0], edges[-1] = t_grid[0], t_grid[-1]
     maxima = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = [r for r in records if lo <= r.t <= hi]
+        sel = [r.l_abs for r in records if lo <= r.t <= hi]
         if sel:
-            best = max(sel, key=lambda r: r.l_abs)
-            maxima.append((math.sqrt(lo * hi), best.l_abs))
+            maxima.append((math.sqrt(lo * hi), max(sel)))
     if len(maxima) < 2:
         raise PreconditionError(
             f"the scan grid fills {len(maxima)} of {SCAN_WINDOWS} windows; the exponent fit needs 2"
         )
-    xs = [m[0] for m in maxima]
-    vals = [m[1] for m in maxima]
-    slope, _, se = loglog_fit(xs, vals)
+    slope, _, se = loglog_fit(*zip(*maxima))
     return ScanResult(records=records, exponent=slope, exponent_stderr=se, window_maxima=maxima)

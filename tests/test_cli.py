@@ -84,7 +84,7 @@ def registry_names(suite):
 
 def test_verify_voronoi_suite(tmp_path):
     report_path = tmp_path / "report.json"
-    assert run_cli(["verify", "voronoi", "--output", str(report_path), "--seed", "1"]) == 0
+    assert run_cli(["verify", "voronoi", "--output", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert [c["name"] for c in report["checks"]] == registry_names("voronoi")
     assert report["all_passed"] is True
@@ -208,6 +208,23 @@ def test_registry_entries_and_suites():
     assert checks_for("all") == [check for suite in documented for check in checks_for(suite)]
 
 
+def test_a_wrong_root_number_fails_the_off_center_two_weight_entry(tmp_path):
+    # at t = 0 the two weights agree whatever eps is; at t = 1 only the right one passes
+    (entry,) = [check for check in CHECKS if check.name == "afe-two-weight-off-center"]
+    assert (entry.suite, entry.criterion, entry.coefficients) == ("afe", 8, 6001)
+    path = tmp_path / "delta.coef"
+    export_form(delta_form(6001), str(path))
+    text = path.read_text()
+    for eps, passed in (("1.0", True), ("-1.0", False), ("1j", False)):
+        variant = tmp_path / f"eps{eps}.coef"
+        variant.write_text(text.replace("#eps_f 1.0\n", f"#eps_f {eps}\n"))
+        ctx = CheckContext(form_path=str(variant), checks=[entry])
+        result = entry.run(ctx)
+        assert ctx.form().epsilon_f == complex(eps)
+        assert result.residual is not None and result.passed is passed
+        assert result.line().startswith("[PASS]" if passed else "[FAIL]")
+
+
 def test_verify_report_deterministic(tmp_path):
     p1 = tmp_path / "r1.json"
     p2 = tmp_path / "r2.json"
@@ -311,7 +328,7 @@ def test_calibrate_is_the_verify_voronoi_fit(tmp_path, monkeypatch):
     payload = json.loads(out.read_text())
     monkeypatch.undo()
     report_path = tmp_path / "voronoi.json"
-    assert run_cli(["verify", "voronoi", "--seed", "1", "--output", str(report_path)]) == 0
+    assert run_cli(["verify", "voronoi", "--output", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     fit = next(c for c in report["checks"] if c["name"] == "eta-calibration")["values"]
     assert payload["eta"] == report["calibration"]["eta"] == fit["eta"]
@@ -383,6 +400,32 @@ def test_verify_refuses_options_its_suite_does_not_read(tmp_path, capsys):
                 run_cli(["verify", suite, option, value])
             assert exc.value.code == 3
             assert f"verify {suite} does not read {option}\n" in capsys.readouterr().err
+
+
+def test_seed_and_budget_are_refused_where_no_check_reads_them(capsys):
+    # --seed draws in delta and statphase only, --budget caps those and pipeline
+    refused = [
+        *((["verify", s, "--seed", "1"], "--seed") for s in ("voronoi", "pipeline", "afe", "scan")),
+        *((["verify", s, "--budget", "1"], "--budget") for s in ("voronoi", "afe", "scan")),
+        (["verify", "voronoi", "--seed", "7", "--budget", "1"], "--seed, --budget"),
+        (["scan", "--seed", "1"], "--seed"),
+    ]
+    for args, options in refused:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 3
+        command = "scan" if args[0] == "scan" else " ".join(args[:2])
+        assert f"{command} does not read {options}\n" in capsys.readouterr().err
+    # the scan command takes no --budget at all
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scan", "--budget", "1"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --budget 1" in capsys.readouterr().err
+
+
+def test_environment_budget_is_silent_where_no_check_reads_it(monkeypatch, tmp_path):
+    monkeypatch.setenv("WEYL_DELTA_BUDGET", "3")
+    assert run_cli(["verify", "afe", "--output", str(tmp_path / "afe.json")]) == 0
 
 
 def test_verify_all_suite(tmp_path):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,19 +12,26 @@ from weyldelta.forms import constant_form, delta_form
 from weyldelta.lfunc import (
     AfeConfig,
     afe_value,
+    afe_values,
     afe_weight,
-    afe_weight_pair,
     growth_scan,
     log_gamma_quotient_factor,
     scan_length,
     weight_quartic,
 )
-from weyldelta.numerics import PanelGrid, chebyshev_size
+from weyldelta.numerics import PanelGrid, chebyshev_size, tail_norm
+from weyldelta.specialfn import maass_kind
 
 
 @pytest.fixture(scope="module")
 def form():
     return delta_form(20000)
+
+
+@pytest.fixture(scope="module")
+def form30k():
+    """Long enough for the scan's sums to t = 500."""
+    return delta_form(30000)
 
 
 def test_central_value_real(form):
@@ -119,46 +128,112 @@ def test_weight_is_refinement_stable_at_high_t(form, monkeypatch):
         assert np.max(np.abs(afe_weight(form, s, ys, cfg) - coarse)) <= 1e-10
 
 
+def direct_afe(form, t, cfg):
+    """L(1/2 + it) by the per-t formula with :func:`afe_weight` at every n and
+    both gamma quotients evaluated (oracle of `afe_values`)."""
+    n_afe = cfg.resolved_n_afe(form, t)
+    s = 0.5 + 1j * t
+    ns = np.arange(1, n_afe + 1, dtype=float)
+    ys = ns / math.sqrt(form.level)
+    lam = form.lam_slice(n_afe)
+    terms_1 = lam * np.exp(-s * np.log(ns)) * afe_weight(form, s, ys, cfg)
+    terms_2 = np.conj(lam) * np.exp(-(1 - s) * np.log(ns)) * afe_weight(form, 1 - s, ys, cfg)
+    reflect = form.epsilon_f * cmath.exp(
+        (0.5 - s) * math.log(form.level)
+        + log_gamma_quotient_factor(form, 1 - s)
+        - log_gamma_quotient_factor(form, s)
+    )
+    value = complex(np.sum(terms_1) + reflect * np.sum(terms_2))
+    return lfunc.AfeValue(value, n_afe, tail_norm(terms_1) + tail_norm(terms_2))
+
+
+def assert_matches_direct(got, ref):
+    assert got.n_used == ref.n_used
+    assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+    # a tail under 1e-10 |L| is made of weights at rounding level (the
+    # quartic weight's at t = 0 reads 6.7e-15, and any two routes to it
+    # differ by ~2e-7 of it), so its own size is not the scale there
+    scale = max(ref.tail_estimate, 1e-10 * abs(ref.value))
+    assert abs(got.tail_estimate - ref.tail_estimate) <= 1e-10 * scale
+
+
 INTERPOLATION_CASES = [
     pytest.param(cfg, t, id=f"{name}-t{t:g}")
     for name, cfg in (("gaussian", AfeConfig()), ("quartic", AfeConfig(weight=weight_quartic)))
-    for t in (0.0, 5.0, 10.0)
+    for t in (0.0, 5.0, -5.0, 10.0)
 ] + [pytest.param(lfunc.SCAN_CONFIG, t, id=f"scan-t{t:g}") for t in (250.0, 500.0)]
 
 
 @pytest.mark.parametrize("cfg, t", INTERPOLATION_CASES)
-def test_interpolated_weights_match_the_direct_route(form, cfg, t):
-    # every y = n / sqrt(M) of the AFE sum, for V_s and V_(1-s)
-    ys = np.arange(1, cfg.resolved_n_afe(form, t) + 1, dtype=float)
-    assert chebyshev_size(lfunc.V_CUT * math.log(ys[-1]) / 2) < len(ys)  # not the short-sum branch
-    s = 0.5 + 1j * t
-    pair = afe_weight_pair(form, s, ys, cfg)
-    for column, s_col in enumerate((s, 1 - s)):
-        assert np.max(np.abs(pair[:, column] - afe_weight(form, s_col, ys, cfg))) <= 1e-13
+def test_interpolated_weights_match_the_direct_route(form30k, cfg, t):
+    # the shared Chebyshev interpolant against afe_weight at every y = n / sqrt(M)
+    ys = np.arange(1, cfg.resolved_n_afe(form30k, t) + 1, dtype=float)
+    assert chebyshev_size(lfunc.V_CUT * math.log(ys[-1]) / 2) < len(ys)
+    (got,) = afe_values(form30k, [t], cfg)
+    assert_matches_direct(got, direct_afe(form30k, t, cfg))
 
 
 def test_short_sums_interpolate_to_the_direct_weights(form):
     # 40 terms span log 40 in log y, which asks for chebyshev_size(24) = 54
     # points: more than the terms, and the interpolant still meets the
     # direct weights
-    ys = np.arange(1, 41, dtype=float)
-    s = 0.5 + 5j
-    pair = afe_weight_pair(form, s, ys, AfeConfig())
-    assert np.max(np.abs(pair[:, 0] - afe_weight(form, s, ys, AfeConfig()))) <= 1e-13
-    assert np.max(np.abs(pair[:, 1] - afe_weight(form, 1 - s, ys, AfeConfig()))) <= 1e-13
+    cfg = AfeConfig(n_afe=40)
+    assert_matches_direct(afe_value(form, 5.0, cfg), direct_afe(form, 5.0, cfg))
 
 
 @pytest.mark.parametrize("cfg, t", [(AfeConfig(), 5.0), (lfunc.SCAN_CONFIG, 250.0)])
-def test_afe_value_matches_the_direct_weights(form, cfg, t, monkeypatch):
-    value = afe_value(form, t, cfg).value
-    monkeypatch.setattr(
-        lfunc,
-        "afe_weight_pair",
-        lambda form, s, ys, cfg: np.column_stack(
-            [afe_weight(form, s, ys, cfg), afe_weight(form, 1 - s, ys, cfg)]
-        ),
-    )
-    assert abs(afe_value(form, t, cfg).value - value) <= 1e-12 * abs(value)
+def test_afe_value_matches_the_direct_weights(form30k, cfg, t):
+    # inside an unsorted batch whose longest sum (at 2t) sets the Chebyshev
+    # interval, and beside a sum of the same length at -t, t keeps its own
+    # truncation and value
+    batch = afe_values(form30k, [-t, 2 * t, t], cfg)
+    assert [v.n_used for v in batch] == [cfg.resolved_n_afe(form30k, x) for x in (-t, 2 * t, t)]
+    assert_matches_direct(batch[2], direct_afe(form30k, t, cfg))
+    assert abs(batch[0].value - np.conj(batch[2].value)) <= 1e-12 * abs(batch[2].value)
+
+
+@pytest.mark.parametrize(
+    "kind", [None, maass_kind(9.5, 0), maass_kind(4.2, 1), maass_kind(0.2j, 0)],
+    ids=["delta", "maass-even", "maass-odd", "maass-exceptional"],
+)
+def test_reflected_ratio_is_the_conjugated_contour(form, kind):
+    # V_(1-s) from V_s's gamma ratio conjugated and reversed in v, against
+    # the contour taken at 1 - s itself. At t = 250 |log gamma| is ~800, and
+    # its last-bit rounding alone moves V at small y by up to 6e-13 between
+    # the two, so the bound there is 1e-12.
+    shape = form if kind is None else types.SimpleNamespace(kind=kind)
+    cfg = AfeConfig()
+    ts = np.array([0.0, 5.0, -12.0, 60.0, 250.0])
+    log_nodes = np.linspace(-1.0, math.log(30000.0), 40)
+    nodal = lfunc._nodal_weights(shape, ts, log_nodes, cfg).view(complex)
+    ys = np.exp(log_nodes)
+    for j, t in enumerate(ts):
+        for column, s in enumerate((0.5 + 1j * t, 0.5 - 1j * t)):
+            ref = afe_weight(shape, s, ys, cfg)
+            bound = 1e-12 if t == 250.0 else 1e-13
+            assert np.max(np.abs(nodal[:, j, column] / ys - ref)) <= bound
+
+
+def test_a_scan_grid_gives_the_records_of_single_t_calls(form):
+    grid = np.linspace(10.0, 250.0, 20)
+    scan = growth_scan(form, grid)
+    for record, t in zip(scan.records, grid):
+        single = afe_value(form, t, lfunc.SCAN_CONFIG)
+        assert record.t == t and record.n_used == single.n_used
+        assert record.l_abs == pytest.approx(abs(single.value), rel=1e-12)
+        assert record.tail_estimate == pytest.approx(single.tail_estimate, rel=1e-10)
+        assert record.flagged == (single.tail_estimate >= lfunc.TAIL_FRACTION * abs(single.value))
+
+
+def test_growth_scan_memory_stays_flat(form30k):
+    # the per-t route peaked at 7.9 MiB; the t axis held whole, at 57 MiB
+    tracemalloc.start()
+    try:
+        growth_scan(form30k, np.linspace(10.0, 500.0, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_weight_approaches_one_at_origin(form):
@@ -199,7 +274,7 @@ def test_growth_scan_smoke(form):
 def inject_values(monkeypatch, value_at):
     """The scan reads |L(1/2 + it)| = value_at(t) instead of evaluating the AFE."""
     monkeypatch.setattr(
-        lfunc, "afe_value", lambda form, t, cfg: lfunc.AfeValue(value_at(t), 0, 0.0)
+        lfunc, "afe_values", lambda form, ts, cfg: [lfunc.AfeValue(value_at(t), 0, 0.0) for t in ts]
     )
 
 

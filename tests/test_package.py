@@ -74,6 +74,7 @@ ORACLES = {
     "DualKernel.vdag": "tests/test_deltapipe.py::test_kernel_vdag_matches_per_node_table",
     "edges_rule": "tests/test_voronoi.py::test_transform_matches_adaptive_edge_routes",
     "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",
+    "afe_weight": "tests/test_lfunc.py::test_interpolated_weights_match_the_direct_route",
 }
 
 REPO = Path(weyldelta.__file__).resolve().parents[2]
