@@ -67,7 +67,10 @@ def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = 
 
 @functools.lru_cache(maxsize=4096)
 def _fourier_v(theta: float, budget: Optional[int] = None) -> complex:
-    """int e(theta x) V(x) dx over the V support (the budget is part of the cache key)."""
+    """int e(theta x) V(x) dx over the V support (the budget is part of the cache key).
+    V is real, so a negative theta reads its positive twin's conjugate, bit for bit."""
+    if theta < 0:
+        return _fourier_v(-theta, budget).conjugate()
     return _window_fourier(WINDOW_V, theta, budget)
 
 
@@ -151,13 +154,27 @@ def trivial_delta(n: int, q: int, X: float, budget: Optional[int] = None) -> com
     return _window_fourier(WINDOW_V, n / X, budget)
 
 
+@functools.lru_cache(maxsize=16)
+def _gate_table(moduli: Tuple[int, ...]):
+    """The residues alpha of every q in `moduli` end to end, each with its q, modulus
+    index and block start, and the roots e(alpha / q) alongside; all read-only."""
+    q_each = np.asarray(moduli)
+    starts, owner = np.cumsum(q_each) - q_each, np.repeat(np.arange(q_each.size), q_each)
+    base, q = starts[owner], q_each[owner]
+    alpha = np.arange(q.size) - base
+    table = (q_each, starts, owner, base, q, alpha, np.exp(2j * np.pi * alpha / q))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def _character_gates(d: int, moduli) -> np.ndarray:
     """(1/q) sum_{alpha mod q} e(d alpha / q) for each q in `moduli`, summed
-    numerically in one pass over all their residues: the oracle of [q | d]."""
-    moduli = np.asarray(moduli)
-    starts, q = np.cumsum(moduli) - moduli, np.repeat(moduli, moduli)
-    alpha = np.arange(q.size) - np.repeat(starts, moduli)
-    return np.add.reduceat(np.exp(2j * np.pi * ((d * alpha) % q) / q), starts) / moduli
+    numerically in one pass over all their residues: the oracle of [q | d].
+    d is reduced mod each q in exact integers first, so no product wraps."""
+    q_each, starts, owner, base, q, alpha, roots = _gate_table(tuple(moduli))
+    d_mod = np.array([d % int(p) for p in q_each])
+    return np.add.reduceat(roots[base + (d_mod[owner] * alpha) % q], starts) / q_each
 
 
 def trivial_delta_alpha_sum(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:

@@ -8,9 +8,11 @@ checks always cross-validate against independent oracles.
 
 `integrate_1d` works on one depth of the cell tree per pass, so g and f
 are called on flat arrays of many cells' nodes (at most EVAL_CELLS = 128
-cells, 24 nodes each, per call) instead of once per cell. Its value, error
-estimate and cell count equal those of a depth-first loop over single
-cells bit for bit (tests/test_oscillate.py keeps that loop as the oracle).
+cells, 24 nodes each, per call) instead of once per cell. The phase span
+that decides which cells of a depth split is one f call on all their ends
+and midpoints. Its value, error estimate and cell count equal those of a
+depth-first loop over single cells bit for bit (tests/test_oscillate.py
+keeps that loop as the oracle).
 A cell reaching MAX_DEPTH is accepted and counted in `depth_capped`; an
 exhausted cell budget sets `budget_exhausted` and returns the partial sum.
 `OscillatoryResult.converged` turns either into a BudgetExceededError.
@@ -61,11 +63,14 @@ class OscillatoryResult:
 
 
 def _phase_span(f, lo, mid, hi):
-    """|f(hi) - f(mid)| + |f(mid) - f(lo)|, and f(mid), over arrays of cells.
+    """|f(hi) - f(mid)| + |f(mid) - f(lo)|, and f(mid), over arrays of cells,
+    from one f call on all ends and midpoints.
 
     An error that f raises propagates.
     """
-    flo, fmid, fhi = f(lo), f(mid), f(hi)
+    x = np.concatenate((lo, mid, hi))
+    fx = np.asarray(f(x))
+    flo, fmid, fhi = (fx if fx.shape == x.shape else np.broadcast_to(fx, x.shape)).reshape(3, -1)
     return abs(fhi - fmid) + abs(fmid - flo), fmid
 
 
@@ -82,7 +87,9 @@ def _cell_rules(g, f, lo, hi):
         mid = (hi[part] + lo[part]) / 2.0
         xs = (mid[:, None] + h[:, None] * _NODES).ravel()
         vals = np.asarray(g(xs)) * np.exp(2j * np.pi * np.asarray(f(xs)))
-        vals = np.broadcast_to(vals, xs.shape).reshape(h.size, _NODES.size)
+        if vals.shape != xs.shape:
+            vals = np.broadcast_to(vals, xs.shape)
+        vals = vals.reshape(h.size, _NODES.size)
         w_vals = _W16 * vals[:, :16]
         fine[part] = h * np.sum(w_vals, axis=1)
         mass[part] = h * np.sum(np.abs(w_vals), axis=1)
@@ -107,8 +114,8 @@ def integrate_1d(
     The cell tree is built one depth at a time. Each pass takes every cell
     of the current depth (the frontier) and
       - bisects each cell whose phase changes by more than one period
-        between its ends and midpoint (below MAX_DEPTH), from f on the
-        arrays of all ends and midpoints;
+        between its ends and midpoint (below MAX_DEPTH), from one f call
+        on all ends and midpoints;
       - evaluates every other cell with a GL16/GL8 pair: one g call and one
         f call per EVAL_CELLS cells (24 nodes each), always on flat 1-d
         node arrays, so g and f need only accept numpy arrays;
@@ -165,9 +172,12 @@ def integrate_1d(
         done_key.append(key[rest[keep]] << (MAX_DEPTH - depth))
         done_fine.append(fine[keep])
         done_err.append(err[keep])
-        lo = np.stack((lo[split], mid[split]), axis=1).ravel()
-        hi = np.stack((mid[split], hi[split]), axis=1).ravel()
-        key = np.stack((2 * key[split], 2 * key[split] + 1), axis=1).ravel()
+        # the children of each split cell, left then right
+        lo_s, mid_s, hi_s, key_s = lo[split], mid[split], hi[split], 2 * key[split]
+        n = 2 * key_s.size
+        lo, hi, key = np.empty(n), np.empty(n), np.empty(n, np.int64)
+        lo[0::2], lo[1::2], hi[0::2], hi[1::2] = lo_s, mid_s, mid_s, hi_s
+        key[0::2], key[1::2] = key_s, key_s + 1
     order = np.argsort(-np.concatenate(done_key))
     # cumsum adds in sequence (no pairwise blocks), as the depth-first loop did
     total = np.cumsum(np.concatenate(([0.0 + 0.0j], np.concatenate(done_fine)[order])))[-1]

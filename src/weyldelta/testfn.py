@@ -17,7 +17,8 @@ built once in exact (small-integer) arithmetic, so they stay accurate
 arbitrarily close to the support edges where finite differences would
 collapse. U's ramps read the bump's antiderivative from a table of
 degree-16 Chebyshev series on 64 panels, built at import by GL20 partial-panel
-quadrature, which stays as the table's test oracle.
+quadrature, which stays as the table's test oracle. U's value maps both
+ramps onto the step's (-1, 1) and reads them in one table lookup.
 """
 
 from __future__ import annotations
@@ -196,19 +197,20 @@ def make_window_u() -> SmoothWindow:
     """Plateau window U: supported on [1/2, 5/2], exactly 1 on [1, 2].
 
     The ramps are the normalized bump integral: U(x) = S(4x - 3) going up,
-    U(x) = S(9 - 4x) going down, with S the smooth step above.
+    U(x) = S(9 - 4x) going down, with S the smooth step above. U itself
+    reads both ramps in one smooth_step call over the ramp nodes.
     """
 
     def evaluate(x, order):
         x = np.atleast_1d(x)
         out = np.zeros(x.shape)
         up = (x > 0.5) & (x < 1.0)
-        flat = (x >= 1.0) & (x <= 2.0)
         down = (x > 2.0) & (x < 2.5)
         if order == 0:
-            out[up] = smooth_step(4.0 * x[up] - 3.0)
-            out[flat] = 1.0
-            out[down] = smooth_step(9.0 - 4.0 * x[down])
+            out[(x >= 1.0) & (x <= 2.0)] = 1.0
+            ramp = up | down
+            xr = x[ramp]
+            out[ramp] = smooth_step(np.where(xr < 1.5, 4.0 * xr - 3.0, 9.0 - 4.0 * xr))
         else:
             out[up] = 4.0**order * smooth_step(4.0 * x[up] - 3.0, order)
             out[down] = (-4.0) ** order * smooth_step(9.0 - 4.0 * x[down], order)

@@ -66,13 +66,58 @@ def test_trivial_delta_multiple_of_modulus_matches_quadrature():
     assert abs(val - trivial_delta_alpha_sum(13, 13, 10.0)) < 1e-12
 
 
+def character_gates_per_call(d, moduli):
+    """Every residue's root e(d alpha / q) formed afresh: the root table's oracle."""
+    moduli = np.asarray(moduli)
+    starts, q = np.cumsum(moduli) - moduli, np.repeat(moduli, moduli)
+    alpha = np.arange(q.size) - np.repeat(starts, moduli)
+    return np.add.reduceat(np.exp(2j * np.pi * ((d * alpha) % q) / q), starts) / moduli
+
+
 def test_character_gates_match_the_divisibility_gate():
     # one pass over the residues of every modulus, against the integer gate [q | d]
+    # and, bit for bit, against roots formed per call
     for moduli in (tuple(primes_in(60, 120)), (13,)):
         d = np.arange(-400, 401)
         gates = np.array([deltapipe._character_gates(int(k), moduli) for k in d])
         exact = (d[:, None] % np.array(moduli)[None, :] == 0).astype(float)
         assert np.max(np.abs(gates - exact)) < 1e-12
+        per_call = np.array([character_gates_per_call(int(k), moduli) for k in d])
+        assert gates.tobytes() == per_call.tobytes()
+
+
+def test_character_gates_do_not_wrap_for_large_d():
+    # d * alpha would pass 2^63 here; d is reduced mod each q first
+    for moduli in ((13,), tuple(primes_in(60, 120))):
+        for d in (13 * 10**17, 13 * 10**17 + 1):
+            gates = deltapipe._character_gates(d, moduli)
+            exact = np.array([float(d % q == 0) for q in moduli])
+            assert np.max(np.abs(gates - exact)) < 1e-12, (moduli, d)
+
+
+def test_gate_tables_are_read_only_and_keyed_by_the_moduli():
+    a, b = tuple(primes_in(60, 120)), tuple(primes_in(80, 160))
+    for array in deltapipe._gate_table(a):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    d = range(-300, 301, 7)
+    mixed = [(deltapipe._character_gates(k, a), deltapipe._character_gates(k, list(b))) for k in d]
+    deltapipe._gate_table.cache_clear()
+    fresh_a = [deltapipe._character_gates(k, a) for k in d]
+    deltapipe._gate_table.cache_clear()
+    fresh_b = [deltapipe._character_gates(k, b) for k in d]
+    for (ga, gb), fa, fb in zip(mixed, fresh_a, fresh_b):
+        assert ga.tobytes() == fa.tobytes() and gb.tobytes() == fb.tobytes()
+
+
+def test_negative_theta_reads_the_conjugate_of_its_twin():
+    # V is real: the same cell tree as the direct integral at -theta, with sin odd
+    deltapipe._fourier_v.cache_clear()
+    for d in range(1, 159):
+        direct = deltapipe._window_fourier(deltapipe.WINDOW_V, -0.1 * d)
+        cached = deltapipe._fourier_v(-0.1 * d)
+        assert (cached.real, cached.imag) == (direct.real, direct.imag), d
+    assert deltapipe._fourier_v.cache_info().currsize == 2 * 158
 
 
 def _run_check(name):
@@ -114,9 +159,10 @@ def test_trivial_delta_requires_large_modulus():
 def test_exhausted_budget_raises_and_caches_nothing(monkeypatch):
     deltapipe._fourier_v.cache_clear()
     monkeypatch.setattr(oscillate, "DEFAULT_CELL_BUDGET", 3)
-    with pytest.raises(BudgetExceededError):
-        deltapipe._fourier_v(6.1)
-    assert deltapipe._fourier_v.cache_info().currsize == 0
+    for theta in (6.1, -6.1):  # a negative theta raises from its positive twin
+        with pytest.raises(BudgetExceededError):
+            deltapipe._fourier_v(theta)
+        assert deltapipe._fourier_v.cache_info().currsize == 0
     with pytest.raises(BudgetExceededError):
         trivial_delta(104, 13, 10.0)
 
@@ -124,9 +170,10 @@ def test_exhausted_budget_raises_and_caches_nothing(monkeypatch):
 def test_depth_capped_window_integral_raises_and_caches_nothing(monkeypatch):
     deltapipe._fourier_v.cache_clear()
     monkeypatch.setattr(oscillate, "MAX_DEPTH", 2)
-    with pytest.raises(BudgetExceededError, match="depth cap"):
-        deltapipe._fourier_v(6.1)
-    assert deltapipe._fourier_v.cache_info().currsize == 0
+    for theta in (-6.1, 6.1):
+        with pytest.raises(BudgetExceededError, match="depth cap"):
+            deltapipe._fourier_v(theta)
+        assert deltapipe._fourier_v.cache_info().currsize == 0
 
 
 def test_averaged_delta_exact_cases(cfg_split):

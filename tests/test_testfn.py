@@ -119,6 +119,31 @@ def test_ramp_table_matches_the_gl20_route():
     assert 0.0 <= table.min() and table.max() <= BUMP_MASS
 
 
+def u_three_masks(x):
+    """U from one smooth_step call per ramp, each over its own mask: the oracle
+    of the one-call evaluator."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros(x.shape)
+    up = (x > 0.5) & (x < 1.0)
+    flat = (x >= 1.0) & (x <= 2.0)
+    down = (x > 2.0) & (x < 2.5)
+    out[up] = smooth_step(4.0 * x[up] - 3.0)
+    out[flat] = 1.0
+    out[down] = smooth_step(9.0 - 4.0 * x[down])
+    return out
+
+
+def test_one_call_ramps_match_the_three_mask_oracle(u_window):
+    knots = np.array([0.5, 1.0, 2.0, 2.5])
+    x = np.concatenate(
+        (np.linspace(0.3, 2.7, 240_001), knots, np.nextafter(knots, 0.0), np.nextafter(knots, 3.0))
+    )
+    assert u_window(x).tobytes() == u_three_masks(x).tobytes()
+    for point in x[-12:]:
+        value = u_window(float(point))
+        assert isinstance(value, float) and value == u_three_masks(point)[0], point
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=-3.0, max_value=3.0))
 def test_smooth_step_monotone(s):
