@@ -36,7 +36,7 @@ from .deltapipe import (
 )
 from .errors import CalibrationError, PreconditionError, ToolkitError
 from .forms import CuspForm, constant_form, delta_form, hecke_verify, load_form, rankin_average
-from .lfunc import AfeConfig, afe_value, growth_scan, scan_length, weight_quartic
+from .lfunc import AfeConfig, afe_value, growth_scan, nominal_length, scan_length, weight_quartic
 from .numerics import PanelGrid, loglog_fit, loglog_slope, primes_in
 from .specialfn import (
     gamma_factor,
@@ -457,9 +457,10 @@ def _dual_stability(ctx):
 
 # -- afe: central values, then the coefficient-side checks (criteria 8, 9) ---
 #
-# For the discriminant form the AFE reads 5920 coefficients at t = 0, 6001
-# at t = 1 and 7691 at t = +-5 (AfeConfig.resolved_n_afe); the declared
-# counts round up, except the exact 6001.
+# N_AFE: the AFE's sum length at each t the checks read on the discriminant
+# form (5920 at t = 0, 6001 at t = 1, 7691 at t = +-5); as in
+# _scan_coefficients, an empty stream of weight 12 and level 1 sizes it.
+N_AFE = {t: AfeConfig().resolved_n_afe(constant_form(0), t) for t in (0.0, 1.0, 5.0, -5.0)}
 
 
 def _afe(ctx: CheckContext, key: str, t: float):
@@ -468,7 +469,7 @@ def _afe(ctx: CheckContext, key: str, t: float):
 
 @_check(
     "afe-two-weight-agreement", "weight-independence-of-central-value", "afe", 8,
-    coefficients=6000,
+    coefficients=N_AFE[0.0],
 )
 def _afe_two_weight(ctx):
     base = _afe(ctx, "afe-base", 0.0)
@@ -478,7 +479,7 @@ def _afe_two_weight(ctx):
 
 
 @_check(
-    "afe-two-weight-off-center", "weight-independence-off-center", "afe", 8, coefficients=6001
+    "afe-two-weight-off-center", "weight-independence-off-center", "afe", 8, coefficients=N_AFE[1.0]
 )
 def _afe_two_weight_off_center(ctx):
     # at t = 0 a self-dual form gives L = (1 + eps) x (first sum) under every
@@ -489,13 +490,14 @@ def _afe_two_weight_off_center(ctx):
     return abs(base.value - other.value), 1e-6, {"value": fmt_complex(base.value)}
 
 
-@_check("afe-central-reality", "self-dual-central-reality", "afe", 8, coefficients=6000)
+@_check("afe-central-reality", "self-dual-central-reality", "afe", 8, coefficients=N_AFE[0.0])
 def _afe_reality(ctx):
     return abs(_afe(ctx, "afe-base", 0.0).value.imag), 1e-8, {}
 
 
 @_check(
-    "afe-conjugate-symmetry", "reflection-symmetry-on-critical-line", "afe", 8, coefficients=8000
+    "afe-conjugate-symmetry", "reflection-symmetry-on-critical-line", "afe", 8,
+    coefficients=max(N_AFE[5.0], N_AFE[-5.0]),
 )
 def _afe_conjugate(ctx):
     plus = _afe(ctx, "afe-plus", 5.0)
@@ -505,16 +507,17 @@ def _afe_conjugate(ctx):
 
 @_check(
     "afe-truncation-past-nominal", "truncation-past-nominal-length", "afe", 8, strict=True,
-    coefficients=8000,
+    coefficients=N_AFE[5.0],
 )
 def _afe_past_nominal(ctx):
     n_used = _afe(ctx, "afe-plus", 5.0).n_used
-    nominal = int(3 * 6 * math.sqrt(ctx.form().level))
+    nominal = int(nominal_length(ctx.form(), 5.0))
     return nominal / n_used, 1.0, {"n_used": n_used, "nominal": nominal}
 
 
 @_check(  # the t = 5 sum at twice its length
-    "afe-truncation-stability", "weight-decay-past-effective-length", "afe", 8, coefficients=16000
+    "afe-truncation-stability", "weight-decay-past-effective-length", "afe", 8,
+    coefficients=2 * N_AFE[5.0],
 )
 def _afe_truncation(ctx):
     plus = _afe(ctx, "afe-plus", 5.0)

@@ -24,11 +24,12 @@ The dual side's outer constant is derived here from the dual summation and
 Poisson steps (the combination below makes the two representations agree to
 the stated tolerances; see dual_identity_check):
 
-  holomorphic:  S_c = (pi i^k eta N^(2-it) / (P* sqrt(M)))
-                      sum_p chi(-c)/(p c) sum_m lambda(m)
-                      sum_{(r,c)=1} e(-m conj(rM)/c) I_gamma(m, r, c)
-  Maass:        same without the i^k, with chi(-c) e(-...)(I_0 - I_1)
-                      + chi(c) eps_g e(+...)(I_0 + I_1) inside.
+  S_c = (pi eta N^(2-it) / (P* sqrt(M))) sum_p 1/(p c) sum_(rows) 2i front
+        chi(-sign c) eps_g^[sign = -1] sum_m lambda(m)
+        sum_{(r,c)=1} e(-sign m conj(rM)/c) I_kernel(m, r, c),
+
+over the rows (sign, front, kernel) of :func:`weyldelta.voronoi.dual_terms`, with
+I_kernel the I_delta of the row's kernel (2i front = i^k for weight k).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
 from .testfn import WINDOW_U, WINDOW_V, SmoothWindow
+from .voronoi import dual_terms
 
 EPS_RANGE = 0.1  # every t^eps / N^eps range condition is instantiated at 0.1
 
@@ -353,7 +355,7 @@ class DualKernel:
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
         self._vdag_cheb = None
         self._interp = None
-        self._gamma_cache: Dict[int, np.ndarray] = {}
+        self._gamma_cache: Dict[GammaFactorKind, np.ndarray] = {}
         self._istar_cache: Dict[int, np.ndarray] = {}
         self.vx = WINDOW_V(self.x_nodes) * x_grid.weights
 
@@ -416,23 +418,15 @@ class DualKernel:
         amp = grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
         return grid.sums_at_freqs(TWO_PI * rho, amp)
 
-    def gamma_on_grid(self, delta: int) -> np.ndarray:
-        if delta not in self._gamma_cache:
-            if self.kind.family == "holomorphic":
-                kind = self.kind
-            else:
-                kind = GammaFactorKind("maass", ell=self.kind.ell, parity=delta)
-            n_tau = len(self.tau_nodes)
-            if kind.family == "maass" and abs(complex(kind.ell).imag) > 0:
-                vals = gamma_factor(kind, 1.0 + 1j * self.tau_nodes)
-            else:
-                half = n_tau // 2
-                vals = np.empty(n_tau, dtype=complex)
-                vals[half:] = gamma_factor(kind, 1.0 + 1j * self.tau_nodes[half:])
-                # real spectral data: the factor at 1 - i tau is the conjugate
-                vals[:half] = np.conj(vals[n_tau - half :][::-1])
-            self._gamma_cache[delta] = vals
-        return self._gamma_cache[delta]
+    def gamma_on_grid(self, kind: GammaFactorKind) -> np.ndarray:
+        """gamma_factor(kind, 1 + i tau) over the tau grid, cached by kind."""
+        if kind not in self._gamma_cache:
+            half = len(self.tau_nodes) // 2
+            upper = gamma_factor(kind, 1.0 + 1j * self.tau_nodes[half:])
+            # real or imaginary spectral data: the factor at 1 - i tau is the conjugate
+            lower = upper[len(upper) - half :][::-1].conj()
+            self._gamma_cache[kind] = np.concatenate((lower, upper))
+        return self._gamma_cache[kind]
 
     def istar_row(self, r: int) -> np.ndarray:
         """Istar(r, c, 1 + i tau) over the tau grid (x-integral done).
@@ -579,11 +573,13 @@ def s_c_dual(
 ) -> complex:
     """S_c(N) through the dual (Voronoi + Poisson) representation.
 
-    The m-sum is folded into the tau-integral through residue-class
-    Dirichlet partial sums, so the cost is O(n_cut * n_tau) multiply-adds
-    (with about n_cut * (2 sqrt(n_tau / 16) + 16) complex exponentials) plus
-    O(r_cut * (n_x * m + m * n_tau)) for the Istar rows, m the kernel's
-    Chebyshev x points, rather than per-(m, r) quadratures.
+    One pass over r sums every row of :func:`weyldelta.voronoi.dual_terms`, each
+    with the outer factor chi(-sign c) 2i front (times eps_g on the -1 row) and
+    the twist e(-sign b conj(rM)/c). The m-sum is folded into the tau-integral
+    through residue-class Dirichlet partial sums, so the cost is O(n_cut * n_tau)
+    multiply-adds (with about n_cut * (2 sqrt(n_tau / 16) + 16) complex
+    exponentials) plus O(r_cut * (n_x * m + m * n_tau)) for the Istar rows, m
+    the kernel's Chebyshev x points, rather than per-(m, r) quadratures.
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
@@ -603,27 +599,20 @@ def s_c_dual(
     base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / TWO_PI
 
-    chi_minus = form.chi_at(-c)
-    chi_plus = form.chi_at(c)
+    # a row's front and ds = i dtau give 2i front, times the pi above (i^k pi for weight k)
     eps_g = form.epsilon_g if form.epsilon_g is not None else 1.0
-    holo = form.kind.family == "holomorphic"
-    gam0 = kernel.gamma_on_grid(0)
-    gam1 = None if holo else kernel.gamma_on_grid(1)
+    terms = [
+        (sign, form.chi_at(-sign * c) * (2j * term_front) * (eps_g if sign == -1 else 1.0), gam)
+        for sign, term_front, gam in dual_terms(kernel.kind, kernel.gamma_on_grid)
+    ]
     bs = np.arange(c)
 
     total = 0.0 + 0.0j
     for r in rs:
         istar = kernel.istar_row(r)
-        if holo:
-            # (i^(k-1)/2) from the plus-transform and ds = i dtau give i^k pi
-            twist = unit_phases(-inv_rm[r] * bs, c)
-            d_r = twist @ t_class
-            total += chi_minus * (1j**form.kind.weight) * np.sum(pref * gam0 * istar * d_r)
-        else:
-            d_minus = unit_phases(-inv_rm[r] * bs, c) @ t_class
-            d_plus = unit_phases(+inv_rm[r] * bs, c) @ t_class
-            total += chi_minus * np.sum(pref * (gam0 - gam1) * istar * d_minus)
-            total += chi_plus * eps_g * np.sum(pref * (gam0 + gam1) * istar * d_plus)
+        for sign, outer, gam in terms:
+            d_r = unit_phases(-sign * inv_rm[r] * bs, c) @ t_class
+            total += outer * np.sum(pref * gam * istar * d_r)
     # S_star stratum weight: the single prime contributes 1/(p c) = 1/c^2
     total /= c * c
     return complex(front * total)

@@ -198,10 +198,10 @@ def constant_form(n_max: int, value: complex = 1.0) -> CuspForm:
 def hecke_verify(form: CuspForm, n_max: Optional[int] = None) -> HeckeReport:
     """Check multiplicativity and the p-power recursion up to n_max.
 
-    Report-only: the worst absolute violation is returned, never raised.
+    Report-only: the worst violation is returned; only n_max > form.n_max raises.
     """
-    n_hi = min(n_max or form.n_max, form.n_max)
-    lam = form.lam
+    n_hi = form.n_max if n_max is None else n_max
+    lam = form.lam_slice(n_hi)
     worst = 0.0
     first = None
     pairs = 0

@@ -48,7 +48,8 @@ from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_f
 from .specialfn import log_gamma
 
 TWO_PI = 2.0 * math.pi
-# the weight's contour: v in [-V_CUT, V_CUT] (u = abscissa + iv), V_PANELS panels
+# the weight's contour: u = ABSCISSA + iv, v in [-V_CUT, V_CUT], V_PANELS panels
+ABSCISSA = 1.0
 V_CUT = 13.0
 V_PANELS = 70
 # rows of n per block of the sums and t per contour pass: no (n x m) or (n x t) table is held
@@ -89,13 +90,17 @@ def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
     )
 
 
+def nominal_length(form: CuspForm, t: float) -> float:
+    """The nominal effective length 3 (1 + |t|) sqrt(M) of the AFE sums."""
+    return 3.0 * (1.0 + abs(t)) * math.sqrt(form.level)
+
+
 @dataclass(frozen=True)
 class AfeConfig:
-    """Weight function, contour abscissa and truncations for the AFE (the
-    contour's v range and panels are the module constants V_CUT and V_PANELS)."""
+    """Weight function and truncations for the AFE (the contour's abscissa,
+    v range and panels are the module constants ABSCISSA, V_CUT and V_PANELS)."""
 
     weight: Callable = weight_gaussian
-    abscissa: float = 1.0
     n_afe: Optional[int] = None
     weight_floor: float = 1e-8  # truncate where |V_s| has decayed to this
 
@@ -105,8 +110,8 @@ class AfeConfig:
         For gaussian-type weights V_s(y) falls off like
         exp(-log(y/X)^2 / 4) where X = |gamma(f, s+1)/gamma(f, s)| is the
         local ratio scale, so reaching `weight_floor` needs
-        y ~ X exp(2 sqrt(log(1/floor))). This always dominates the nominal
-        effective length 3 (1 + |t|) sqrt(M).
+        y ~ X exp(2 sqrt(log(1/floor))). This always dominates the
+        :func:`nominal_length`.
         """
         if self.n_afe is not None:
             return self.n_afe
@@ -115,14 +120,13 @@ class AfeConfig:
             cmath.exp(log_gamma_quotient_factor(form, s + 1) - log_gamma_quotient_factor(form, s))
         )
         deep = x_scale * math.exp(2.0 * math.sqrt(math.log(1.0 / self.weight_floor)))
-        nominal = 3.0 * (1.0 + abs(t)) * math.sqrt(form.level)
-        return int(math.ceil(1.15 * max(deep, nominal))) + 50
+        return int(math.ceil(1.15 * max(deep, nominal_length(form, t)))) + 50
 
 
 def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np.ndarray:
     """V_s(y) for an array of positive y, by contour quadrature.
 
-    The u-integral runs on Re u = abscissa, truncated at |Im u| = V_CUT
+    The u-integral runs on Re u = ABSCISSA, truncated at |Im u| = V_CUT
     where the even weight has decayed to ~1e-20; the gamma ratio is
     computed in log space. With y^(-u) = y^(-a) exp(-i v log y) the
     v-integral for every y is a sum over the factored v grid: per y, about
@@ -132,15 +136,14 @@ def afe_weight(form: CuspForm, s: complex, ys: np.ndarray, cfg: AfeConfig) -> np
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys <= 0):
         raise PreconditionError("V_s arguments must be positive")
-    a = cfg.abscissa
     grid = PanelGrid(-V_CUT, V_CUT, V_PANELS, 16)
-    u = a + 1j * grid.nodes
+    u = ABSCISSA + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.exp(log_gamma_quotient_factor(form, s + u) - lg_s)
     core = grid.weights * np.asarray(cfg.weight(u)) * ratio / u
     # (1/2 pi i) int du = (1/2 pi) int dv along u = a + iv
     log_y = np.log(ys)
-    return np.exp(-a * log_y) * grid.sums_at_freqs(log_y, core) / TWO_PI
+    return np.exp(-ABSCISSA * log_y) * grid.sums_at_freqs(log_y, core) / TWO_PI
 
 
 @dataclass
@@ -156,7 +159,7 @@ def _nodal_weights(form: CuspForm, ts: np.ndarray, log_nodes: np.ndarray, cfg: A
     a time. With 1 - s = conj(s) and the v nodes symmetric, V_(1-s)'s gamma
     ratio is V_s's conjugated and reversed in v."""
     grid = PanelGrid(-V_CUT, V_CUT, V_PANELS, 16)
-    u = cfg.abscissa + 1j * grid.nodes
+    u = ABSCISSA + 1j * grid.nodes
     pre = grid.weights * np.asarray(cfg.weight(u)) / (u * TWO_PI)
     out = np.empty((len(log_nodes), len(ts), 2), dtype=complex)
     for i in range(0, len(ts), T_BLOCK):
@@ -193,7 +196,7 @@ def afe_values(
     m = chebyshev_size(V_CUT * (hi - lo) / 2)
     banded = _nodal_weights(form, ts, chebyshev_interpolant(lo, hi, m, [])[0], cfg)
     # lambda(n) n^(-1/2) y^(-a), and its conjugate for the reflected sum
-    scale = np.exp(-0.5 * log_n - cfg.abscissa * log_y)
+    scale = np.exp(-0.5 * log_n - ABSCISSA * log_y)
     coef = np.stack([lam, lam.conj()], axis=1) * scale[:, None]
     sums = np.zeros((len(ts), 2), dtype=complex)
     tail_sq = np.zeros((len(ts), 2))

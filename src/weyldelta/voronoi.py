@@ -1,25 +1,23 @@
 """Two-sided numerical verification of the dual summation formula
 
     sum_n lambda(n) e(a n / c) W(n / N)
-        = (eta / sqrt(M)) (N / c) sum_pm chi(-/+ c)
-          sum_n lambda(n) e(-/+ conj(aM) n / c) What_pm(n N / (M c^2)),
+        = (eta / sqrt(M)) (N / c) sum_(rows) chi(-sign c) eps_g^[sign = -1]
+          sum_n lambda(n) e(-sign conj(aM) n / c) What_sign(n N / (M c^2)),
 
-for gcd(a, c) = gcd(c, M) = 1, where What_pm is a contour transform of W
-against the archimedean factor of the form:
+for gcd(a, c) = gcd(c, M) = 1, with one term per row of :func:`dual_terms` (the
+table that :func:`weyldelta.deltapipe.s_c_dual` reads too):
 
-    holomorphic weight k:
-        What_plus(y)  = (i^(k-1)/2) int_(sigma) m_W(s) y^(-s/2) gamma_k(s) ds,
-        What_minus    = 0,
-    Maass (ell, eps_g):
-        What_plus(y)  = (1/2i)     int_(sigma) m_W(s) y^(-s/2) (C_{l,0} - C_{l,1})(s) ds,
-        What_minus(y) = (eps_g/2i) int_(sigma) m_W(s) y^(-s/2) (C_{l,0} + C_{l,1})(s) ds,
+    holomorphic weight k:  sign +1, front i^(k-1)/2, kernel gamma_k;
+    Maass (ell):           sign +1, front 1/2i,      kernel C_{l,0} - C_{l,1},
+                           sign -1, front 1/2i,      kernel C_{l,0} + C_{l,1},
 
-with m_W(s) = int W(x) x^(-s/2) dx and the contour differential ds = i dtau.
-The inner x-integral is evaluated first (it decays superpolynomially in the
-contour height because W is smooth), then the tau-integral is truncated
-where that decay beats the tolerance. The tau panels all have the width
-that the gamma-factor phase needs at the top of the contour, where it turns
-fastest.
+and What_sign(y) = front int_(sigma) m_W(s) y^(-s/2) kernel(s) ds, a contour
+transform of W against the archimedean factor of the form, with
+m_W(s) = int W(x) x^(-s/2) dx and ds = i dtau. The inner x-integral is
+evaluated first (it decays superpolynomially in the contour height because W
+is smooth), then the tau-integral is truncated where that decay beats the
+tolerance. The tau panels all have the width that the gamma-factor phase
+needs at the top of the contour, where it turns fastest.
 
 eta has modulus one but is otherwise measured, not assumed:
 :func:`calibrate_eta` fits it across probe instances and the unconstrained
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -44,6 +42,16 @@ from .testfn import SmoothWindow
 DEFAULT_SIGMA_HOLOMORPHIC = 0.5
 DEFAULT_SIGMA_MAASS = 0.1
 DEFAULT_Y_DEEP = 8000.0  # the dual sum runs out to y ~ DEFAULT_Y_DEEP unless capped
+
+
+def dual_terms(kind: GammaFactorKind, factor: Callable[[GammaFactorKind], np.ndarray]):
+    """[(sign, front, kernel)] of the dual formula for `kind`, the kernel built from
+    factor(k), the factor of kind k on the caller's nodes. The caller multiplies a
+    term by chi(-sign c), by eps_g on the -1 term, and twists by e(-sign conj(aM) n / c)."""
+    if kind.family == "holomorphic":
+        return [(+1, 1j ** (kind.weight - 1) / 2.0, factor(kind))]
+    g0, g1 = (factor(GammaFactorKind("maass", ell=kind.ell, parity=d)) for d in (0, 1))
+    return [(+1, 1.0 / 2j, g0 - g1), (-1, 1.0 / 2j, g0 + g1)]
 
 
 def default_sigma(kind: GammaFactorKind) -> float:
@@ -131,24 +139,12 @@ class WhatTransform:
         m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u)
 
         s_nodes = self.sigma + 1j * self.tau_nodes
-        if kind.family == "holomorphic":
-            # a named operand: numpy would multiply into a temporary in
-            # place, and that loop rounds differently in the last bit
-            gam = gamma_factor(kind, s_nodes)
-            self.kernel_plus = m_vals * gam
-            self.kernel_minus = None
-            k = kind.weight
-            self.front_plus = 1j**(k - 1) / 2.0
-            self.front_minus = 0.0
-        else:
-            kind0 = GammaFactorKind("maass", ell=kind.ell, parity=0)
-            kind1 = GammaFactorKind("maass", ell=kind.ell, parity=1)
-            g0 = gamma_factor(kind0, s_nodes)
-            g1 = gamma_factor(kind1, s_nodes)
-            self.kernel_plus = m_vals * (g0 - g1)
-            self.kernel_minus = m_vals * (g0 + g1)
-            self.front_plus = 1.0 / 2j
-            self.front_minus = 1.0 / 2j  # times eps_g at evaluation
+        # {sign: (front, m_W kernel)}, the kernel a named operand: numpy would multiply
+        # into a temporary in place, and that loop rounds differently in the last bit
+        self.kernels = {
+            sign: (front, m_vals * kernel)
+            for sign, front, kernel in dual_terms(kind, lambda k: gamma_factor(k, s_nodes))
+        }
 
     def _eval_contour(self, ys: np.ndarray, kernel: np.ndarray, front: complex) -> np.ndarray:
         # conjugate symmetry in tau (real window, real spectral data):
@@ -188,12 +184,10 @@ class WhatTransform:
             raise PreconditionError("transform argument y must be positive")
         if sign not in (+1, -1):
             raise PreconditionError("sign must be +1 or -1")
-        if sign == +1:
-            kernel, front = self.kernel_plus, self.front_plus
-        else:
-            kernel, front = self.kernel_minus, self.front_minus * eps_g
-            if kernel is None:
-                return 0.0 + 0.0j if np.ndim(y) == 0 else np.zeros(ys.shape, dtype=complex)
+        if sign not in self.kernels:  # the holomorphic minus term
+            return 0.0 + 0.0j if np.ndim(y) == 0 else np.zeros(ys.shape, dtype=complex)
+        front, kernel = self.kernels[sign]
+        front = front * eps_g if sign == -1 else front
         vals = np.empty(len(ys), dtype=complex)
         if self.holomorphic:
             near = ys < self.Y_SPLIT
@@ -281,8 +275,7 @@ def dual_side(
     lam = form.lam_slice(n_cut)
     total = 0.0 + 0.0j
     tail = 0.0
-    signs = (+1,) if form.kind.family == "holomorphic" else (+1, -1)
-    for sign in signs:
+    for sign in transform.kernels:
         chi_factor = form.chi_at(-sign * inst.c)
         if chi_factor == 0:
             continue

@@ -7,7 +7,14 @@ import pytest
 from weyldelta import deltapipe, numerics, oscillate
 from weyldelta.checks import CHECKS, CheckContext
 from weyldelta.errors import BudgetExceededError, PreconditionError
-from weyldelta.forms import constant_form, delta_form, ramanujan_tau
+from weyldelta.forms import (
+    CuspForm,
+    constant_form,
+    delta_form,
+    multiplicative_extension,
+    ramanujan_tau,
+    trivial_character,
+)
 from weyldelta.numerics import PanelGrid, loglog_slope, primes_in
 from weyldelta.deltapipe import (
     DualKernel,
@@ -22,7 +29,7 @@ from weyldelta.deltapipe import (
     trivial_delta,
     trivial_delta_alpha_sum,
 )
-from weyldelta.specialfn import holomorphic_kind
+from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.statphase import u_dagger_direct
 from weyldelta.testfn import make_window_u, make_window_v
 
@@ -510,6 +517,66 @@ def test_dual_identity_desk_scale():
     )
     res = dual_identity_check(form, cfg, sweep=False)
     assert res.residual <= 1e-3
+
+
+def _mirrored_gamma(kind, taus):
+    """The factor on 1 + i tau: the upper half evaluated, the lower half its mirror."""
+    n_tau, half = len(taus), len(taus) // 2
+    vals = np.empty(n_tau, dtype=complex)
+    vals[half:] = gamma_factor(kind, 1.0 + 1j * taus[half:])
+    vals[:half] = np.conj(vals[n_tau - half :][::-1])
+    return vals
+
+
+def s_c_dual_two_branch(form, cfg, c, kernel, n_cut, r_cut):
+    """The Maass dual side as its chi(-c) (I_0 - I_1) and chi(c) eps_g (I_0 + I_1)
+    branches, written out term by term (oracle of `s_c_dual` on Maass forms)."""
+    pstar = max(len(cfg.prime_set), 1)
+    front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
+        pstar * math.sqrt(form.level)
+    )
+    rs = [r for r in range(-r_cut, r_cut + 1) if r != 0 and math.gcd(r, c) == 1]
+    inv_rm = {r: numerics.modular_inverse(r * form.level, c) for r in rs}
+    taus = kernel.tau_nodes
+    t_class = deltapipe._dirichlet_class_sums(form, c, n_cut, kernel.tau_grid)
+    base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
+    pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / (2 * math.pi)
+    ell = form.kind.ell
+    gam0, gam1 = (_mirrored_gamma(maass_kind(ell, d), taus) for d in (0, 1))
+    bs = np.arange(c)
+    total = 0.0 + 0.0j
+    for r in rs:
+        istar = kernel.istar_row(r)
+        d_minus = numerics.unit_phases(-inv_rm[r] * bs, c) @ t_class
+        d_plus = numerics.unit_phases(+inv_rm[r] * bs, c) @ t_class
+        total += form.chi_at(-c) * np.sum(pref * (gam0 - gam1) * istar * d_minus)
+        total += form.chi_at(c) * form.epsilon_g * np.sum(pref * (gam0 + gam1) * istar * d_plus)
+    total /= c * c
+    return complex(front * total)
+
+
+@pytest.mark.parametrize(
+    "ell, chi",
+    [(9.5, trivial_character(1)), (0.2j, trivial_character(1)), (9.5, np.array([0, 1, 0, -1.0]))],
+    ids=["real", "exceptional", "odd-mod-4"],
+)
+def test_maass_dual_side_matches_two_branch_formula(ell, chi):
+    # synthetic Hecke streams with a real and an exceptional spectral value;
+    # eps_g = -1 so that a dropped or misplaced reflection sign shows, and an
+    # odd character mod 4 (chi(-11) = 1, chi(11) = -1) so that a swapped chi does
+    rng = np.random.default_rng(18)
+    level = len(chi)
+    lam = multiplicative_extension(
+        {p: float(rng.uniform(-1.5, 1.5)) for p in primes_in(2, 3000)}, chi, level, 3000
+    )
+    form = CuspForm(
+        kind=maass_kind(ell, 0), level=level, chi=chi.astype(complex), lam=lam, epsilon_g=-1.0,
+        eta=1.0 + 0.0j,
+    )
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0, r_cut=6)
+    kernel = DualKernel(cfg, 11, form.kind)
+    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=3000, r_cut=6)
+    assert got == s_c_dual_two_branch(form, cfg, 11, kernel, 3000, 6)
 
 
 def test_dual_identity_requires_eta(form):

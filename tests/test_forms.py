@@ -119,6 +119,15 @@ def test_hecke_verify_delta(delta10k):
     assert report.pairs_checked > 10000
 
 
+def test_hecke_verify_past_the_stored_coefficients_raises(delta10k):
+    # it used to cap at the stored 5000 silently: 9918 pairs and 42 prime
+    # powers instead of the 21935 and 51 that n_max = 10000 asks for
+    with pytest.raises(CoefficientRangeError):
+        hecke_verify(delta_form(5000), 10000)
+    report = hecke_verify(delta10k, 10000)
+    assert (report.pairs_checked, report.prime_power_checked) == (21935, 51)
+
+
 def test_hecke_verify_flags_corruption(delta10k):
     lam = delta10k.lam.copy()
     lam[5] += 1e-3  # lambda(6)

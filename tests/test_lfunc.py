@@ -83,7 +83,7 @@ def _afe_weight_contour(form, s, ys, cfg):
     """V_s(y) by one complex exponential per (y, contour node) pair (oracle)."""
     grid = PanelGrid(-lfunc.V_CUT, lfunc.V_CUT, lfunc.V_PANELS)
     ws = grid.weights
-    u = cfg.abscissa + 1j * grid.nodes
+    u = lfunc.ABSCISSA + 1j * grid.nodes
     lg_s = log_gamma_quotient_factor(form, s)
     ratio = np.array([cmath.exp(log_gamma_quotient_factor(form, s + uu) - lg_s) for uu in u])
     core = ws * np.asarray(cfg.weight(u)) * ratio / u
@@ -236,20 +236,22 @@ def test_growth_scan_memory_stays_flat(form30k):
     assert peak <= 10 * 2**20
 
 
-def test_weight_approaches_one_at_origin(form):
+def test_weight_approaches_one_at_origin(form, monkeypatch):
     # V_s(y) -> G(0) = 1 as y -> 0; evaluated on a low abscissa where the
     # y^(-u) factor stays tame
-    cfg = AfeConfig(abscissa=0.25)
-    vals = afe_weight(form, 0.5 + 0j, np.array([1e-3, 1e-4]), cfg)
+    monkeypatch.setattr(lfunc, "ABSCISSA", 0.25)
+    vals = afe_weight(form, 0.5 + 0j, np.array([1e-3, 1e-4]), AfeConfig())
     assert vals[1].real == pytest.approx(1.0, abs=2e-3)
     assert abs(vals[1] - 1.0) < abs(vals[0] - 1.0) + 1e-3
 
 
-def test_weight_abscissa_independence(form):
+def test_weight_abscissa_independence(form, monkeypatch):
     # the contour abscissa is free in (0, 4]: values agree across choices
     ys = np.array([0.5, 2.0, 10.0])
-    a = afe_weight(form, 0.5 + 5j, ys, AfeConfig(abscissa=3.0))
-    b = afe_weight(form, 0.5 + 5j, ys, AfeConfig(abscissa=1.5))
+    monkeypatch.setattr(lfunc, "ABSCISSA", 3.0)
+    a = afe_weight(form, 0.5 + 5j, ys, AfeConfig())
+    monkeypatch.setattr(lfunc, "ABSCISSA", 1.5)
+    b = afe_weight(form, 0.5 + 5j, ys, AfeConfig())
     assert np.max(np.abs(a - b)) < 1e-9
 
 

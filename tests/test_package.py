@@ -34,15 +34,18 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def convergence_flag_reads(source: str):
-    """(line, name) of every read of an OscillatoryResult convergence flag."""
+def attribute_reads(source: str, attrs):
+    """(line, name) of every read of an attribute named in `attrs`."""
     return sorted(
         (node.lineno, node.attr)
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Load)
-        and node.attr in ("budget_exhausted", "depth_capped")
+        and node.attr in attrs
     )
+
+
+CONVERGENCE_FLAGS = ("budget_exhausted", "depth_capped")  # of an OscillatoryResult
 
 
 def test_the_guard_sees_a_convergence_flag_read():
@@ -52,17 +55,34 @@ def test_the_guard_sees_a_convergence_flag_read():
         "    res.budget_exhausted = True\n"
         "report = {'budget_exhausted': res.budget_exhausted}\n"
     )
-    assert convergence_flag_reads(source) == [(2, "depth_capped"), (4, "budget_exhausted")]
+    found = attribute_reads(source, CONVERGENCE_FLAGS)
+    assert found == [(2, "depth_capped"), (4, "budget_exhausted")]
 
 
 def test_only_oscillate_reads_the_convergence_flags():
     # the rule that turns them into an error is OscillatoryResult.converged
     reads = {
-        path.name: convergence_flag_reads(path.read_text(encoding="utf-8"))
+        path.name: attribute_reads(path.read_text(encoding="utf-8"), CONVERGENCE_FLAGS)
         for path in MODULES
         if path.name != "oscillate.py"
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_guard_sees_a_family_read():
+    source = (
+        "holo = form.kind.family == 'holomorphic'\n"
+        "kind = GammaFactorKind(family='maass')\n"
+        "kind.family = 'maass'\n"
+        "signs = (+1,) if kind.family == 'holomorphic' else (+1, -1)\n"
+    )
+    assert attribute_reads(source, ("family",)) == [(1, "family"), (4, "family")]
+
+
+def test_the_dual_pipeline_reads_no_form_family():
+    # its terms, holomorphic or Maass, come from the one table voronoi.dual_terms
+    source = (Path(weyldelta.__file__).parent / "deltapipe.py").read_text(encoding="utf-8")
+    assert attribute_reads(source, ("family",)) == []
 
 
 # Library names that no library module and no perfbench script reaches: each

@@ -81,9 +81,8 @@ def test_transform_decay(form, transform):
 
 def test_transform_routes_agree_at_seam(form, transform):
     for y in (430.0, 449.0, 451.0, 480.0, 700.0):
-        contour = transform._eval_contour(
-            np.array([y]), transform.kernel_plus, transform.front_plus
-        )[0]
+        front, kernel = transform.kernels[+1]
+        contour = transform._eval_contour(np.array([y]), kernel, front)[0]
         bessel = transform._eval_bessel(np.array([y]))[0]
         assert abs(contour - bessel) < 1e-9
 
@@ -160,8 +159,9 @@ def test_transform_matches_adaptive_edge_routes(window, transform):
 def test_contour_route_matches_per_y_loop(transform):
     ys = np.geomspace(0.05, 449.0, 300)
     tr = transform
-    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, tr.kernel_plus, tr.sigma, tr.front_plus, ys)
-    got = tr._eval_contour(ys, tr.kernel_plus, tr.front_plus)
+    front, kernel = tr.kernels[+1]
+    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, kernel, tr.sigma, front, ys)
+    got = tr._eval_contour(ys, kernel, front)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -169,12 +169,38 @@ def test_contour_route_matches_per_y_loop(transform):
 def test_maass_contour_route_matches_per_y_loop(window, sign):
     tr = WhatTransform(maass_kind(9.5, 0), window)
     ys = np.geomspace(0.05, 4000.0, 300)
-    kernel, front = (
-        (tr.kernel_plus, tr.front_plus) if sign == +1 else (tr.kernel_minus, -tr.front_minus)
-    )
+    front, kernel = tr.kernels[sign]
+    front = front if sign == +1 else -front  # eps_g = -1 on the minus term
     ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, kernel, tr.sigma, front, ys)
     got = tr.eval(ys, sign=sign, eps_g=-1.0)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _two_branch_what(tr, ys, sign, eps_g):
+    """Maass What_pm from the kernels m_W (g0 -/+ g1) and the fronts 1/2i and
+    eps_g/2i, written out branch by branch (oracle)."""
+    a, b = tr.window.support
+    u_grid = PanelGrid(math.log(a), math.log(b), WhatTransform.U_PANELS)
+    u = u_grid.nodes
+    wt = tr.window(np.exp(u)) * np.exp(u * (1 - tr.sigma / 2)) * u_grid.weights
+    m_vals = tr.tau_grid.sums_at_nodes(wt, 0.5 * u)
+    s_nodes = tr.sigma + 1j * tr.tau_nodes
+    g0, g1 = (gamma_factor(maass_kind(tr.kind.ell, d), s_nodes) for d in (0, 1))
+    kernel = m_vals * (g0 - g1) if sign == +1 else m_vals * (g0 + g1)
+    front = 1.0 / 2j if sign == +1 else eps_g / 2j
+    sums = tr.tau_grid.sums_at_freqs(0.5 * np.log(ys), tr.tau_weights * kernel)
+    return front * 2j * ys ** (-0.5 * tr.sigma) * sums.real
+
+
+@pytest.mark.parametrize("ell", [9.5, 0.2j])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_maass_transform_matches_two_branch_formula(window, ell, sign):
+    # absolute: the exceptional minus term peaks near 7.6e-3, so a bound
+    # relative to max|What| would sit below the rounding of the kernel product
+    tr = WhatTransform(maass_kind(ell, 0), window)
+    ys = np.geomspace(0.05, 4000.0, 300)
+    got = tr.eval(ys, sign=sign, eps_g=-1.0)
+    assert np.max(np.abs(got - _two_branch_what(tr, ys, sign, -1.0))) <= 1e-14
 
 
 def test_bessel_route_matches_per_y_loop(window, transform):
