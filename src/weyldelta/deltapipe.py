@@ -600,7 +600,7 @@ def s_c_dual(
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / TWO_PI
 
     # a row's front and ds = i dtau give 2i front, times the pi above (i^k pi for weight k)
-    eps_g = form.epsilon_g if form.epsilon_g is not None else 1.0
+    eps_g = form.eps_g
     terms = [
         (sign, form.chi_at(-sign * c) * (2j * term_front) * (eps_g if sign == -1 else 1.0), gam)
         for sign, term_front, gam in dual_terms(kernel.kind, kernel.gamma_on_grid)

@@ -142,6 +142,12 @@ class CuspForm:
     def n_max(self) -> int:
         return len(self.lam)
 
+    @property
+    def eps_g(self) -> float:
+        """The epsilon_g of the dual formula's -1 term: the stored value, or 1
+        when none is stored (holomorphic forms have no -1 term)."""
+        return 1 if self.epsilon_g is None else self.epsilon_g
+
     def lam_slice(self, n_hi: int) -> np.ndarray:
         """lambda(1), ..., lambda(n_hi); the one guard of the coefficient sums:
         a form shorter than n_hi raises :class:`CoefficientRangeError`."""
@@ -277,7 +283,7 @@ def export_form(form: CuspForm, path: str) -> None:
         ell = complex(form.kind.ell)
         lines.append(f"#ell {_format_complex(ell)}")
         lines.append(f"#delta {form.kind.parity}")
-        lines.append(f"#eps_g {form.epsilon_g if form.epsilon_g is not None else 1}")
+        lines.append(f"#eps_g {form.eps_g}")
     lines.append(f"#M {form.level}")
     lines.append("#chi " + ",".join(_format_complex(v) for v in form.chi))
     if form.epsilon_f is not None:

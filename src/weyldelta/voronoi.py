@@ -17,7 +17,10 @@ m_W(s) = int W(x) x^(-s/2) dx and ds = i dtau. The inner x-integral is
 evaluated first (it decays superpolynomially in the contour height because W
 is smooth), then the tau-integral is truncated where that decay beats the
 tolerance. The tau panels all have the width that the gamma-factor phase
-needs at the top of the contour, where it turns fastest.
+needs at the top of the contour, where it turns fastest. For holomorphic
+forms, y beyond :attr:`WhatTransform.Y_SPLIT` is read from Chebyshev panels
+in omega = 4 pi sqrt(y) instead: one Clenshaw pass of m terms per y, plus
+its panel's one-time build of m Bessel sums.
 
 eta has modulus one but is otherwise measured, not assumed:
 :func:`calibrate_eta` fits it across probe instances and the unconstrained
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import CalibrationError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, modular_inverse, tail_norm, unit_phases
+from .numerics import PanelGrid, chebyshev_size, modular_inverse, tail_norm, unit_phases
 from .specialfn import GammaFactorKind, gamma_factor
 from .testfn import SmoothWindow
 
@@ -70,10 +73,11 @@ class WhatTransform:
     """Precomputed evaluator for What_pm of one (kind, window) pair.
 
     The contour abscissa is default_sigma(kind) and the grid sizes are the
-    class constants Y_SPLIT, TAU_MAX, Y_MAX and U_PANELS. Both regimes are
-    sums over a factored :class:`PanelGrid`, so a value of y costs about
-    2 sqrt(panels) + 16 complex exponentials plus its share of one GEMM,
-    not one transcendental per (y, node) pair:
+    class constants Y_SPLIT, PANEL_WIDTH, TAU_MAX, Y_MAX and U_PANELS. A near
+    y costs about 2 sqrt(panels) + 16 complex exponentials plus its share of
+    one GEMM over a factored :class:`PanelGrid`, not one transcendental per
+    (y, node) pair; a far y costs one Clenshaw pass of m terms, plus its share
+    of its omega panel's one-time build of m Bessel sums:
 
     * y below Y_SPLIT (every y for Maass kinds): the contour form. m_W and
       the gamma factors are tabulated once on equal tau panels over
@@ -96,11 +100,23 @@ class WhatTransform:
       The Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
       sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, is accurate to
       ~1e-10 relative once v >= 260. Since v^(-j) = omega^(-j) u^(-j), the
-      regime is six column sums sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u)
-      on one u grid with 1.2 panels per cycle at the largest y. This keeps
-      deep right-hand-side tails cheap; the contour route would need
+      Bessel sums are six column sums sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u)
+      on one u grid with 1.2 panels per cycle at the top y it serves. This
+      keeps deep right-hand-side tails cheap; the contour route would need
       absolute-accuracy levels that the oscillatory cancellation there
       cannot deliver.
+
+      With u <= sqrt(b) on the window's support [a, b], What_plus / (2 pi i^k)
+      is real and entire of exponential type sqrt(b) in omega, so it is read
+      from a Chebyshev table: panels of width PANEL_WIDTH in omega from
+      omega_seam = 4 pi sqrt(Y_SPLIT), so none straddles the change of
+      route, with m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind
+      nodes each (42 for [1, 2]). A panel is built when eval first touches
+      it, by the Bessel sums at its nodes on a u grid sized at the panel's
+      top, and kept on the instance; a value then depends on y alone. On
+      y in [450, 2e4] the table is within 1.5e-14 absolute of the Bessel
+      sums on one grid (`_eval_bessel`, its oracle), and halving
+      PANEL_WIDTH moves it by 1.7e-14.
 
     Maass kinds always use the contour route, and its values there are not
     converged: for maass_kind(9.5, 0) and y in [0.05, 4000], halving the tau
@@ -110,6 +126,7 @@ class WhatTransform:
     """
 
     Y_SPLIT = 450.0
+    PANEL_WIDTH = 16.0  # width in omega = 4 pi sqrt(y) of the far regime's Chebyshev panels
     TAU_MAX = 2000.0  # top of the contour's tau panels
     Y_MAX = 4000.0  # the largest y the Maass contour panels are sized for
     U_PANELS = 160  # panels of the log-x rule of the Mellin table
@@ -146,6 +163,16 @@ class WhatTransform:
             for sign, front, kernel in dual_terms(kind, lambda k: gamma_factor(k, s_nodes))
         }
 
+        # the far table {p: Chebyshev coefficients on omega_seam + [p, p + 1) PANEL_WIDTH},
+        # filled by eval; the coefficient sums use the discrete orthogonality of
+        # cos(k theta_j) at the m first-kind nodes
+        self._panels = {}
+        self._omega_seam = 4 * math.pi * math.sqrt(self.Y_SPLIT)
+        m = chebyshev_size(math.sqrt(b) * 0.5 * self.PANEL_WIDTH)
+        self._cheb_theta = np.pi * (np.arange(m) + 0.5) / m
+        self._cheb_cos = np.cos(np.outer(np.arange(m), self._cheb_theta)) * (2.0 / m)
+        self._cheb_cos[0] /= 2.0
+
     def _eval_contour(self, ys: np.ndarray, kernel: np.ndarray, front: complex) -> np.ndarray:
         # conjugate symmetry in tau (real window, real spectral data):
         # int_R = 2 Re int_0^inf; ds = i dtau
@@ -153,18 +180,19 @@ class WhatTransform:
         return front * 2j * ys ** (-0.5 * self.sigma) * sums.real
 
     def _bessel_grid(self, y_hi: float) -> PanelGrid:
-        """The u = sqrt(x) rule of the far regime, 1.2 panels per cycle at y_hi."""
+        """The u = sqrt(x) rule of the far regime, 1.2 panels per cycle at y_hi
+        (the top of the omega panel that the rule tabulates)."""
         a, b = (math.sqrt(e) for e in self.window.support)
         # phase 4 pi sqrt(y) u spans 2 sqrt(y)(sqrt(b) - sqrt(a)) cycles
         cycles = 2 * math.sqrt(y_hi) * (b - a)
         return PanelGrid(a, b, max(8, math.ceil(1.2 * cycles)))
 
-    def _eval_bessel(self, ys: np.ndarray) -> np.ndarray:
-        """Far regime via the order-(k-1) kernel's Hankel expansion in u = sqrt(x)."""
-        k = self.kind.weight
-        nu = k - 1
+    def _hankel_sums(self, ys: np.ndarray, y_hi: float) -> np.ndarray:
+        """What_plus / (2 pi i^k), real, by the order-(k-1) kernel's Hankel
+        expansion in u = sqrt(x) on the u rule sized at y_hi >= max(ys)."""
+        nu = self.kind.weight - 1
         mu = 4.0 * nu * nu
-        grid = self._bessel_grid(float(np.max(ys)))
+        grid = self._bessel_grid(y_hi)
         u = grid.nodes
         j = np.arange(6)
         # a_j(nu) = prod_(m<=j) (mu - (2m - 1)^2) / (j! 8^j)
@@ -174,14 +202,45 @@ class WhatTransform:
         sums = grid.sums_at_freqs(-omega, cols)  # sum_u cols e^{i omega u}
         series = (sums * omega[:, None] ** (-0.5 - j)) @ (np.array([1, 1j, -1, -1j])[j % 4] * a_j)
         phi = (nu * 0.5 + 0.25) * math.pi
-        bessel = (math.sqrt(2.0 / math.pi) * np.exp(-1j * phi) * series).real
-        return 2 * math.pi * (1j**k) * bessel
+        return (math.sqrt(2.0 / math.pi) * np.exp(-1j * phi) * series).real
+
+    def _eval_bessel(self, ys: np.ndarray) -> np.ndarray:
+        """Far regime by the Hankel sums on one u rule sized at max(ys): the
+        oracle of the omega table, whose panels come from the same sums."""
+        return 2 * math.pi * (1j**self.kind.weight) * self._hankel_sums(ys, float(np.max(ys)))
+
+    def _panel_coefficients(self, p: int) -> np.ndarray:
+        """Chebyshev coefficients of What_plus / (2 pi i^k) on omega panel p,
+        from the Bessel sums at its m first-kind nodes, the u rule sized at
+        the panel's top."""
+        mid, half = self._omega_seam + (p + 0.5) * self.PANEL_WIDTH, 0.5 * self.PANEL_WIDTH
+        omega = mid + half * np.cos(self._cheb_theta)
+        y_top = ((mid + half) / (4 * math.pi)) ** 2
+        return self._cheb_cos @ self._hankel_sums((omega / (4 * math.pi)) ** 2, y_top)
+
+    def _eval_table(self, ys: np.ndarray) -> np.ndarray:
+        """The far regime: one Clenshaw pass of m terms per y on its omega panel,
+        each panel built on first touch and kept on the instance."""
+        omega = 4 * math.pi * np.sqrt(ys)
+        idx = np.floor((omega - self._omega_seam) / self.PANEL_WIDTH).astype(np.intp)
+        panels, inv = np.unique(idx, return_inverse=True)
+        for p in panels.tolist():
+            if p not in self._panels:
+                self._panels[p] = self._panel_coefficients(p)
+        coef = np.stack([self._panels[p] for p in panels.tolist()], axis=1)
+        # omega mapped to [-1, 1] on its panel, as _panel_coefficients places the nodes
+        mids = self._omega_seam + (idx + 0.5) * self.PANEL_WIDTH
+        t = (omega - mids) / (0.5 * self.PANEL_WIDTH)
+        two_t, b1, b2 = 2.0 * t, 0.0, 0.0  # Clenshaw's recurrence, one gathered row per degree
+        for row in coef[:0:-1]:
+            b1, b2 = row[inv] + two_t * b1 - b2, b1
+        return 2 * math.pi * (1j**self.kind.weight) * (coef[0][inv] + t * b1 - b2)
 
     def eval(self, y, sign: int = +1, eps_g: float = 1.0):
-        """What_pm(y); y may be a scalar or an array of positive reals."""
+        """What_pm(y); y may be a scalar or an array of finite positive reals."""
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(ys <= 0):
-            raise PreconditionError("transform argument y must be positive")
+        if not np.all(np.isfinite(ys) & (ys > 0)):
+            raise PreconditionError("transform argument y must be finite and positive")
         if sign not in (+1, -1):
             raise PreconditionError("sign must be +1 or -1")
         if sign not in self.kernels:  # the holomorphic minus term
@@ -194,7 +253,7 @@ class WhatTransform:
             if np.any(near):
                 vals[near] = self._eval_contour(ys[near], kernel, front)
             if np.any(~near):
-                vals[~near] = self._eval_bessel(ys[~near])
+                vals[~near] = self._eval_table(ys[~near])
         else:
             vals[:] = self._eval_contour(ys, kernel, front)
         if np.ndim(y) == 0:
@@ -268,7 +327,6 @@ def dual_side(
     big_m = form.level
     n_cut = inst.resolved_n_cut()
     a_bar_m = modular_inverse(inst.a * big_m, inst.c)
-    eps_g = form.epsilon_g if form.epsilon_g is not None else 1.0
 
     ns = np.arange(1, n_cut + 1)
     ys = ns * inst.scale / (big_m * inst.c**2)
@@ -279,7 +337,7 @@ def dual_side(
         chi_factor = form.chi_at(-sign * inst.c)
         if chi_factor == 0:
             continue
-        w_vals = transform.eval(ys, sign=sign, eps_g=eps_g)
+        w_vals = transform.eval(ys, sign=sign, eps_g=form.eps_g)
         terms = chi_factor * lam * unit_phases(-sign * a_bar_m * ns, inst.c) * w_vals
         total += complex(np.sum(terms))
         tail = max(tail, tail_norm(terms))

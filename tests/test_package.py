@@ -95,6 +95,7 @@ ORACLES = {
     "edges_rule": "tests/test_voronoi.py::test_transform_matches_adaptive_edge_routes",
     "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",
     "afe_weight": "tests/test_lfunc.py::test_interpolated_weights_match_the_direct_route",
+    "WhatTransform._eval_bessel": "tests/test_voronoi.py::test_bessel_route_matches_per_y_loop",
 }
 
 REPO = Path(weyldelta.__file__).resolve().parents[2]

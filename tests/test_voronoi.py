@@ -203,6 +203,11 @@ def test_maass_transform_matches_two_branch_formula(window, ell, sign):
     assert np.max(np.abs(got - _two_branch_what(tr, ys, sign, -1.0))) <= 1e-14
 
 
+def _what_max(transform):
+    # What is ~1e-5 beyond Y_SPLIT, so the scale is its maximum near y = 1
+    return np.max(np.abs(transform.eval(np.geomspace(0.05, 449.0, 200))))
+
+
 def test_bessel_route_matches_per_y_loop(window, transform):
     ys = np.geomspace(450.0, 2e4, 300)
     grid = transform._bessel_grid(float(ys.max()))
@@ -212,9 +217,33 @@ def test_bessel_route_matches_per_y_loop(window, transform):
     ref = np.array([2 * math.pi * 1j**k * (_hankel_j(k - 1, 4 * math.pi * math.sqrt(y) * u) @ du)
                     for y in ys])
     got = transform._eval_bessel(ys)
-    # What is ~1e-5 out here, so the scale is its maximum near y = 1
-    what_max = np.max(np.abs(transform.eval(np.geomspace(0.05, 449.0, 200))))
-    assert np.max(np.abs(got - ref)) <= 1e-12 * what_max
+    assert np.max(np.abs(got - ref)) <= 1e-12 * _what_max(transform)
+
+
+def test_far_table_matches_bessel_route(form, window, transform):
+    ys = np.geomspace(450.0, 2e4, 3000)
+    tol = 1e-12 * _what_max(transform)
+    assert np.max(np.abs(transform.eval(ys) - transform._eval_bessel(ys))) <= tol
+    # a lone deep y builds the one omega panel it falls on
+    tr = WhatTransform(form.kind, window)
+    assert abs(tr.eval(1e6) - tr._eval_bessel(np.array([1e6]))[0]) <= tol
+    assert len(tr._panels) == 1
+
+
+def test_far_value_does_not_depend_on_its_batch(transform):
+    ys = np.geomspace(450.0, 3e4, 500)
+    batch = transform.eval(ys)
+    for i in range(0, len(ys), 37):
+        assert transform.eval(float(ys[i])) == batch[i]
+
+
+def test_far_table_converged_in_panel_width(form, window, transform):
+    class HalfWidth(WhatTransform):
+        PANEL_WIDTH = WhatTransform.PANEL_WIDTH / 2
+
+    ys = np.geomspace(450.0, 2e4, 1000)
+    moved = np.max(np.abs(HalfWidth(form.kind, window).eval(ys) - transform.eval(ys)))
+    assert moved < 1e-13 * _what_max(transform)
 
 
 @pytest.mark.parametrize("n_max, capped", [(30000, True), (60000, False)])
@@ -238,8 +267,9 @@ def test_voronoi_cell_reports_n_cut_cap(n_max, capped, monkeypatch):
 
 
 def test_transform_rejects_bad_arguments(form, transform):
-    with pytest.raises(PreconditionError):
-        transform.eval(-1.0)
+    for bad in (-1.0, math.nan, math.inf, np.array([2.0, math.nan]), np.array([500.0, math.inf])):
+        with pytest.raises(PreconditionError):
+            transform.eval(bad)
     with pytest.raises(PreconditionError):
         transform.eval(2.0, sign=0)
 
