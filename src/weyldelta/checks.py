@@ -5,7 +5,7 @@ suite that runs it, the acceptance criterion it belongs to and the number
 of coefficients of the discriminant form it reads, and computes
 ``(residual, tolerance, values)`` from a :class:`CheckContext`. A
 check passes when residual <= tolerance (residual < tolerance for a strict
-one); slope checks carry the fitted slope as the residual against a
+one; its result names the comparison applied); slope checks carry the fitted slope as the residual against a
 negative bound. `weyl-delta verify <suite>` runs the entries of one suite
 and tests/test_acceptance.py asserts the entries of each criterion, so a
 report shows exactly what the gate enforces. A context builds the form
@@ -57,6 +57,8 @@ from .voronoi import (
 
 SUITES = ("delta", "statphase", "voronoi", "pipeline", "afe", "scan")  # `verify all` order
 ETA_PROBES = ((1, 1, 20.0), (1, 3, 50.0))  # (a, c, N) of the two calibration instances
+# the growth scan's t grid, linspace(t_min, t_max, samples), unless the caller gives one
+DEFAULT_SCAN = {"t_min": 10.0, "t_max": 500.0, "samples": 200}
 
 
 def fmt_complex(z: complex) -> List[float]:
@@ -81,7 +83,7 @@ class CheckContext:
         seed: int = 0,
         budget: Optional[int] = None,
         form_path: Optional[str] = None,
-        scan_grid: Sequence[float] = tuple(np.linspace(10.0, 500.0, 200)),
+        scan_grid: Sequence[float] = tuple(np.linspace(*DEFAULT_SCAN.values())),
         checks: Optional[Sequence["Check"]] = None,
     ):
         self.seed = seed
@@ -137,6 +139,7 @@ class CheckResult:
     passed: bool
     values: Dict[str, object] = field(default_factory=dict)
     runtime: float = 0.0
+    comparison: str = "<="  # residual against tolerance: "<" for a strict check
 
     def line(self) -> str:
         if self.residual is None:
@@ -175,7 +178,8 @@ class Check:
             residual = tolerance = None
             passed, values = False, {"error": type(exc).__name__, "message": str(exc)}
         runtime = time.perf_counter() - start
-        return CheckResult(self.name, self.anchor, residual, tolerance, passed, values, runtime)
+        return CheckResult(self.name, self.anchor, residual, tolerance, passed, values, runtime,
+                           "<" if self.strict else "<=")
 
 
 CHECKS: List[Check] = []

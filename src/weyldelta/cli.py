@@ -15,7 +15,8 @@ import-form  parse and validate a coefficient file
 The checks are defined once, in :mod:`weyldelta.checks`; `verify <suite>`
 runs that suite's entries of the list (`all`: every suite, in the order
 delta, statphase, voronoi, pipeline, afe, scan) and the acceptance gate
-asserts the same entries. Reports are JSON with stable key order;
+asserts the same entries. Reports are JSON with stable key order, and
+each check entry names its comparison ("<" for a strict check, else "<=");
 everything under the "timing" key (each check's wall clock) is excluded
 from the determinism guarantee (identical suite and seed reproduce the
 rest byte for byte). Scan/probe points go to CSV with a header row and
@@ -43,7 +44,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checks import CHECKS, SUITES, CheckContext, CheckResult, checks_for
+from .checks import CHECKS, DEFAULT_SCAN, SUITES, CheckContext, CheckResult, checks_for
 from .errors import (
     BudgetExceededError,
     CoefficientRangeError,
@@ -58,7 +59,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
-SCAN_DEFAULTS = {"csv": None, "t_min": 10.0, "t_max": 500.0, "samples": 200}  # scan suite only
+SCAN_DEFAULTS = {"csv": None, **DEFAULT_SCAN}  # scan suite only
 READERS = {"seed": ("delta", "statphase", "all"), "budget": ("delta", "statphase", "pipeline", "all")}
 
 
@@ -110,6 +111,7 @@ def suite_report(suite: str, ctx: CheckContext, results: List[CheckResult], stat
                 "anchor": r.anchor,
                 "residual": r.residual,
                 "tolerance": r.tolerance,
+                "comparison": r.comparison,
                 "passed": r.passed,
                 "values": r.values,
             }

@@ -25,11 +25,13 @@ Poisson steps (the combination below makes the two representations agree to
 the stated tolerances; see dual_identity_check):
 
   S_c = (pi eta N^(2-it) / (P* sqrt(M))) sum_p 1/(p c) sum_(rows) 2i front
-        chi(-sign c) eps_g^[sign = -1] sum_m lambda(m)
-        sum_{(r,c)=1} e(-sign m conj(rM)/c) I_kernel(m, r, c),
+        sum_m conj(lambda(m)) sum_{(r,c)=1} w_sign(m; r) I_kernel(m, r, c),
 
 over the rows (sign, front, kernel) of :func:`weyldelta.voronoi.dual_terms`, with
-I_kernel the I_delta of the row's kernel (2i front = i^k for weight k).
+I_kernel the I_delta of the row's kernel (2i front = i^k for weight k), the dual
+form's coefficients conj(lambda(m)) (:meth:`CuspForm.dual_lam_slice`) and the
+form's weight w_sign(m; r) = chi(-sign c) eps_g^[sign = -1] e(-sign m conj(rM)/c),
+which lives in :func:`weyldelta.voronoi.term_weight` alone.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, modular_inverse, unit_phases
+from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
 from .testfn import WINDOW_U, WINDOW_V, SmoothWindow
-from .voronoi import dual_terms
+from .voronoi import dual_terms, term_weight
 
 EPS_RANGE = 0.1  # every t^eps / N^eps range condition is instantiated at 0.1
 
@@ -548,8 +550,8 @@ def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
 
 
 def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
-    """T_b(tau) = sum_{m <= n_cut, m = b mod c} lambda(m) m^(-(1+i tau)/2)
-    at the nodes of the tau grid.
+    """T_b(tau) = sum_{m <= n_cut, m = b mod c} conj(lambda(m)) m^(-(1+i tau)/2)
+    at the nodes of the tau grid: the dual form's coefficients.
 
     Splitting the dual m-sum by residue class lets the additive twists
     e(-m conj(rM)/c) come out of the tau-integral, so the sums are built
@@ -560,7 +562,7 @@ def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
     16 * n_cut * panels multiply-adds in all.
     """
     logm = np.log(np.arange(1, n_cut + 1, dtype=float))
-    coeffs = form.lam_slice(n_cut) * np.exp(-0.5 * logm)
+    coeffs = form.dual_lam_slice(n_cut) * np.exp(-0.5 * logm)
     t_class = np.zeros((c, len(grid.nodes)), dtype=complex)
     for b in range(c):
         sel = slice((b - 1) % c, n_cut, c)  # index m - 1 of the m = b mod c
@@ -574,8 +576,8 @@ def s_c_dual(
     """S_c(N) through the dual (Voronoi + Poisson) representation.
 
     One pass over r sums every row of :func:`weyldelta.voronoi.dual_terms`, each
-    with the outer factor chi(-sign c) 2i front (times eps_g on the -1 row) and
-    the twist e(-sign b conj(rM)/c). The m-sum is folded into the tau-integral
+    with the outer factor 2i front and the form's weight, :func:`weyldelta.voronoi.term_weight`
+    at the twist r/c on the residues b mod c. The m-sum is folded into the tau-integral
     through residue-class Dirichlet partial sums, so the cost is O(n_cut * n_tau)
     multiply-adds (with about n_cut * (2 sqrt(n_tau / 16) + 16) complex
     exponentials) plus O(r_cut * (n_x * m + m * n_tau)) for the Istar rows, m
@@ -591,7 +593,6 @@ def s_c_dual(
     )
 
     rs = [r for r in range(-r_cut, r_cut + 1) if r != 0 and math.gcd(r, c) == 1]
-    inv_rm = {r: modular_inverse(r * form.level, c) for r in rs} if c > 1 else {r: 0 for r in rs}
 
     taus = kernel.tau_nodes
     t_class = _dirichlet_class_sums(form, c, n_cut, kernel.tau_grid)
@@ -600,19 +601,15 @@ def s_c_dual(
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / TWO_PI
 
     # a row's front and ds = i dtau give 2i front, times the pi above (i^k pi for weight k)
-    eps_g = form.eps_g
-    terms = [
-        (sign, form.chi_at(-sign * c) * (2j * term_front) * (eps_g if sign == -1 else 1.0), gam)
-        for sign, term_front, gam in dual_terms(kernel.kind, kernel.gamma_on_grid)
-    ]
+    terms = dual_terms(kernel.kind, kernel.gamma_on_grid)
     bs = np.arange(c)
 
     total = 0.0 + 0.0j
     for r in rs:
         istar = kernel.istar_row(r)
-        for sign, outer, gam in terms:
-            d_r = unit_phases(-sign * inv_rm[r] * bs, c) @ t_class
-            total += outer * np.sum(pref * gam * istar * d_r)
+        for sign, term_front, gam in terms:
+            d_r = term_weight(form, sign, r, c, bs) @ t_class
+            total += 2j * term_front * np.sum(pref * gam * istar * d_r)
     # S_star stratum weight: the single prime contributes 1/(p c) = 1/c^2
     total /= c * c
     return complex(front * total)

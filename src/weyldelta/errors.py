@@ -6,14 +6,7 @@ class ToolkitError(Exception):
 
 
 class PoleError(ToolkitError, ValueError):
-    """Evaluation requested at (or too close to) a pole.
-
-    Carries the offending point in ``location``.
-    """
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
+    """Evaluation requested at (or too close to) a pole."""
 
 
 class OverflowRangeError(ToolkitError, OverflowError):
@@ -33,20 +26,16 @@ class CoefficientRangeError(ToolkitError, ValueError):
 
 
 class FormFileError(ToolkitError, ValueError):
-    """Malformed coefficient file; ``line`` is the 1-based offending line."""
+    """Malformed coefficient file; ``line`` is the 1-based offending line,
+    named in the message when known."""
 
     def __init__(self, message, line=None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
 class HeckeViolationError(ToolkitError, ValueError):
     """Stored eigenvalues fail a Hecke relation beyond tolerance."""
-
-    def __init__(self, message, n=None, violation=None):
-        super().__init__(message)
-        self.n = n
-        self.violation = violation
 
 
 class CalibrationError(ToolkitError, RuntimeError):

@@ -119,11 +119,13 @@ class HeckeReport:
 class CuspForm:
     """Hecke eigendata in the normalized (analytic) coefficient convention.
 
-    lam[i] is lambda(i+1). The nebentypus is stored as the full value table
-    chi(0), ..., chi(M-1) with chi(a) = 0 whenever gcd(a, M) > 1. eta is the
-    modulus-one constant of the dual summation formula; it is measured by
-    calibration, not assumed, so fresh forms carry None. The fit also
-    records its unnormalized modulus and its probe spread (None until
+    lam[i] is lambda(i+1); the dual form's are conj lambda (:meth:`dual_lam_slice`).
+    The nebentypus is stored as the full value table chi(0), ..., chi(M-1)
+    with chi(a) = 0 whenever gcd(a, M) > 1; it and eps_g reach the dual side
+    only through :func:`weyldelta.voronoi.term_weight`. eta is the modulus-one
+    constant of the dual summation formula; it is measured by calibration,
+    not assumed, so fresh forms carry None. The fit also records its
+    unnormalized modulus and its probe spread (None until
     :func:`weyldelta.voronoi.calibrate_eta` runs).
     """
 
@@ -154,6 +156,10 @@ class CuspForm:
         if n_hi > self.n_max:
             raise CoefficientRangeError(f"need coefficients to {n_hi}, have {self.n_max}")
         return self.lam[:n_hi]
+
+    def dual_lam_slice(self, n_hi: int) -> np.ndarray:
+        """The dual form's coefficients conj lambda(1..n_hi), range-guarded by lam_slice."""
+        return self.lam_slice(n_hi).conj()
 
     def chi_at(self, a: int) -> complex:
         return self.chi[a % self.level]
@@ -230,7 +236,7 @@ def hecke_verify(form: CuspForm, n_max: Optional[int] = None) -> HeckeReport:
         while p ** (k + 1) <= n_hi:
             ppow += 1
             lhs = lam[p - 1] * lam[p**k - 1]
-            rhs = lam[p ** (k + 1) - 1] + chi_p * (lam[p ** (k - 1) - 1] if k >= 1 else 0)
+            rhs = lam[p ** (k + 1) - 1] + chi_p * lam[p ** (k - 1) - 1]
             diff = abs(lhs - rhs)
             if diff > worst:
                 worst = diff
@@ -396,9 +402,7 @@ def load_form(path: str) -> CuspForm:
     if report.first_violation is not None:
         m, n, viol = report.first_violation
         raise HeckeViolationError(
-            f"Hecke relation fails at ({m}, {n}): violation {viol:.3e} > tol {tol:.1e}",
-            n=m * n,
-            violation=viol,
+            f"Hecke relation fails at ({m}, {n}): violation {viol:.3e} > tol {tol:.1e}"
         )
     return form
 

@@ -195,9 +195,9 @@ def afe_values(
     lo, hi = log_y[0], log_y[-1]
     m = chebyshev_size(V_CUT * (hi - lo) / 2)
     banded = _nodal_weights(form, ts, chebyshev_interpolant(lo, hi, m, [])[0], cfg)
-    # lambda(n) n^(-1/2) y^(-a), and its conjugate for the reflected sum
+    # lambda(n) n^(-1/2) y^(-a), and the dual form's for the reflected sum
     scale = np.exp(-0.5 * log_n - ABSCISSA * log_y)
-    coef = np.stack([lam, lam.conj()], axis=1) * scale[:, None]
+    coef = np.stack([lam, form.dual_lam_slice(len(lam))], axis=1) * scale[:, None]
     sums = np.zeros((len(ts), 2), dtype=complex)
     tail_sq = np.zeros((len(ts), 2))
     for i in range(0, len(lam), ROW_BLOCK):

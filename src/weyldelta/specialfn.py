@@ -89,7 +89,7 @@ def log_gamma(s: complex) -> complex:
         return _log_gamma_array(np.asarray(s, dtype=complex))
     s = complex(s)
     if _is_nonpositive_integer(s):
-        raise PoleError(f"gamma pole at s = {s}", location=s)
+        raise PoleError(f"gamma pole at s = {s}")
     if s.real < 0.5:
         return cmath.log(cmath.pi) - _log_sin_pi(s) - log_gamma(1 - s)
     shift = 0j
@@ -144,7 +144,7 @@ def _log_gamma_array(s: np.ndarray) -> np.ndarray:
     """:func:`log_gamma` over an array, in the scalar route's order of operations."""
     poles = _pole_mask(s)
     if poles.any():
-        raise PoleError(f"gamma pole at s = {s[poles][0]}", location=complex(s[poles][0]))
+        raise PoleError(f"gamma pole at s = {s[poles][0]}")
     reflect = s.real < 0.5
     z = np.where(reflect, 1 - s, s)
     shift = np.zeros_like(z)
@@ -236,7 +236,7 @@ def gamma_factor(kind: GammaFactorKind, s: complex) -> complex:
     num, den = _gamma_args(kind, s)
     for arg in num:
         if _is_nonpositive_integer(arg):
-            raise PoleError(f"gamma factor pole: numerator gamma at {arg}", location=s)
+            raise PoleError(f"gamma factor pole: numerator gamma at {arg}")
     for arg in den:
         if _is_nonpositive_integer(arg):
             return 0.0 + 0.0j
@@ -256,10 +256,7 @@ def _gamma_factor_array(kind: GammaFactorKind, s: np.ndarray) -> np.ndarray:
     for arg in num:
         poles = _pole_mask(arg)
         if poles.any():
-            raise PoleError(
-                f"gamma factor pole: numerator gamma at {arg[poles][0]}",
-                location=complex(s[poles][0]),
-            )
+            raise PoleError(f"gamma factor pole: numerator gamma at {arg[poles][0]}")
     live = ~np.logical_or.reduce([_pole_mask(arg) for arg in den])
     lg = -s[live] * _LOG_TWO_PI
     for arg in num:

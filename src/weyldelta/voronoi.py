@@ -1,11 +1,13 @@
 """Two-sided numerical verification of the dual summation formula
 
     sum_n lambda(n) e(a n / c) W(n / N)
-        = (eta / sqrt(M)) (N / c) sum_(rows) chi(-sign c) eps_g^[sign = -1]
-          sum_n lambda(n) e(-sign conj(aM) n / c) What_sign(n N / (M c^2)),
+        = (eta / sqrt(M)) (N / c) sum_(rows) sum_n conj(lambda(n)) w_sign(n) What_sign(y_n),
+    w_sign(n) = chi(-sign c) eps_g^[sign = -1] e(-sign conj(aM) n / c),  y_n = n N / (M c^2),
 
-for gcd(a, c) = gcd(c, M) = 1, with one term per row of :func:`dual_terms` (the
-table that :func:`weyldelta.deltapipe.s_c_dual` reads too):
+for gcd(a, c) = gcd(c, M) = 1, with the dual form's coefficients conj(lambda(n))
+(:meth:`CuspForm.dual_lam_slice`), the form's weight w_sign (:func:`term_weight`)
+and one term per row of :func:`dual_terms`; :func:`weyldelta.deltapipe.s_c_dual`
+reads all three too:
 
     holomorphic weight k:  sign +1, front i^(k-1)/2, kernel gamma_k;
     Maass (ell):           sign +1, front 1/2i,      kernel C_{l,0} - C_{l,1},
@@ -49,12 +51,20 @@ DEFAULT_Y_DEEP = 8000.0  # the dual sum runs out to y ~ DEFAULT_Y_DEEP unless ca
 
 def dual_terms(kind: GammaFactorKind, factor: Callable[[GammaFactorKind], np.ndarray]):
     """[(sign, front, kernel)] of the dual formula for `kind`, the kernel built from
-    factor(k), the factor of kind k on the caller's nodes. The caller multiplies a
-    term by chi(-sign c), by eps_g on the -1 term, and twists by e(-sign conj(aM) n / c)."""
+    factor(k), the factor of kind k on the caller's nodes. The caller weights a
+    term's n by :func:`term_weight`."""
     if kind.family == "holomorphic":
         return [(+1, 1j ** (kind.weight - 1) / 2.0, factor(kind))]
     g0, g1 = (factor(GammaFactorKind("maass", ell=kind.ell, parity=d)) for d in (0, 1))
     return [(+1, 1.0 / 2j, g0 - g1), (-1, 1.0 / 2j, g0 + g1)]
+
+
+def term_weight(form: CuspForm, sign: int, a: int, c: int, ns: np.ndarray) -> np.ndarray:
+    """The form's weight on the `sign` term of :func:`dual_terms` for the twist a/c
+    at the integers ns: chi(-sign c), times eps_g on the -1 term, times
+    e(-sign conj(aM) n / c). Raises ValueError unless gcd(aM, c) = 1."""
+    unit = form.chi_at(-sign * c) * (form.eps_g if sign == -1 else 1)
+    return unit * unit_phases(-sign * modular_inverse(a * form.level, c) * ns, c)
 
 
 def default_sigma(kind: GammaFactorKind) -> float:
@@ -236,8 +246,8 @@ class WhatTransform:
             b1, b2 = row[inv] + two_t * b1 - b2, b1
         return 2 * math.pi * (1j**self.kind.weight) * (coef[0][inv] + t * b1 - b2)
 
-    def eval(self, y, sign: int = +1, eps_g: float = 1.0):
-        """What_pm(y); y may be a scalar or an array of finite positive reals."""
+    def eval(self, y, sign: int = +1):
+        """What_pm(y), unweighted (see term_weight); y: finite positive reals or one."""
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if not np.all(np.isfinite(ys) & (ys > 0)):
             raise PreconditionError("transform argument y must be finite and positive")
@@ -246,7 +256,6 @@ class WhatTransform:
         if sign not in self.kernels:  # the holomorphic minus term
             return 0.0 + 0.0j if np.ndim(y) == 0 else np.zeros(ys.shape, dtype=complex)
         front, kernel = self.kernels[sign]
-        front = front * eps_g if sign == -1 else front
         vals = np.empty(len(ys), dtype=complex)
         if self.holomorphic:
             near = ys < self.Y_SPLIT
@@ -314,50 +323,38 @@ def direct_side(inst: VoronoiInstance) -> complex:
     return complex(np.sum(lam * unit_phases(inst.a * ns, inst.c) * inst.window(ns / inst.scale)))
 
 
-def dual_side(
-    inst: VoronoiInstance, transform: WhatTransform, strip_eta: bool = False
-) -> Tuple[complex, int, float]:
-    """rhs (with the form's eta unless strip_eta) plus term count and tail estimate.
+def dual_side(inst: VoronoiInstance, transform: WhatTransform) -> Tuple[complex, int, float]:
+    """The eta-free rhs plus term count and tail estimate.
 
     The tail estimate is the l2 size of the last tenth of the included
-    terms times the rhs prefactor's modulus (N/c)/sqrt(M): a proxy, on the
-    rhs's own scale, for the (sign-cancelling) remainder beyond the cut.
+    terms times the rhs prefactor (N/c)/sqrt(M): a proxy, on the rhs's own
+    scale, for the (sign-cancelling) remainder beyond the cut.
     """
     form = inst.form
-    big_m = form.level
     n_cut = inst.resolved_n_cut()
-    a_bar_m = modular_inverse(inst.a * big_m, inst.c)
-
     ns = np.arange(1, n_cut + 1)
-    ys = ns * inst.scale / (big_m * inst.c**2)
-    lam = form.lam_slice(n_cut)
+    ys = ns * inst.scale / (form.level * inst.c**2)
+    lam = form.dual_lam_slice(n_cut)
     total = 0.0 + 0.0j
     tail = 0.0
     for sign in transform.kernels:
-        chi_factor = form.chi_at(-sign * inst.c)
-        if chi_factor == 0:
-            continue
-        w_vals = transform.eval(ys, sign=sign, eps_g=form.eps_g)
-        terms = chi_factor * lam * unit_phases(-sign * a_bar_m * ns, inst.c) * w_vals
+        terms = term_weight(form, sign, inst.a, inst.c, ns) * lam * transform.eval(ys, sign=sign)
         total += complex(np.sum(terms))
         tail = max(tail, tail_norm(terms))
-    prefactor = (inst.scale / inst.c) / math.sqrt(big_m)
-    if not strip_eta:
-        if form.eta is None:
-            raise PreconditionError(
-                "form has no calibrated eta; run calibrate_eta or pass strip_eta=True"
-            )
-        prefactor *= form.eta
-    return prefactor * total, n_cut, abs(prefactor) * tail
+    prefactor = (inst.scale / inst.c) / math.sqrt(form.level)
+    return prefactor * total, n_cut, prefactor * tail
 
 
 def voronoi_check(inst: VoronoiInstance, transform: WhatTransform) -> VoronoiCheck:
-    """Compute both sides independently and their scaled residual.
+    """Compute both sides independently and their scaled residual, the rhs times eta.
 
     The tail estimate is scaled as the residual is, so the two compare.
     """
+    if inst.form.eta is None:
+        raise PreconditionError("form has no calibrated eta; run calibrate_eta")
     lhs = direct_side(inst)
     rhs, used, tail = dual_side(inst, transform=transform)
+    rhs *= inst.form.eta
     size = 1.0 + abs(lhs) + abs(rhs)
     return VoronoiCheck(
         lhs=lhs, rhs=rhs, residual=abs(lhs - rhs) / size, rhs_terms=used,
@@ -368,7 +365,7 @@ def voronoi_check(inst: VoronoiInstance, transform: WhatTransform) -> VoronoiChe
 def calibrate_eta(form: CuspForm, probes, transform: WhatTransform) -> complex:
     """Fit the modulus-one constant of the dual side over probe instances.
 
-    Solves min_eta sum |lhs_i - eta * rhs0_i|^2 with rhs0 the eta-stripped
+    Solves min_eta sum |lhs_i - eta * rhs0_i|^2 with rhs0 the eta-free
     dual side; the unconstrained optimum is
     eta_raw = sum lhs conj(rhs0) / sum |rhs0|^2 and its modulus coming out
     at 1 validates every normalization constant in the transform. The
@@ -386,7 +383,7 @@ def calibrate_eta(form: CuspForm, probes, transform: WhatTransform) -> complex:
         if inst.form is not form:
             raise PreconditionError("all probes must reference the form being calibrated")
         lhs = direct_side(inst)
-        rhs0, _, _ = dual_side(inst, transform=transform, strip_eta=True)
+        rhs0, _, _ = dual_side(inst, transform=transform)
         if abs(lhs) < 1e-12 or abs(rhs0) < 1e-12:
             raise PreconditionError("degenerate probe (vanishing side); pick another instance")
         lhs_vals.append(lhs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import weyldelta
-from weyldelta import checks
+from weyldelta import checks, cli
 from weyldelta.checks import CHECKS, SUITES, CheckContext, checks_for
 from weyldelta.cli import main, run_suite
 from weyldelta.errors import CalibrationError, PreconditionError
@@ -48,6 +48,18 @@ def test_import_tampered_chi_rejected(tmp_path):
     export_form(delta_form(50), str(path))
     path.write_text(path.read_text().replace("#chi 1.0", "#chi 1.0,1.0"))
     assert run_cli(["import-form", str(path)]) == 3
+
+
+def test_a_bad_form_file_names_its_line(tmp_path, capsys):
+    path = tmp_path / "delta.coef"
+    export_form(delta_form(20), str(path))
+    lines = path.read_text().splitlines()
+    line_no = lines.index(next(line for line in lines if line.startswith("8 "))) + 1
+    lines[line_no - 1] = "8 notanumber"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli(["import-form", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"input error: line {line_no}: bad coefficient line '8 notanumber'" in err
 
 
 def test_verify_delta_suite(tmp_path):
@@ -277,6 +289,28 @@ def test_verify_scan_sizes_the_form_by_its_grid(tmp_path):
     assert run_cli(["verify", "scan", *grid, "--samples", "2"]) in (0, 1)
     # one sample spans no interval to fit over: an input error, not a traceback
     assert run_cli(["verify", "scan", *grid, "--samples", "1"]) == 3
+
+
+def test_verify_scan_defaults_to_the_context_grid(monkeypatch):
+    # one default grid: the acceptance gate's CheckContext and `verify scan` read it
+    seen = {}
+
+    def capture(suite, ctx):
+        seen["grid"] = ctx.scan_grid
+        return [], cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "run_suite", capture)
+    assert run_cli(["verify", "scan"]) == 0
+    assert np.array_equal(seen["grid"], CheckContext().scan_grid)
+
+
+def test_the_report_names_each_check_comparison(tmp_path):
+    report_path = tmp_path / "statphase.json"
+    assert run_cli(["verify", "statphase", "--output", str(report_path)]) == 0
+    checks = json.loads(report_path.read_text())["checks"]
+    comparison = {check["name"]: check["comparison"] for check in checks}
+    assert comparison["gamma-factor-growth-bound"] == "<"
+    assert comparison["stirling-profile-identity"] == "<="
 
 
 def test_form_shorter_than_a_check_reads_is_an_input_error(tmp_path, capsys):

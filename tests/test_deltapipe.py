@@ -1,5 +1,6 @@
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,8 +486,9 @@ def test_s_c_direct_zero_form():
 
 
 def _class_sums_blocked(form, c, n_cut, tau_nodes):
-    """T_b(tau) by one complex exponential per (m, tau) pair (oracle)."""
-    lam = form.lam_slice(n_cut)
+    """T_b(tau) of the dual coefficients conj lambda(m), by one complex
+    exponential per (m, tau) pair (oracle)."""
+    lam = np.conj(form.lam[:n_cut])
     ms = np.arange(1, n_cut + 1)
     logm = np.log(ms.astype(float))
     t_class = np.zeros((c, len(tau_nodes)), dtype=complex)
@@ -500,8 +502,15 @@ def _class_sums_blocked(form, c, n_cut, tau_nodes):
     return t_class
 
 
-@pytest.mark.parametrize("c", [11, 1])
-def test_dirichlet_class_sums_match_blocked_loop(form, c):
+@pytest.mark.parametrize(
+    "c, complex_stream",
+    [pytest.param(11, False, id="11"), pytest.param(1, False, id="1"),
+     pytest.param(11, True, id="11-complex")],
+)
+def test_dirichlet_class_sums_match_blocked_loop(form, c, complex_stream):
+    if complex_stream:  # Delta twisted by the quartic character mod 5 (psi(2) = i)
+        psi = np.array([0, 1, 1j, -1j, -1])
+        form = replace(form, lam=form.lam * psi[np.arange(1, form.n_max + 1) % 5])
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
     kernel = DualKernel(cfg, c, form.kind)
     got = deltapipe._dirichlet_class_sums(form, c, 3000, kernel.tau_grid)

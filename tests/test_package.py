@@ -85,6 +85,45 @@ def test_the_dual_pipeline_reads_no_form_family():
     assert attribute_reads(source, ("family",)) == []
 
 
+FORM_RULES = ("chi_at", "eps_g", "epsilon_g")  # the form's data behind the dual term weight
+
+
+def rule_reads(source: str):
+    """(enclosing function, name) of every read of a FORM_RULES attribute."""
+    tree = ast.parse(source)
+    scopes = [(node.lineno, node.end_lineno, name) for name, node in definitions(tree)]
+    out = set()
+    for line, attr in attribute_reads(source, FORM_RULES):
+        inner = [(lo, name) for lo, hi, name in scopes if lo <= line <= hi]
+        out.add((max(inner)[1] if inner else "<module>", attr))
+    return sorted(out)
+
+
+def test_the_guard_names_the_function_of_a_rule_read():
+    source = (
+        "def weight(form, c):\n"
+        "    return form.chi_at(-c) * form.eps_g\n\n\n"
+        "class Form:\n"
+        "    def flip(self):\n"
+        "        self.epsilon_g = -self.epsilon_g\n\n\n"
+        "unit = form.chi_at(1)\n"
+    )
+    assert rule_reads(source) == [
+        ("<module>", "chi_at"), ("Form.flip", "epsilon_g"), ("weight", "chi_at"), ("weight", "eps_g")
+    ]
+
+
+def test_only_the_term_weight_reads_the_form_rules():
+    # chi(-sign c), eps_g and the twist of each dual term have one home, voronoi.term_weight
+    reads = {
+        (path.name, scope, attr)
+        for path in MODULES
+        if path.name != "forms.py"
+        for scope, attr in rule_reads(path.read_text(encoding="utf-8"))
+    }
+    assert reads == {("voronoi.py", "term_weight", "chi_at"), ("voronoi.py", "term_weight", "eps_g")}
+
+
 # Library names that no library module and no perfbench script reaches: each
 # is the oracle of the named test (or, for multiplicative_extension, the
 # fixture generator that the level and nebentypus forms of ROADMAP item 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from weyldelta import checks
 from weyldelta.errors import PreconditionError
-from weyldelta.forms import constant_form, delta_form
+from weyldelta.forms import CuspForm, constant_form, delta_form
 from weyldelta.numerics import PanelGrid, edges_rule, loglog_slope, modular_inverse, unit_phases
 from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.testfn import make_window_v
@@ -15,6 +16,7 @@ from weyldelta.voronoi import (
     calibrate_eta,
     direct_side,
     dual_side,
+    term_weight,
     voronoi_check,
 )
 
@@ -170,9 +172,9 @@ def test_maass_contour_route_matches_per_y_loop(window, sign):
     tr = WhatTransform(maass_kind(9.5, 0), window)
     ys = np.geomspace(0.05, 4000.0, 300)
     front, kernel = tr.kernels[sign]
-    front = front if sign == +1 else -front  # eps_g = -1 on the minus term
-    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, kernel, tr.sigma, front, ys)
-    got = tr.eval(ys, sign=sign, eps_g=-1.0)
+    eps = 1.0 if sign == +1 else -1.0  # eps_g = -1 on the minus term, applied outside eval
+    ref = _contour_per_y(tr.tau_nodes, tr.tau_weights, kernel, tr.sigma, eps * front, ys)
+    got = eps * tr.eval(ys, sign=sign)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -199,7 +201,7 @@ def test_maass_transform_matches_two_branch_formula(window, ell, sign):
     # relative to max|What| would sit below the rounding of the kernel product
     tr = WhatTransform(maass_kind(ell, 0), window)
     ys = np.geomspace(0.05, 4000.0, 300)
-    got = tr.eval(ys, sign=sign, eps_g=-1.0)
+    got = (1.0 if sign == +1 else -1.0) * tr.eval(ys, sign=sign)  # eps_g = -1, outside eval
     assert np.max(np.abs(got - _two_branch_what(tr, ys, sign, -1.0))) <= 1e-14
 
 
@@ -275,17 +277,19 @@ def test_transform_rejects_bad_arguments(form, transform):
 
 
 def test_maass_transform_structural(window):
-    # structural checks only: symmetric in the spectral sign, minus branch
-    # carries the reflection eigenvalue linearly
+    # structural checks only: symmetric in the spectral sign, and the term
+    # weight carries the reflection eigenvalue linearly on the minus term alone
     kind_p = maass_kind(9.5, 0)
     kind_m = maass_kind(-9.5, 0)
     tr_p = WhatTransform(kind_p, window)
     tr_m = WhatTransform(kind_m, window)
     y = 3.0
     assert tr_p.eval(y, +1) == pytest.approx(tr_m.eval(y, +1), rel=1e-12)
-    minus_1 = tr_p.eval(y, -1, eps_g=1.0)
-    minus_2 = tr_p.eval(y, -1, eps_g=-1.0)
-    assert minus_1 == pytest.approx(-minus_2, rel=1e-12)
+    even = dataclasses.replace(constant_form(10), kind=kind_p, epsilon_g=1.0)
+    odd = dataclasses.replace(even, epsilon_g=-1.0)
+    ns = np.arange(1, 40)
+    assert np.array_equal(term_weight(odd, -1, 2, 7, ns), -term_weight(even, -1, 2, 7, ns))
+    assert np.array_equal(term_weight(odd, +1, 2, 7, ns), term_weight(even, +1, 2, 7, ns))
 
 
 def test_instance_validation(form, window):
@@ -374,4 +378,39 @@ def test_gcd_guard(form, window, transform):
     inst = VoronoiInstance(form, a=1, c=3, window=window, scale=20.0)
     inst.a = 3  # force a degenerate twist past the constructor validation
     with pytest.raises(ValueError):
-        dual_side(inst, transform=transform, strip_eta=True)
+        dual_side(inst, transform=transform)
+
+
+def test_voronoi_check_needs_a_calibrated_eta(window, transform):
+    inst = VoronoiInstance(constant_form(400), a=1, c=1, window=window, scale=20.0)
+    with pytest.raises(PreconditionError, match="eta"):
+        voronoi_check(inst, transform=transform)
+
+
+def test_dual_side_is_eta_free(calibrated, window, transform):
+    inst = VoronoiInstance(calibrated, a=1, c=3, window=window, scale=20.0)
+    rhs0, _, _ = dual_side(inst, transform=transform)
+    assert voronoi_check(inst, transform=transform).rhs == calibrated.eta * rhs0
+
+
+PSI_MOD_5 = np.array([0, 1, 1j, -1j, -1])  # the quartic character mod 5 with psi(2) = i
+
+
+def test_complex_coefficient_form_calibrates_and_passes_its_cells(window, transform):
+    # Delta twisted by psi: lambda(n) psi(n), level 25, nebentypus psi^2, complex
+    # coefficients; its dual side carries conj lambda, and eta = tau(psi)^2 / 5
+    base = delta_form(40000)
+    ns = np.arange(1, base.n_max + 1)
+    chi = PSI_MOD_5[np.arange(25) % 5] ** 2
+    twist = CuspForm(kind=base.kind, level=25, chi=chi, lam=base.lam * PSI_MOD_5[ns % 5])
+    probes = [
+        VoronoiInstance(twist, a=a, c=c, window=window, scale=scale)
+        for a, c, scale in checks.ETA_PROBES
+    ]
+    eta = calibrate_eta(twist, probes, transform=transform)
+    gauss = np.sum(PSI_MOD_5 * np.exp(2j * np.pi * np.arange(5) / 5))
+    assert abs(twist.eta_modulus_raw - 1.0) <= 1e-6
+    assert abs(eta - gauss**2 / 5) <= 1e-6
+    for scale, a, c in ((20.0, 1, 1), (50.0, 1, 2), (50.0, 2, 3)):
+        inst = VoronoiInstance(twist, a=a, c=c, window=window, scale=scale)
+        assert voronoi_check(inst, transform=transform).residual <= 1e-6
