@@ -59,6 +59,8 @@ SUITES = ("delta", "statphase", "voronoi", "pipeline", "afe", "scan")  # `verify
 ETA_PROBES = ((1, 1, 20.0), (1, 3, 50.0))  # (a, c, N) of the two calibration instances
 # the growth scan's t grid, linspace(t_min, t_max, samples), unless the caller gives one
 DEFAULT_SCAN = {"t_min": 10.0, "t_max": 500.0, "samples": 200}
+DUAL_N_CUT = 30000  # criterion 7's n_cut; its sweep doubles it, so it reads 2 DUAL_N_CUT
+N_HECKE = 10000  # criterion 9 reads lambda(n), n <= N_HECKE: Hecke relations, Rankin averages
 
 
 def fmt_complex(z: complex) -> List[float]:
@@ -421,17 +423,16 @@ def _dual_identity(ctx: CheckContext):
         form = ctx.form()
         ctx.calibrate(form)
         cfg = PipelineConfig(
-            N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=30000, tau_cut=1500.0, r_cut=24
+            N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=DUAL_N_CUT, tau_cut=1500.0, r_cut=24
         )
         return dual_identity_check(form, cfg, sweep=True)
 
     return ctx.shared("dual", build)
 
 
-# n_cut = 30000, doubled by the sweep
 @_check(
     "dual-summation-identity", "voronoi-poisson-dual-representation", "pipeline", 7,
-    coefficients=60000,
+    coefficients=2 * DUAL_N_CUT,
 )
 def _dual_summation(ctx):
     res = _dual_identity(ctx)
@@ -445,7 +446,7 @@ def _dual_summation(ctx):
 
 @_check(
     "dual-summation-stability", "truncation-doubling-stability", "pipeline", 7, strict=True,
-    coefficients=60000,
+    coefficients=2 * DUAL_N_CUT,
 )
 def _dual_stability(ctx):
     # every doubling must move the dual side by less than 1/20 of the claimed
@@ -530,17 +531,17 @@ def _afe_truncation(ctx):
 
 
 @_check(
-    "hecke-multiplicativity", "eigenvalue-multiplicative-relations", "afe", 9, coefficients=10000
+    "hecke-multiplicativity", "eigenvalue-multiplicative-relations", "afe", 9, coefficients=N_HECKE
 )
 def _hecke(ctx):
-    report = hecke_verify(ctx.form(), 10000)
+    report = hecke_verify(ctx.form(), N_HECKE)
     values = {"pairs": report.pairs_checked, "prime_powers": report.prime_power_checked}
     return report.max_violation, 1e-12, values
 
 
-@_check("rankin-average-growth", "second-moment-linear-growth", "afe", 9, coefficients=10000)
+@_check("rankin-average-growth", "second-moment-linear-growth", "afe", 9, coefficients=N_HECKE)
 def _rankin(ctx):
-    avgs = rankin_average(ctx.form(), [100, 1000, 10000])
+    avgs = rankin_average(ctx.form(), [100, 1000, N_HECKE])
     slope = loglog_slope([x for x, _ in avgs], [x * a for x, a in avgs])
     return abs(slope - 1.0), 0.15, {"slope": slope, "averages": [[x, a] for x, a in avgs]}
 

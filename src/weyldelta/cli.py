@@ -17,12 +17,12 @@ runs that suite's entries of the list (`all`: every suite, in the order
 delta, statphase, voronoi, pipeline, afe, scan) and the acceptance gate
 asserts the same entries. Reports are JSON with stable key order, and
 each check entry names its comparison ("<" for a strict check, else "<=");
-everything under the "timing" key (each check's wall clock) is excluded
-from the determinism guarantee (identical suite and seed reproduce the
-rest byte for byte). Scan/probe points go to CSV with a header row and
-plain decimal formatting. `verify --budget` (default: the env variable
-WEYL_DELTA_BUDGET) caps the oscillatory-quadrature cell count and the
-stratum-sum evaluation count. An option that the suite never reads is a
+everything under the "timing" key (each check's wall clock) is excluded from
+the determinism guarantee (identical suite, seed and BLAS thread count
+reproduce the rest byte for byte). Scan/probe points go to CSV with a header
+row and plain decimal formatting. `verify --budget` (default: the env
+variable WEYL_DELTA_BUDGET) caps the oscillatory-quadrature cell count and
+the stratum-sum evaluation count. An option that the suite never reads is a
 usage error: `--seed` is read by delta and statphase, `--budget` also by
 pipeline (`all` reads both), and the scan suite and command read neither.
 Exit codes: 0 all checks pass, 1 check failure, 2 budget exhausted, 3

@@ -118,7 +118,7 @@ class PipelineConfig:
         # the dual mass peaks at m ~ (2K)^2 M c^2 / N where the transform
         # kernel is stationary; the tail past the band decays only like
         # m^(-3.5) at desk scale, so the cut sits far beyond the peak
-        return min(int(math.ceil(160 * level * c * c * self.K * self.K / self.N)) + 200, 20000)
+        return int(math.ceil(160 * level * c * c * self.K * self.K / self.N)) + 200
 
     def validate(self, level: int = 1):
         if self.t <= 2:

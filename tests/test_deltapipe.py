@@ -7,7 +7,7 @@ import pytest
 
 from weyldelta import deltapipe, numerics, oscillate
 from weyldelta.checks import CHECKS, CheckContext
-from weyldelta.errors import BudgetExceededError, PreconditionError
+from weyldelta.errors import BudgetExceededError, CoefficientRangeError, PreconditionError
 from weyldelta.forms import (
     CuspForm,
     constant_form,
@@ -221,6 +221,19 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         PipelineConfig(N=50.0, t=1.0, K=5.0).validate()
     PipelineConfig(N=50.0, t=10.0, K=5.0, prime_set=tuple(primes_in(60, 120))).validate()
+
+
+def test_default_n_cut_follows_its_rule_and_a_short_form_raises():
+    # 160 M c^2 K^2 / N + 200 at (N, t, K) = (20, 5, 3), level 11, c = 13,
+    # with no silent cap below what the rule asks for
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(17,), c=17)
+    assert cfg.resolved_n_cut(13, level=11) == 134048
+    # at c = 17 the rule asks for 21008: a form of 20500 coefficients is too
+    # short and raises from lam_slice, as every other coefficient sum does
+    assert cfg.resolved_n_cut(17) == 21008
+    short = replace(delta_form(20500), eta=1.0)
+    with pytest.raises(CoefficientRangeError):
+        dual_identity_check(short, cfg, sweep=False)
 
 
 # --- smoothed sum and its decomposition --------------------------------------

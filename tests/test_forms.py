@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyldelta import forms
 from weyldelta.errors import (
     CoefficientRangeError,
     FormFileError,
@@ -14,7 +15,6 @@ from weyldelta.errors import (
 from weyldelta.forms import (
     TAU_PRIMES,
     CuspForm,
-    _tau_by_residues,
     constant_form,
     delta_form,
     export_form,
@@ -73,21 +73,40 @@ def test_tau_exact_hecke_relations_to_60000(tau60k):
 
 
 def test_tau_symmetric_lift_signs_and_size(tau60k):
-    # the lift is symmetric: tau(2) comes out as -24, not as M - 24 (a 124-bit
-    # number for the product M of the four primes)
+    # the lift is symmetric: tau(2) comes out as -24, not as M - 24 (a 102-bit
+    # number for the product M of the six primes that 60000 coefficients need)
     assert tau60k[1] == -24
     assert all(type(v) is int for v in tau60k)
     assert max(abs(v) for v in tau60k).bit_length() == 89
 
 
-def test_tau_residue_guard_rejects_too_few_or_too_large_primes():
-    assert _tau_by_residues(10, TAU_PRIMES) == ramanujan_tau(10)
-    # three primes cover |tau| < 2^92, Deligne's bound needs 2^121 at n = 10^6
+def test_tau_residue_guard_rejects_too_few_or_too_large_primes(monkeypatch):
+    # the list does not depend on which valid primes carry it
+    monkeypatch.setattr(forms, "TAU_PRIMES", TAU_PRIMES[::-1])
+    assert ramanujan_tau(10) == ramanujan_tau_naive(10)
+    # three primes cover |tau| < 2^49, Deligne's bound needs 2^121 at n = 10^6
+    monkeypatch.setattr(forms, "TAU_PRIMES", TAU_PRIMES[:3])
     with pytest.raises(PreconditionError):
-        _tau_by_residues(10, TAU_PRIMES[:3])
-    # a prime above 2^31 overflows the int64 products
+        ramanujan_tau(10)
+    # squares of 10^6 residues modulo 2^61 - 1 are far past float64's exact integers
+    monkeypatch.setattr(forms, "TAU_PRIMES", (2**61 - 1, *TAU_PRIMES))
     with pytest.raises(PreconditionError):
-        _tau_by_residues(10, (2**61 - 1, *TAU_PRIMES))
+        ramanujan_tau(10)
+
+
+def test_tau_residue_guard_rejects_a_prime_whose_squares_leave_float64(monkeypatch):
+    # 2^31 - 1 keeps int64 products exact, but 10^6 (2^30)^2 is past 2^53; the
+    # constants are checked whatever n_max is, so n = 10 raises too
+    monkeypatch.setattr(forms, "TAU_PRIMES", (2**31 - 1, *TAU_PRIMES))
+    with pytest.raises(PreconditionError, match="float64"):
+        ramanujan_tau(10)
+
+
+def test_tau_rounding_guard_trips_on_an_inexact_square(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(PreconditionError, match="from an integer"):
+        ramanujan_tau(10)
 
 
 def test_tau_small_values():
