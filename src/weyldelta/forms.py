@@ -5,8 +5,9 @@ normalized eigenvalues lambda(n) = tau(n) / n^(11/2), where tau comes from
 the eta-product q prod (1-q^n)^24 = q J(q)^8 computed exactly (J is
 Jacobi's series for the cube of eta): three FFT squarings of J modulo up to
 eight primes below 2^17, lifted by CRT, so 60000 coefficients take about
-0.2 s. Other forms are ingested from text files and validated against the
-Hecke relations
+0.2 s. Other forms are read from coefficient files in the one header format
+:data:`HEADER`; on load chi must be a character mod M and the eigenvalues
+must satisfy the Hecke relations
 
     lambda(m n) = lambda(m) lambda(n)                        gcd(m, n) = 1,
     lambda(p) lambda(p^k) = lambda(p^(k+1)) + chi(p) lambda(p^(k-1)).
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -254,64 +255,86 @@ def rankin_average(form: CuspForm, x_values: Sequence[int]):
 # ---------------------------------------------------------------------------
 # coefficient files
 # ---------------------------------------------------------------------------
-#
-# UTF-8 text; header lines  #key value  for kind, k or (ell, delta, eps_g),
-# M, chi (M comma-separated values), eps_f, n_max, tol, optionally eta; then
-# lines  n lambda_re [lambda_im]  with n strictly increasing from 1.
 
 
 def _format_complex(z: complex) -> str:
     z = complex(z)
-    if z.imag == 0:
-        return repr(z.real)
-    return repr(z)  # parenthesized python literal, e.g. (1+2j)
+    return repr(z.real if z.imag == 0 else z)  # a complex repr is a literal such as (1+2j)
 
 
-def _parse_complex(text: str, line_no: int) -> complex:
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise FormFileError(f"bad complex literal {text!r}", line=line_no) from exc
+def _checked(parse: Callable[[str], Any], ok=lambda v: math.isfinite(abs(v))):
+    """The parser ``parse``, raising ValueError on a value that fails ``ok`` (default: finite)."""
+
+    def parser(text: str):
+        if not ok(value := parse(text)):
+            raise ValueError("out of range")
+        return value
+
+    return parser
+
+
+class HeaderKey(NamedTuple):
+    family: Optional[str]  # the kind of form whose files carry the key; None: every file
+    parse: Callable[[str], Any]  # value text -> value; ValueError on a bad value
+    write: Callable[[CuspForm], Optional[str]]  # form -> value text; None leaves the line out
+    optional: bool = False
+
+
+# A coefficient file: header lines  #key value  in this order, then lines
+# n lambda_re [lambda_im]  with n increasing from 1. eta is measured, not stored.
+HEADER = {
+    "kind": HeaderKey(None, _checked(str, {"holomorphic", "maass"}.__contains__),
+                      lambda f: f.kind.family),
+    "k": HeaderKey("holomorphic", lambda t: holomorphic_kind(int(t)).weight,
+                   lambda f: str(f.kind.weight)),
+    "ell": HeaderKey("maass", _checked(lambda t: maass_kind(complex(t), 0).ell),
+                     lambda f: _format_complex(f.kind.ell)),
+    "delta": HeaderKey("maass", lambda t: maass_kind(0, int(t)).parity, lambda f: str(f.kind.parity)),
+    "eps_g": HeaderKey(  # kept as written, 1 or 1.0, so that a file re-exports byte for byte
+        "maass", _checked(lambda t: int(t) if t.lstrip("+-").isdigit() else float(t),
+                          {1, -1}.__contains__), lambda f: str(f.eps_g)),
+    "M": HeaderKey(None, _checked(int, lambda v: v >= 1), lambda f: str(f.level)),
+    "chi": HeaderKey(None, lambda t: np.array([complex(v) for v in t.split(",")]),
+                     lambda f: ",".join(map(_format_complex, f.chi))),
+    "eps_f": HeaderKey(None, _checked(complex), lambda f: None if f.epsilon_f is None
+                       else _format_complex(f.epsilon_f), optional=True),
+    "n_max": HeaderKey(None, int, lambda f: str(f.n_max)),
+    "tol": HeaderKey(None, _checked(float, lambda v: 0 < v < math.inf), lambda f: repr(f.tol)),
+}
+
+
+def _character_rules(chi: np.ndarray, tol: float):
+    """(rule, the a where it fails within tol) for the rules of a character mod M = len(chi):
+    chi(p a) = chi(p) chi(a) for primes p < M gives chi(a b) = chi(a) chi(b) for all a, b."""
+    level, a = len(chi), np.arange(len(chi))
+    units = np.gcd(a, level) == 1
+    yield "|chi(a)| = 1 if gcd(a, M) = 1, else 0", ~(np.abs(np.abs(chi) - units) <= tol * units)
+    yield "chi(1) = 1", (a == 1 % level) & ~(np.abs(chi - 1) <= tol)
+    for p in primes_in(2, level - 1):
+        yield f"chi({p} a) = chi({p}) chi(a)", ~(np.abs(chi[p * a % level] - chi[p] * chi) <= tol)
 
 
 def export_form(form: CuspForm, path: str) -> None:
-    lines = []
-    if form.kind.family == "holomorphic":
-        lines.append("#kind holomorphic")
-        lines.append(f"#k {form.kind.weight}")
-    else:
-        lines.append("#kind maass")
-        ell = complex(form.kind.ell)
-        lines.append(f"#ell {_format_complex(ell)}")
-        lines.append(f"#delta {form.kind.parity}")
-        lines.append(f"#eps_g {form.eps_g}")
-    lines.append(f"#M {form.level}")
-    lines.append("#chi " + ",".join(_format_complex(v) for v in form.chi))
-    if form.epsilon_f is not None:
-        lines.append(f"#eps_f {_format_complex(form.epsilon_f)}")
-    if form.eta is not None:
-        lines.append(f"#eta {_format_complex(form.eta)}")
-    lines.append(f"#n_max {form.n_max}")
-    lines.append(f"#tol {form.tol!r}")
-    for i, lam in enumerate(form.lam):
-        lam = complex(lam)
-        if lam.imag == 0:
-            lines.append(f"{i + 1} {lam.real!r}")
-        else:
-            lines.append(f"{i + 1} {lam.real!r} {lam.imag!r}")
+    lines = [
+        f"#{key} {text}"
+        for key, entry in HEADER.items()
+        if entry.family in (None, form.kind.family) and (text := entry.write(form)) is not None
+    ]
+    for n, lam in enumerate(map(complex, form.lam), start=1):
+        lines.append(f"{n} {lam.real!r}" + (f" {lam.imag!r}" if lam.imag else ""))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_form(path: str) -> CuspForm:
-    """Parse a coefficient file; Hecke relations are validated on load.
+    """Parse a coefficient file (:data:`HEADER`), validating chi and the Hecke relations.
 
-    Raises :class:`FormFileError` (with the line number) on malformed input
-    and :class:`HeckeViolationError` naming the first offending index if the
-    stored eigenvalues break multiplicativity beyond the header tolerance.
+    :class:`FormFileError` names the line of a malformed line, an unknown (#eta too),
+    repeated or other-kind key, a value its key's parser rejects, a chi that is no
+    character mod M within tol, or an n_max that miscounts (a missing key has no line);
+    :class:`HeckeViolationError` the first index that breaks a Hecke relation past tol.
     """
-    header = {}
-    coeffs = []
+    values, lines, coeffs = {}, {}, []  # header key -> its value, and its line number
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -319,78 +342,50 @@ def load_form(path: str) -> CuspForm:
                 continue
             if line.startswith("#"):
                 try:
-                    key, value = line[1:].split(None, 1)
+                    key, text = line[1:].split(None, 1)
                 except ValueError as exc:
                     raise FormFileError("header line needs a key and a value", line=line_no) from exc
-                header[key] = (value.strip(), line_no)
+                if key not in HEADER:
+                    raise FormFileError(f"#{key} is no header key", line=line_no)
+                if key in lines:
+                    raise FormFileError(f"#{key} repeats line {lines[key]}", line=line_no)
+                try:
+                    values[key], lines[key] = HEADER[key].parse(text), line_no
+                except ValueError as exc:
+                    raise FormFileError(f"bad #{key} {text!r}: {exc}", line=line_no) from exc
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise FormFileError("coefficient lines are `n re [im]`", line=line_no)
             try:
-                n = int(parts[0])
-                re_v = float(parts[1])
-                im_v = float(parts[2]) if len(parts) == 3 else 0.0
+                n, lam = int(parts[0]), complex(*map(float, parts[1:]))
             except ValueError as exc:
                 raise FormFileError(f"bad coefficient line {line!r}", line=line_no) from exc
-            expected = len(coeffs) + 1
-            if n != expected:
-                raise FormFileError(
-                    f"coefficient index {n} out of order (expected {expected})", line=line_no
-                )
-            coeffs.append(complex(re_v, im_v))
+            if n != len(coeffs) + 1:
+                raise FormFileError(f"index {n}, expected {len(coeffs) + 1}", line=line_no)
+            coeffs.append(lam)
 
-    def need(key):
-        if key not in header:
+    for key, entry in HEADER.items():  # #kind first: it decides which keys belong
+        if key in values and entry.family not in (None, values["kind"]):
+            raise FormFileError(f"#{key} is for {entry.family} forms only", line=lines[key])
+        if key not in values and not entry.optional and entry.family in (None, values.get("kind")):
             raise FormFileError(f"missing header #{key}")
-        return header[key][0]
-
-    kind_name = need("kind")
-    level = int(need("M"))
-    if kind_name == "holomorphic":
-        kind = holomorphic_kind(int(need("k")))
-        eps_g = None
-    elif kind_name == "maass":
-        ell_text, ell_line = header.get("ell", (None, 0))
-        if ell_text is None:
-            raise FormFileError("maass forms need #ell")
-        kind = maass_kind(_parse_complex(ell_text, ell_line), int(need("delta")))
-        eps_g = float(need("eps_g"))
-    else:
-        raise FormFileError(f"unknown kind {kind_name!r}", line=header["kind"][1])
-
-    chi_text, chi_line = header["chi"] if "chi" in header else (None, 0)
-    if chi_text is None:
-        raise FormFileError("missing header #chi")
-    chi_vals = [_parse_complex(v, chi_line) for v in chi_text.split(",")]
-    if len(chi_vals) != level:
-        raise FormFileError(
-            f"chi table has {len(chi_vals)} entries, level M = {level}", line=chi_line
-        )
-    chi = np.array(chi_vals, dtype=complex)
-    for a in range(level):
-        if math.gcd(a, level) > 1 and abs(chi[a]) > 0:
-            raise FormFileError(f"chi({a}) must vanish for gcd(a, M) > 1", line=chi_line)
-
-    n_max = int(need("n_max"))
-    if n_max != len(coeffs):
-        raise FormFileError(f"n_max = {n_max} but {len(coeffs)} coefficients present")
-    tol = float(need("tol"))
-    eps_f = None
-    if "eps_f" in header:
-        eps_f = _parse_complex(*header["eps_f"])
-    eta = None
-    if "eta" in header:
-        eta = _parse_complex(*header["eta"])
-
+    level, chi, tol = values["M"], values["chi"], values["tol"]
+    if len(chi) != level:
+        raise FormFileError(f"chi has {len(chi)} entries, level M = {level}", line=lines["chi"])
+    for rule, broken in _character_rules(chi, tol):
+        if np.any(broken):
+            raise FormFileError(f"chi breaks {rule} at a = {np.argmax(broken)}", line=lines["chi"])
+    if (n_max := values["n_max"]) != len(coeffs):
+        raise FormFileError(f"#n_max {n_max} but {len(coeffs)} coefficients", line=lines["n_max"])
     form = CuspForm(
-        kind=kind,
+        kind=holomorphic_kind(values["k"]) if "k" in values
+        else maass_kind(values["ell"], values["delta"]),
         level=level,
         chi=chi,
         lam=np.array(coeffs, dtype=complex),
-        epsilon_f=eps_f,
-        eta=eta,
-        epsilon_g=eps_g,
+        epsilon_f=values.get("eps_f"),
+        epsilon_g=values.get("eps_g"),
         tol=tol,
     )
     report = hecke_verify(form)

@@ -20,9 +20,9 @@ evaluated first (it decays superpolynomially in the contour height because W
 is smooth), then the tau-integral is truncated where that decay beats the
 tolerance. The tau panels all have the width that the gamma-factor phase
 needs at the top of the contour, where it turns fastest. For holomorphic
-forms, y beyond :attr:`WhatTransform.Y_SPLIT` is read from Chebyshev panels
-in omega = 4 pi sqrt(y) instead: one Clenshaw pass of m terms per y, plus
-its panel's one-time build of m Bessel sums.
+forms, y beyond the seam :attr:`WhatTransform.y_seam` is read from Chebyshev
+panels in omega = 4 pi sqrt(y) instead: one Clenshaw pass of m terms per y,
+plus its panel's one-time build of m Bessel sums.
 
 eta has modulus one but is otherwise measured, not assumed:
 :func:`calibrate_eta` fits it across probe instances and the unconstrained
@@ -89,10 +89,10 @@ class WhatTransform:
     (y, node) pair; a far y costs one Clenshaw pass of m terms, plus its share
     of its omega panel's one-time build of m Bessel sums:
 
-    * y below Y_SPLIT (every y for Maass kinds): the contour form. m_W and
-      the gamma factors are tabulated once on equal tau panels over
+    * y below the seam y_seam (every y for Maass kinds): the contour form.
+      m_W and the gamma factors are tabulated once on equal tau panels over
       [0, TAU_MAX]. The panel width is the one the phase
-      tau (log(tau / 4 pi) + |log y| / 2) needs at TAU_MAX and y = Y_SPLIT
+      tau (log(tau / 4 pi) + |log y| / 2) needs at TAU_MAX and y = y_seam
       (Y_MAX for Maass kinds), where it turns fastest, so GL-16 sees
       <= ~1.5 cycles per panel. The Mellin table is one `sums_at_nodes`
       over the U_PANELS log-x rule, and
@@ -100,7 +100,7 @@ class WhatTransform:
           What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2)
 
       is one `sums_at_freqs` at the frequencies log(y) / 2.
-    * y above Y_SPLIT, holomorphic kinds only: the same transform written
+    * y above y_seam, holomorphic kinds only: the same transform written
       against its oscillatory kernel. The contour collapses to the Mellin
       representation of the order-(k-1) Bessel function; with x = u^2,
 
@@ -108,10 +108,14 @@ class WhatTransform:
                        = 2 pi i^k int 2u W(u^2) J_{k-1}(omega u) du,   omega = 4 pi sqrt(y).
 
       The Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
-      sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, is accurate to
-      ~1e-10 relative once v >= 260. Since v^(-j) = omega^(-j) u^(-j), the
-      Bessel sums are six column sums sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u)
-      on one u grid with 1.2 panels per cycle at the top y it serves. This
+      sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, drops terms of
+      relative size about (nu^2 / 2v)^j / j!, j >= 6, so the far regime starts
+      at omega_seam = max(4 pi sqrt(Y_SPLIT), 2 (k-1)^2) (y_seam = 450 for
+      k <= 12, 38011 for k = 36). There What is within 7.2e-11 of max|What|
+      of J_(k-1) by Bessel's integral for k <= 36 on y in [0.5, 2] y_seam.
+      Since v^(-j) = omega^(-j) u^(-j), the Bessel sums are six column sums
+      sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u) on one u grid with 1.2
+      panels per cycle at the top y it serves. This
       keeps deep right-hand-side tails cheap; the contour route would need
       absolute-accuracy levels that the oscillatory cancellation there
       cannot deliver.
@@ -119,8 +123,8 @@ class WhatTransform:
       With u <= sqrt(b) on the window's support [a, b], What_plus / (2 pi i^k)
       is real and entire of exponential type sqrt(b) in omega, so it is read
       from a Chebyshev table: panels of width PANEL_WIDTH in omega from
-      omega_seam = 4 pi sqrt(Y_SPLIT), so none straddles the change of
-      route, with m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind
+      omega_seam, so none straddles the change of route, with
+      m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind
       nodes each (42 for [1, 2]). A panel is built when eval first touches
       it, by the Bessel sums at its nodes on a u grid sized at the panel's
       top, and kept on the instance; a value then depends on y alone. On
@@ -149,8 +153,8 @@ class WhatTransform:
         if a <= 0:
             raise PreconditionError("window support must lie in (0, infinity)")
         self.holomorphic = kind.family == "holomorphic"
-        # the contour table only serves y below the split for holomorphic
-        contour_y = self.Y_SPLIT if self.holomorphic else self.Y_MAX
+        self.y_seam = max(self.Y_SPLIT, (2 * (kind.weight - 1) ** 2 / (4 * math.pi)) ** 2)
+        contour_y = self.y_seam if self.holomorphic else self.Y_MAX
 
         # equal tau panels on [0, TAU_MAX], as wide as the combined phase rate
         # log(tau/4pi) + |log y|/2 allows at TAU_MAX, where it is largest
@@ -177,7 +181,7 @@ class WhatTransform:
         # filled by eval; the coefficient sums use the discrete orthogonality of
         # cos(k theta_j) at the m first-kind nodes
         self._panels = {}
-        self._omega_seam = 4 * math.pi * math.sqrt(self.Y_SPLIT)
+        self._omega_seam = 4 * math.pi * math.sqrt(self.y_seam)
         m = chebyshev_size(math.sqrt(b) * 0.5 * self.PANEL_WIDTH)
         self._cheb_theta = np.pi * (np.arange(m) + 0.5) / m
         self._cheb_cos = np.cos(np.outer(np.arange(m), self._cheb_theta)) * (2.0 / m)
@@ -258,7 +262,7 @@ class WhatTransform:
         front, kernel = self.kernels[sign]
         vals = np.empty(len(ys), dtype=complex)
         if self.holomorphic:
-            near = ys < self.Y_SPLIT
+            near = ys < self.y_seam
             if np.any(near):
                 vals[near] = self._eval_contour(ys[near], kernel, front)
             if np.any(~near):

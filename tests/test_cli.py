@@ -62,6 +62,45 @@ def test_a_bad_form_file_names_its_line(tmp_path, capsys):
     assert f"input error: line {line_no}: bad coefficient line '8 notanumber'" in err
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, line, bad",
+    [
+        ("delta24.coef", "#kind holomorphic", "#kind modular"),
+        ("delta24.coef", "#M 1", "#M one"),
+        ("delta24.coef", "#M 1", "#M 0"),
+        ("delta24.coef", "#k 12", "#k 11"),
+        ("maass_exceptional.coef", "#ell 0.2j", "#ell 0.3j"),
+        ("maass_exceptional.coef", "#ell 0.2j", "#ell nan"),
+        ("maass_exceptional.coef", "#delta 0", "#delta 2"),
+        ("maass_exceptional.coef", "#eps_g -1.0", "#eps_g 0.5"),
+        ("delta24.coef", "#chi 1.0", "#chi one"),
+        ("delta24.coef", "#eps_f 1.0", "#eps_f plus"),
+        ("delta24.coef", "#eps_f 1.0", "#eps_f nan"),
+        ("delta24.coef", "#n_max 24", "#n_max 24.0"),
+        ("delta24.coef", "#n_max 24", "#n_max 25"),
+        ("delta24.coef", "#tol 1e-09", "#tol tight"),
+        ("delta24.coef", "#tol 1e-09", "#tol nan"),
+        ("delta24.coef", "#eps_f 1.0", "#epsf 1.0"),  # unknown key
+        ("delta24.coef", "#k 12", "#k 12\n#k 10"),  # repeated key
+        ("delta24.coef", "#k 12", "#k 12\n#eps_g 1"),  # a Maass key
+        ("maass_exceptional.coef", "#delta 0", "#delta 0\n#k 12"),  # a holomorphic key
+        ("delta24.coef", "#eps_f 1.0", "#eps_f 1.0\n#eta -1.0"),  # measured, never stored
+    ],
+)
+def test_a_bad_header_line_exits_3_naming_it(tmp_path, capsys, name, line, bad):
+    text = (DATA / name).read_text()
+    assert line in text.splitlines()
+    text = text.replace(line, bad, 1)
+    line_no = text.splitlines().index(bad.splitlines()[-1]) + 1
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli(["import-form", str(path)]) == 3
+    assert f"input error: line {line_no}: " in capsys.readouterr().err
+
+
 def test_verify_delta_suite(tmp_path):
     report_path = tmp_path / "report.json"
     status = run_cli(["verify", "delta", "--output", str(report_path), "--seed", "1"])

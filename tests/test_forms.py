@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from weyldelta.errors import (
     PreconditionError,
 )
 from weyldelta.forms import (
+    HEADER,
     TAU_PRIMES,
     CuspForm,
     constant_form,
@@ -27,7 +30,7 @@ from weyldelta.forms import (
     trivial_character,
 )
 from weyldelta.numerics import loglog_slope, primes_in
-from weyldelta.specialfn import maass_kind
+from weyldelta.specialfn import holomorphic_kind, maass_kind
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +307,57 @@ def test_maass_fixture_roundtrip(tmp_path):
     assert np.array_equal(loaded.lam, fixture.lam)
     report = hecke_verify(loaded)
     assert report.first_violation is None
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name", ["delta24.coef", "maass_exceptional.coef", "maass_unset_eps.coef", "level5_complex_chi.coef"]
+)
+def test_stored_files_load_and_reexport_byte_for_byte(tmp_path, name):
+    # written by the two-branch exporter this format replaced: Delta(24); Maass forms
+    # with ell = 0.2i and eps_g = -1, and with eps_g unset (written 1) and no eps_f;
+    # a level-5 form with chi(2) = i and a complex root number
+    form = load_form(str(DATA / name))
+    path = tmp_path / name
+    export_form(form, str(path))
+    assert path.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_stored_files_load_to_their_forms():
+    delta = load_form(str(DATA / "delta24.coef"))
+    assert np.array_equal(delta.lam, delta_form(24).lam) and delta.kind == holomorphic_kind(12)
+    exceptional = load_form(str(DATA / "maass_exceptional.coef"))
+    assert exceptional.kind == maass_kind(0.2j, 0) and exceptional.epsilon_g == -1.0
+    unset = load_form(str(DATA / "maass_unset_eps.coef"))
+    assert unset.eps_g == 1 and unset.epsilon_f is None and unset.tol == 1e-9
+    level5 = load_form(str(DATA / "level5_complex_chi.coef"))
+    assert np.array_equal(level5.chi, [0, 1, 1j, -1j, -1]) and level5.epsilon_f == 0.6 - 0.8j
+    assert all(form.eta is None for form in (delta, exceptional, unset, level5))
+
+
+@pytest.mark.parametrize(
+    "chi", [[0, 1, -1, 1, 1], [0, 1, 0.5, 0.5, 1], [0, 2, 1j, -1j, -1]], ids=["product", "modulus", "one"]
+)
+def test_a_chi_that_is_no_character_names_its_line(tmp_path, chi):
+    # Hecke-consistent coefficients, so that only the character rules can object
+    chi = np.array(chi, dtype=complex)
+    lam = multiplicative_extension({2: 0.3 + 0.1j, 3: -0.2j, 5: 0.4, 7: 0.1, 11: -0.5}, chi, 5, 12)
+    form = CuspForm(kind=maass_kind(9.5, 1), level=5, chi=chi, lam=lam, epsilon_g=1.0)
+    assert hecke_verify(form).first_violation is None
+    path = tmp_path / "chi.coef"
+    export_form(form, str(path))
+    with pytest.raises(FormFileError, match="chi breaks") as err:
+        load_form(str(path))
+    lines = path.read_text().splitlines()
+    assert err.value.line == next(i for i, line in enumerate(lines, 1) if line.startswith("#chi "))
+
+
+def test_readme_lists_the_header_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Coefficient files", 1)[1].split("```")[1]
+    assert re.findall(r"^#(\w+)", block, flags=re.M) == list(HEADER)
 
 
 def test_tau_range_guard():

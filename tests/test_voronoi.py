@@ -232,6 +232,38 @@ def test_far_table_matches_bessel_route(form, window, transform):
     assert len(tr._panels) == 1
 
 
+def _bessel_integral_j(n, z):
+    """J_n(z), integer n, by the trapezoid rule on Bessel's integral
+    (1/pi) int_0^pi cos(n theta - z sin theta) d theta (DLMF 10.9.2): by symmetry
+    the periodic rule on 2m points, exact to rounding once 2m - n outruns z."""
+    m = int(z.max() + n) // 2 + 100
+    theta = np.pi * np.arange(m + 1) / m
+    w = np.full(m + 1, 1.0 / m)
+    w[[0, -1]] /= 2
+    return np.concatenate(
+        [np.cos(n * theta - zs[:, None] * np.sin(theta)) @ w for zs in np.array_split(z, len(z) // 256 + 1)]
+    )
+
+
+@pytest.mark.parametrize("k, seam", [(12, 450.0), (18, 2116.0), (24, 7088.0), (36, 38011.0)])
+def test_far_regime_starts_at_the_weights_seam(window, k, seam):
+    # the Hankel series' dropped terms need omega >= 2 (k-1)^2: a seam fixed at
+    # y = 450 was 2.6e-10, 1.3e-8 and 2.6e-6 of max|What| off at y = 460 for
+    # k = 18, 24 and 36
+    tr = WhatTransform(holomorphic_kind(k), window)
+    assert tr.y_seam == pytest.approx(seam, abs=0.5)
+    ys = np.r_[460.0, tr.y_seam * np.geomspace(0.5, 2.0, 4)]
+    a, b = (math.sqrt(e) for e in window.support)
+    ref = []
+    for y in ys:
+        omega = 4 * math.pi * math.sqrt(y)
+        grid = PanelGrid(a, b, math.ceil(1.5 * omega * (b - a) / (2 * math.pi)))
+        u = grid.nodes
+        du = 2 * u * window(u * u) * grid.weights
+        ref.append(2 * math.pi * 1j**k * (_bessel_integral_j(k - 1, omega * u) @ du))
+    assert np.max(np.abs(tr.eval(ys) - np.array(ref))) <= 1e-10 * _what_max(tr)
+
+
 def test_far_value_does_not_depend_on_its_batch(transform):
     ys = np.geomspace(450.0, 3e4, 500)
     batch = transform.eval(ys)
