@@ -331,7 +331,8 @@ def load_form(path: str) -> CuspForm:
 
     :class:`FormFileError` names the line of a malformed line, an unknown (#eta too),
     repeated or other-kind key, a value its key's parser rejects, a chi that is no
-    character mod M within tol, or an n_max that miscounts (a missing key has no line);
+    character mod M within tol or, for weight k, has chi(-1) != (-1)^k, or an n_max
+    that miscounts (a missing key has no line);
     :class:`HeckeViolationError` the first index that breaks a Hecke relation past tol.
     """
     values, lines, coeffs = {}, {}, []  # header key -> its value, and its line number
@@ -376,6 +377,9 @@ def load_form(path: str) -> CuspForm:
     for rule, broken in _character_rules(chi, tol):
         if np.any(broken):
             raise FormFileError(f"chi breaks {rule} at a = {np.argmax(broken)}", line=lines["chi"])
+    if "k" in values and not abs(chi[-1 % level] - (-1) ** values["k"]) <= tol:
+        raise FormFileError(f"weight {values['k']} needs chi(-1) = {(-1) ** values['k']}, "
+                            f"not {chi[-1 % level]}", line=lines["chi"])
     if (n_max := values["n_max"]) != len(coeffs):
         raise FormFileError(f"#n_max {n_max} but {len(coeffs)} coefficients", line=lines["n_max"])
     form = CuspForm(

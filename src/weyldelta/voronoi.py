@@ -15,14 +15,16 @@ reads all three too:
 
 and What_sign(y) = front int_(sigma) m_W(s) y^(-s/2) kernel(s) ds, a contour
 transform of W against the archimedean factor of the form, with
-m_W(s) = int W(x) x^(-s/2) dx and ds = i dtau. The inner x-integral is
-evaluated first (it decays superpolynomially in the contour height because W
-is smooth), then the tau-integral is truncated where that decay beats the
-tolerance. The tau panels all have the width that the gamma-factor phase
-needs at the top of the contour, where it turns fastest. For holomorphic
-forms, y beyond the seam :attr:`WhatTransform.y_seam` is read from Chebyshev
-panels in omega = 4 pi sqrt(y) instead: one Clenshaw pass of m terms per y,
-plus its panel's one-time build of m Bessel sums.
+m_W(s) = int W(x) x^(-s/2) dx and ds = i dtau. For holomorphic forms the
+contour collapses to a J_(k-1) transform of W, and every y is read from one
+Chebyshev table in omega = 4 pi sqrt(y): one Clenshaw pass of m terms per y,
+plus its panel's one-time build from m seeds. Panels below the seam
+:attr:`WhatTransform.y_seam` are seeded by Bessel's integral, those above it
+by the Hankel expansion. Maass forms take the contour route, which stays as
+the table's oracle: the inner x-integral is evaluated first (it decays
+superpolynomially in the contour height because W is smooth), then the
+tau-integral is truncated where that decay beats the tolerance, on tau panels
+of the width that the gamma-factor phase needs at the top of the contour.
 
 eta has modulus one but is otherwise measured, not assumed:
 :func:`calibrate_eta` fits it across probe instances and the unconstrained
@@ -32,6 +34,7 @@ normalization above.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -82,65 +85,62 @@ def default_sigma(kind: GammaFactorKind) -> float:
 class WhatTransform:
     """Precomputed evaluator for What_pm of one (kind, window) pair.
 
-    The contour abscissa is default_sigma(kind) and the grid sizes are the
-    class constants Y_SPLIT, PANEL_WIDTH, TAU_MAX, Y_MAX and U_PANELS. A near
-    y costs about 2 sqrt(panels) + 16 complex exponentials plus its share of
-    one GEMM over a factored :class:`PanelGrid`, not one transcendental per
-    (y, node) pair; a far y costs one Clenshaw pass of m terms, plus its share
-    of its omega panel's one-time build of m Bessel sums:
+    The grid sizes are the class constants Y_SPLIT, PANEL_WIDTH, SEED_U_PANELS,
+    TAU_MAX, Y_MAX and U_PANELS. For holomorphic kinds every y is read from one
+    Chebyshev table in omega = 4 pi sqrt(y), one Clenshaw pass of m terms per y
+    (about 0.2 us) plus its share of its panel's one-time build; with x = u^2
+    and n = k - 1 (odd) the contour collapses to
 
-    * y below the seam y_seam (every y for Maass kinds): the contour form.
-      m_W and the gamma factors are tabulated once on equal tau panels over
-      [0, TAU_MAX]. The panel width is the one the phase
-      tau (log(tau / 4 pi) + |log y| / 2) needs at TAU_MAX and y = y_seam
-      (Y_MAX for Maass kinds), where it turns fastest, so GL-16 sees
-      <= ~1.5 cycles per panel. The Mellin table is one `sums_at_nodes`
-      over the U_PANELS log-x rule, and
+        What_plus(y) = 2 pi i^k int W(x) J_n(4 pi sqrt(x y)) dx
+                     = 2 pi i^k int 2u W(u^2) J_n(omega u) du.
 
-          What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2)
+    With u <= sqrt(b) on the window's support [a, b], What_plus / (2 pi i^k) is
+    real and entire of exponential type sqrt(b) in omega, so it is held on
+    panels of m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind nodes (42
+    for [1, 2]): near panels tile [0, omega_seam] in equal widths of at most
+    PANEL_WIDTH (17 of 15.68 for k <= 12), far panels of width PANEL_WIDTH start
+    at omega_seam. A panel is built when eval first touches it, its rules sized
+    at the panel's top, and kept on the instance; a value depends on y alone.
 
-      is one `sums_at_freqs` at the frequencies log(y) / 2.
-    * y above y_seam, holomorphic kinds only: the same transform written
-      against its oscillatory kernel. The contour collapses to the Mellin
-      representation of the order-(k-1) Bessel function; with x = u^2,
+    * Near seeds: Bessel's integral (DLMF 10.9.2) folded onto [0, pi/2],
 
-          What_plus(y) = 2 pi i^k int W(x) J_{k-1}(4 pi sqrt(x y)) dx
-                       = 2 pi i^k int 2u W(u^2) J_{k-1}(omega u) du,   omega = 4 pi sqrt(y).
+          What_plus / (2 pi i^k) = (2/pi) int_0^(pi/2) sin(n theta) S(omega sin theta) d theta,
+          S(xi) = int 2u W(u^2) sin(xi u) du,
 
-      The Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
+      by the trapezoid rule, exact to rounding once its [0, pi] point count
+      passes (omega sqrt(b) + n)/2 + 40 (Trefethen & Weideman, SIAM Rev. 56
+      (2014)). S has a Chebyshev table of its own on the near panels, each one
+      `sums_at_freqs` over a u rule of 1.2 GL-16 panels per cycle at its top,
+      at least SEED_U_PANELS. For k = 12, 18 and 24 on y in [1e-6, y_seam) the
+      table is within 1.3e-14 of max|What| of Bessel's integral; 6.8e-14 at 36.
+    * Far seeds: the Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
       sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, drops terms of
-      relative size about (nu^2 / 2v)^j / j!, j >= 6, so the far regime starts
-      at omega_seam = max(4 pi sqrt(Y_SPLIT), 2 (k-1)^2) (y_seam = 450 for
-      k <= 12, 38011 for k = 36). There What is within 7.2e-11 of max|What|
-      of J_(k-1) by Bessel's integral for k <= 36 on y in [0.5, 2] y_seam.
-      Since v^(-j) = omega^(-j) u^(-j), the Bessel sums are six column sums
-      sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u) on one u grid with 1.2
-      panels per cycle at the top y it serves. This
-      keeps deep right-hand-side tails cheap; the contour route would need
-      absolute-accuracy levels that the oscillatory cancellation there
-      cannot deliver.
+      relative size about (nu^2 / 2v)^j / j!, j >= 6, so it serves from
+      omega_seam = max(4 pi sqrt(Y_SPLIT), 2 (k-1)^2) on (y_seam = 450 for
+      k <= 12, 38011 for k = 36). Since v^(-j) = omega^(-j) u^(-j), the sums
+      are six columns sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u) on one u
+      rule with 1.2 panels per cycle at the panel's top. On y in [450, 2e4]
+      the table is within 1.5e-14 absolute of these sums on one grid
+      (`_eval_bessel`, its oracle); halving PANEL_WIDTH moves it by 1.7e-14.
+    * The contour route, Maass kinds and the holomorphic oracle:
 
-      With u <= sqrt(b) on the window's support [a, b], What_plus / (2 pi i^k)
-      is real and entire of exponential type sqrt(b) in omega, so it is read
-      from a Chebyshev table: panels of width PANEL_WIDTH in omega from
-      omega_seam, so none straddles the change of route, with
-      m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind
-      nodes each (42 for [1, 2]). A panel is built when eval first touches
-      it, by the Bessel sums at its nodes on a u grid sized at the panel's
-      top, and kept on the instance; a value then depends on y alone. On
-      y in [450, 2e4] the table is within 1.5e-14 absolute of the Bessel
-      sums on one grid (`_eval_bessel`, its oracle), and halving
-      PANEL_WIDTH moves it by 1.7e-14.
+          What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2),
 
-    Maass kinds always use the contour route, and its values there are not
-    converged: for maass_kind(9.5, 0) and y in [0.05, 4000], halving the tau
-    panel width moves What by up to 1.9e-3, and the adaptive-width grid this
-    one replaced gave values up to 2.6e-2 away. No check runs a Maass dual
-    side.
+      one `sums_at_freqs` at the frequencies log(y) / 2, about 30 us per y,
+      at sigma = default_sigma(kind). m_W (one `sums_at_nodes` over the
+      U_PANELS log-x rule) and the gamma factors, `kernels`, are built on
+      first use, on equal tau panels over [0, TAU_MAX] as wide as the phase
+      tau (log(tau / 4 pi) + |log y| / 2) allows at TAU_MAX and y = y_seam
+      (Y_MAX for Maass kinds), so GL-16 sees <= ~1.5 cycles per panel. The cut
+      at TAU_MAX leaves holomorphic values 6e-12 to 2.8e-11 off, an error
+      that oscillates like y^(-i TAU_MAX / 2). Maass values are not
+      converged: for maass_kind(9.5, 0) and y in [0.05, 4000], halving the tau
+      panel width moves What by up to 1.9e-3. No check runs a Maass dual side.
     """
 
     Y_SPLIT = 450.0
-    PANEL_WIDTH = 16.0  # width in omega = 4 pi sqrt(y) of the far regime's Chebyshev panels
+    PANEL_WIDTH = 16.0  # the widest omega = 4 pi sqrt(y) panel of the Chebyshev table
+    SEED_U_PANELS = 24  # least panels of the u rule behind the near seeds' S table
     TAU_MAX = 2000.0  # top of the contour's tau panels
     Y_MAX = 4000.0  # the largest y the Maass contour panels are sized for
     U_PANELS = 160  # panels of the log-x rule of the Mellin table
@@ -155,6 +155,8 @@ class WhatTransform:
         self.holomorphic = kind.family == "holomorphic"
         self.y_seam = max(self.Y_SPLIT, (2 * (kind.weight - 1) ** 2 / (4 * math.pi)) ** 2)
         contour_y = self.y_seam if self.holomorphic else self.Y_MAX
+        # the signs of the rows of dual_terms; their kernels wait for the contour route
+        self.signs = [sign for sign, _, _ in dual_terms(kind, lambda k: 0.0)]
 
         # equal tau panels on [0, TAU_MAX], as wide as the combined phase rate
         # log(tau/4pi) + |log y|/2 allows at TAU_MAX, where it is largest
@@ -163,29 +165,37 @@ class WhatTransform:
         self.tau_grid = PanelGrid(0.0, self.TAU_MAX, math.ceil(self.TAU_MAX / width))
         self.tau_nodes, self.tau_weights = self.tau_grid.nodes, self.tau_grid.weights
 
-        # m_W(sigma + i tau) = int Wt(u) e^{-i tau u / 2} du after x = e^u
-        u_grid = PanelGrid(math.log(a), math.log(b), self.U_PANELS)
-        u = u_grid.nodes
-        wt = window(np.exp(u)) * np.exp(u * (1 - self.sigma / 2)) * u_grid.weights
-        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u)
-
-        s_nodes = self.sigma + 1j * self.tau_nodes
-        # {sign: (front, m_W kernel)}, the kernel a named operand: numpy would multiply
-        # into a temporary in place, and that loop rounds differently in the last bit
-        self.kernels = {
-            sign: (front, m_vals * kernel)
-            for sign, front, kernel in dual_terms(kind, lambda k: gamma_factor(k, s_nodes))
-        }
-
-        # the far table {p: Chebyshev coefficients on omega_seam + [p, p + 1) PANEL_WIDTH},
-        # filled by eval; the coefficient sums use the discrete orthogonality of
-        # cos(k theta_j) at the m first-kind nodes
-        self._panels = {}
+        # the omega table {p: Chebyshev coefficients of What_plus / (2 pi i^k)}
+        # and the near seeds' table {p: those of S}, both filled on first touch;
+        # panel p >= 0 is omega_seam + [p, p + 1) PANEL_WIDTH, p < 0 is
+        # omega_seam + [p, p + 1) near_width. The coefficient sums use the
+        # discrete orthogonality of cos(k theta_j) at the m first-kind nodes.
+        self._panels, self._seeds = {}, {}
         self._omega_seam = 4 * math.pi * math.sqrt(self.y_seam)
+        self._near_panels = math.ceil(self._omega_seam / self.PANEL_WIDTH)
+        self._near_width = self._omega_seam / self._near_panels
         m = chebyshev_size(math.sqrt(b) * 0.5 * self.PANEL_WIDTH)
         self._cheb_theta = np.pi * (np.arange(m) + 0.5) / m
         self._cheb_cos = np.cos(np.outer(np.arange(m), self._cheb_theta)) * (2.0 / m)
         self._cheb_cos[0] /= 2.0
+
+    @functools.cached_property
+    def kernels(self):
+        """{sign: (front, m_W kernel)} of the contour route on the tau nodes,
+        built on first use."""
+        a, b = self.window.support
+        # m_W(sigma + i tau) = int Wt(u) e^{-i tau u / 2} du after x = e^u
+        u_grid = PanelGrid(math.log(a), math.log(b), self.U_PANELS)
+        u = u_grid.nodes
+        wt = self.window(np.exp(u)) * np.exp(u * (1 - self.sigma / 2)) * u_grid.weights
+        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u)
+        s_nodes = self.sigma + 1j * self.tau_nodes
+        # the kernel a named operand: numpy would multiply into a temporary in
+        # place, and that loop rounds differently in the last bit
+        return {
+            sign: (front, m_vals * kernel)
+            for sign, front, kernel in dual_terms(self.kind, lambda k: gamma_factor(k, s_nodes))
+        }
 
     def _eval_contour(self, ys: np.ndarray, kernel: np.ndarray, front: complex) -> np.ndarray:
         # conjugate symmetry in tau (real window, real spectral data):
@@ -193,13 +203,13 @@ class WhatTransform:
         sums = self.tau_grid.sums_at_freqs(0.5 * np.log(ys), self.tau_weights * kernel)
         return front * 2j * ys ** (-0.5 * self.sigma) * sums.real
 
-    def _bessel_grid(self, y_hi: float) -> PanelGrid:
-        """The u = sqrt(x) rule of the far regime, 1.2 panels per cycle at y_hi
-        (the top of the omega panel that the rule tabulates)."""
+    def _bessel_grid(self, y_hi: float, least: int = 8) -> PanelGrid:
+        """The u = sqrt(x) rule of the Bessel sums, 1.2 panels per cycle at y_hi
+        (the top of the omega panel that the rule tabulates) and at least `least`."""
         a, b = (math.sqrt(e) for e in self.window.support)
         # phase 4 pi sqrt(y) u spans 2 sqrt(y)(sqrt(b) - sqrt(a)) cycles
         cycles = 2 * math.sqrt(y_hi) * (b - a)
-        return PanelGrid(a, b, max(8, math.ceil(1.2 * cycles)))
+        return PanelGrid(a, b, max(least, math.ceil(1.2 * cycles)))
 
     def _hankel_sums(self, ys: np.ndarray, y_hi: float) -> np.ndarray:
         """What_plus / (2 pi i^k), real, by the order-(k-1) kernel's Hankel
@@ -220,35 +230,62 @@ class WhatTransform:
 
     def _eval_bessel(self, ys: np.ndarray) -> np.ndarray:
         """Far regime by the Hankel sums on one u rule sized at max(ys): the
-        oracle of the omega table, whose panels come from the same sums."""
+        oracle of the far panels, which come from the same sums."""
         return 2 * math.pi * (1j**self.kind.weight) * self._hankel_sums(ys, float(np.max(ys)))
 
-    def _panel_coefficients(self, p: int) -> np.ndarray:
-        """Chebyshev coefficients of What_plus / (2 pi i^k) on omega panel p,
-        from the Bessel sums at its m first-kind nodes, the u rule sized at
-        the panel's top."""
-        mid, half = self._omega_seam + (p + 0.5) * self.PANEL_WIDTH, 0.5 * self.PANEL_WIDTH
-        omega = mid + half * np.cos(self._cheb_theta)
-        y_top = ((mid + half) / (4 * math.pi)) ** 2
-        return self._cheb_cos @ self._hankel_sums((omega / (4 * math.pi)) ** 2, y_top)
+    def _panel_nodes(self, p: int):
+        """The m first-kind nodes of omega panel p and the panel's top."""
+        width = self.PANEL_WIDTH if p >= 0 else self._near_width
+        mid, half = self._omega_seam + (p + 0.5) * width, 0.5 * width
+        return mid + half * np.cos(self._cheb_theta), mid + half
 
-    def _eval_table(self, ys: np.ndarray) -> np.ndarray:
-        """The far regime: one Clenshaw pass of m terms per y on its omega panel,
-        each panel built on first touch and kept on the instance."""
-        omega = 4 * math.pi * np.sqrt(ys)
-        idx = np.floor((omega - self._omega_seam) / self.PANEL_WIDTH).astype(np.intp)
+    def _seed_coefficients(self, p: int) -> np.ndarray:
+        """Chebyshev coefficients of S(xi) = int 2u W(u^2) sin(xi u) du on panel p,
+        the u rule sized at the panel's top."""
+        xi, top = self._panel_nodes(p)
+        grid = self._bessel_grid((top / (4 * math.pi)) ** 2, self.SEED_U_PANELS)
+        u = grid.nodes
+        sums = grid.sums_at_freqs(-xi, 2 * u * self.window(u * u) * grid.weights)
+        return self._cheb_cos @ sums.imag
+
+    def _panel_coefficients(self, p: int) -> np.ndarray:
+        """Chebyshev coefficients of What_plus / (2 pi i^k) on omega panel p: far
+        panels from the Hankel sums at their nodes, near ones from Bessel's
+        integral over the S table, each rule sized at the panel's top."""
+        omega, top = self._panel_nodes(p)
+        if p >= 0:
+            ys, y_top = (omega / (4 * math.pi)) ** 2, (top / (4 * math.pi)) ** 2
+            return self._cheb_cos @ self._hankel_sums(ys, y_top)
+        n = self.kind.weight - 1
+        # the trapezoid rule of M = 2 half steps on [0, pi], folded onto [0, pi/2]:
+        # weights (1/M)(1, 2, ..., 2, 1)
+        half = math.ceil(((top * math.sqrt(self.window.support[1]) + n) / 2 + 40) / 2)
+        theta = 0.5 * np.pi * np.arange(half + 1) / half
+        w = np.full(half + 1, 1.0 / half)
+        w[[0, -1]] /= 2
+        xi = np.outer(omega, np.sin(theta))
+        s = self._clenshaw(self._seeds, xi.ravel(), self._seed_coefficients).reshape(xi.shape)
+        return self._cheb_cos @ (s @ (w * np.sin(n * theta)))
+
+    def _clenshaw(self, table: dict, omega: np.ndarray, build) -> np.ndarray:
+        """The Chebyshev `table` at omega >= 0, one Clenshaw pass of m terms per
+        point on its panel; a missing panel p is built as table[p] = build(p)."""
+        shift = omega - self._omega_seam
+        near = np.maximum(np.floor(shift / self._near_width), -self._near_panels)
+        idx = np.where(shift >= 0, np.floor(shift / self.PANEL_WIDTH), near).astype(np.intp)
+        width = np.where(idx >= 0, self.PANEL_WIDTH, self._near_width)
         panels, inv = np.unique(idx, return_inverse=True)
         for p in panels.tolist():
-            if p not in self._panels:
-                self._panels[p] = self._panel_coefficients(p)
-        coef = np.stack([self._panels[p] for p in panels.tolist()], axis=1)
-        # omega mapped to [-1, 1] on its panel, as _panel_coefficients places the nodes
-        mids = self._omega_seam + (idx + 0.5) * self.PANEL_WIDTH
-        t = (omega - mids) / (0.5 * self.PANEL_WIDTH)
+            if p not in table:
+                table[p] = build(p)
+        coef = np.stack([table[p] for p in panels.tolist()], axis=1)
+        # omega mapped to [-1, 1] on its panel, as _panel_nodes places the nodes
+        mids = self._omega_seam + (idx + 0.5) * width
+        t = (omega - mids) / (0.5 * width)
         two_t, b1, b2 = 2.0 * t, 0.0, 0.0  # Clenshaw's recurrence, one gathered row per degree
         for row in coef[:0:-1]:
             b1, b2 = row[inv] + two_t * b1 - b2, b1
-        return 2 * math.pi * (1j**self.kind.weight) * (coef[0][inv] + t * b1 - b2)
+        return coef[0][inv] + t * b1 - b2
 
     def eval(self, y, sign: int = +1):
         """What_pm(y), unweighted (see term_weight); y: finite positive reals or one."""
@@ -257,18 +294,14 @@ class WhatTransform:
             raise PreconditionError("transform argument y must be finite and positive")
         if sign not in (+1, -1):
             raise PreconditionError("sign must be +1 or -1")
-        if sign not in self.kernels:  # the holomorphic minus term
+        if sign not in self.signs:  # the holomorphic minus term
             return 0.0 + 0.0j if np.ndim(y) == 0 else np.zeros(ys.shape, dtype=complex)
-        front, kernel = self.kernels[sign]
-        vals = np.empty(len(ys), dtype=complex)
         if self.holomorphic:
-            near = ys < self.y_seam
-            if np.any(near):
-                vals[near] = self._eval_contour(ys[near], kernel, front)
-            if np.any(~near):
-                vals[~near] = self._eval_table(ys[~near])
+            table = self._clenshaw(self._panels, 4 * math.pi * np.sqrt(ys), self._panel_coefficients)
+            vals = 2 * math.pi * (1j**self.kind.weight) * table
         else:
-            vals[:] = self._eval_contour(ys, kernel, front)
+            front, kernel = self.kernels[sign]
+            vals = self._eval_contour(ys, kernel, front)
         if np.ndim(y) == 0:
             return complex(vals[0])
         return vals
@@ -341,7 +374,7 @@ def dual_side(inst: VoronoiInstance, transform: WhatTransform) -> Tuple[complex,
     lam = form.dual_lam_slice(n_cut)
     total = 0.0 + 0.0j
     tail = 0.0
-    for sign in transform.kernels:
+    for sign in transform.signs:
         terms = term_weight(form, sign, inst.a, inst.c, ns) * lam * transform.eval(ys, sign=sign)
         total += complex(np.sum(terms))
         tail = max(tail, tail_norm(terms))

@@ -313,12 +313,13 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
-    "name", ["delta24.coef", "maass_exceptional.coef", "maass_unset_eps.coef", "level5_complex_chi.coef"]
+    "name", ["delta24.coef", "maass_exceptional.coef", "maass_unset_eps.coef", "level7_cubic_chi.coef"]
 )
 def test_stored_files_load_and_reexport_byte_for_byte(tmp_path, name):
     # written by the two-branch exporter this format replaced: Delta(24); Maass forms
     # with ell = 0.2i and eps_g = -1, and with eps_g unset (written 1) and no eps_f;
-    # a level-5 form with chi(2) = i and a complex root number
+    # and by this one: a level-7 form of weight 12 with the even cubic chi(3) = e(1/3)
+    # and a complex root number
     form = load_form(str(DATA / name))
     path = tmp_path / name
     export_form(form, str(path))
@@ -332,9 +333,11 @@ def test_stored_files_load_to_their_forms():
     assert exceptional.kind == maass_kind(0.2j, 0) and exceptional.epsilon_g == -1.0
     unset = load_form(str(DATA / "maass_unset_eps.coef"))
     assert unset.eps_g == 1 and unset.epsilon_f is None and unset.tol == 1e-9
-    level5 = load_form(str(DATA / "level5_complex_chi.coef"))
-    assert np.array_equal(level5.chi, [0, 1, 1j, -1j, -1]) and level5.epsilon_f == 0.6 - 0.8j
-    assert all(form.eta is None for form in (delta, exceptional, unset, level5))
+    level7 = load_form(str(DATA / "level7_cubic_chi.coef"))
+    w = complex(-0.5, math.sqrt(3) / 2)
+    assert np.array_equal(level7.chi, [0, 1, w.conjugate(), w, w, w.conjugate(), 1])
+    assert level7.epsilon_f == 0.6 - 0.8j and level7.kind == holomorphic_kind(12)
+    assert all(form.eta is None for form in (delta, exceptional, unset, level7))
 
 
 @pytest.mark.parametrize(
@@ -349,6 +352,20 @@ def test_a_chi_that_is_no_character_names_its_line(tmp_path, chi):
     path = tmp_path / "chi.coef"
     export_form(form, str(path))
     with pytest.raises(FormFileError, match="chi breaks") as err:
+        load_form(str(path))
+    lines = path.read_text().splitlines()
+    assert err.value.line == next(i for i, line in enumerate(lines, 1) if line.startswith("#chi "))
+
+
+def test_an_odd_chi_of_a_holomorphic_form_names_its_line(tmp_path):
+    # the odd quartic character mod 5 (chi(4) = -1) and Hecke-consistent coefficients,
+    # so that only the parity rule chi(-1) = (-1)^k of weight 12 can object
+    chi = np.array([0, 1, 1j, -1j, -1])
+    lam = multiplicative_extension({2: 0.3 + 0.1j, 3: -0.2j, 5: 0.4, 7: 0.1, 11: -0.5}, chi, 5, 12)
+    form = CuspForm(kind=holomorphic_kind(12), level=5, chi=chi, lam=lam)
+    path = tmp_path / "parity.coef"
+    export_form(form, str(path))
+    with pytest.raises(FormFileError, match=r"needs chi\(-1\)") as err:
         load_form(str(path))
     lines = path.read_text().splitlines()
     assert err.value.line == next(i for i, line in enumerate(lines, 1) if line.startswith("#chi "))

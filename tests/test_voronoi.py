@@ -116,7 +116,7 @@ def _contour_per_y(tau_nodes, tau_weights, kernel, sigma, front, ys):
     )
 
 
-def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=2000.0, u_panels=160):
+def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=4000.0, u_panels=160):
     """What_plus of weight k by the adaptive-edge contour and x-space Bessel routes.
 
     The tau panels shrink with the local phase rate, the Mellin table is one
@@ -150,8 +150,9 @@ def _adaptive_what_plus(window, ys, k=12, sigma=0.5, tau_max=2000.0, u_panels=16
 
 
 def test_transform_matches_adaptive_edge_routes(window, transform):
-    # equal tau panels and the u = sqrt(x) Hankel sums against the
-    # adaptive-edge contour and the x-space Bessel sum they replaced
+    # the omega table against the adaptive-edge contour and the x-space Bessel
+    # sum it replaced; the reference contour runs to tau = 4000, since a cut at
+    # 2000 leaves it 6e-12 to 2.8e-11 off the converged transform
     ys = np.geomspace(0.05, 2e4, 400)
     ref = _adaptive_what_plus(window, ys)
     got = transform.eval(ys)
@@ -245,6 +246,20 @@ def _bessel_integral_j(n, z):
     )
 
 
+def _bessel_integral_what(window, k, ys):
+    """What_plus of weight k by Bessel's integral in u = sqrt(x), on a u rule of
+    1.5 panels per cycle and at least 40 panels (oracle)."""
+    a, b = (math.sqrt(e) for e in window.support)
+    out = []
+    for y in ys:
+        omega = 4 * math.pi * math.sqrt(y)
+        grid = PanelGrid(a, b, max(40, math.ceil(1.5 * omega * (b - a) / (2 * math.pi))))
+        u = grid.nodes
+        du = 2 * u * window(u * u) * grid.weights
+        out.append(2 * math.pi * 1j**k * (_bessel_integral_j(k - 1, omega * u) @ du))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("k, seam", [(12, 450.0), (18, 2116.0), (24, 7088.0), (36, 38011.0)])
 def test_far_regime_starts_at_the_weights_seam(window, k, seam):
     # the Hankel series' dropped terms need omega >= 2 (k-1)^2: a seam fixed at
@@ -253,22 +268,46 @@ def test_far_regime_starts_at_the_weights_seam(window, k, seam):
     tr = WhatTransform(holomorphic_kind(k), window)
     assert tr.y_seam == pytest.approx(seam, abs=0.5)
     ys = np.r_[460.0, tr.y_seam * np.geomspace(0.5, 2.0, 4)]
-    a, b = (math.sqrt(e) for e in window.support)
-    ref = []
-    for y in ys:
-        omega = 4 * math.pi * math.sqrt(y)
-        grid = PanelGrid(a, b, math.ceil(1.5 * omega * (b - a) / (2 * math.pi)))
-        u = grid.nodes
-        du = 2 * u * window(u * u) * grid.weights
-        ref.append(2 * math.pi * 1j**k * (_bessel_integral_j(k - 1, omega * u) @ du))
-    assert np.max(np.abs(tr.eval(ys) - np.array(ref))) <= 1e-10 * _what_max(tr)
+    ref = _bessel_integral_what(window, k, ys)
+    assert np.max(np.abs(tr.eval(ys) - ref)) <= 1e-10 * _what_max(tr)
 
 
-def test_far_value_does_not_depend_on_its_batch(transform):
-    ys = np.geomspace(450.0, 3e4, 500)
+@pytest.mark.parametrize("k", [12, 18, 24])
+def test_near_table_matches_bessel_integral(window, k):
+    # the near panels, seeded by Bessel's integral over the S table; the
+    # contour route, cut at TAU_MAX, is up to 8.6e-11 of max|What| off here
+    tr = WhatTransform(holomorphic_kind(k), window)
+    ys = np.geomspace(1e-6, tr.y_seam, 40, endpoint=False)
+    ref = _bessel_integral_what(window, k, ys)
+    assert np.max(np.abs(tr.eval(ys) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_contour_route_and_table_agree_at_near_y(transform):
+    # the two routes write their fronts independently, i^(k-1)/2 * 2i on the
+    # contour and 2 pi i^k on the table, so a phase or sign slip shows here
+    ys = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 40.0, 200.0, 449.0])
+    front, kernel = transform.kernels[+1]
+    contour = transform._eval_contour(ys, kernel, front)
+    assert np.max(np.abs(transform.eval(ys) - contour)) <= 1e-10 * _what_max(transform)
+
+
+def test_holomorphic_eval_builds_no_mellin_table(form, window):
+    tr = WhatTransform(form.kind, window)
+    tr.eval(np.geomspace(0.05, 3e4, 200))
+    assert "kernels" not in vars(tr)
+    front, kernel = tr.kernels[+1]  # the contour route's first use builds and keeps it
+    assert "kernels" in vars(tr) and kernel.shape == tr.tau_nodes.shape
+
+
+def test_table_value_does_not_depend_on_its_batch(form, window, transform):
+    # near and far: a lone y on a fresh transform, whose panels are built in
+    # another order, reads the value the batch read
+    ys = np.geomspace(0.05, 3e4, 500)
     batch = transform.eval(ys)
-    for i in range(0, len(ys), 37):
+    fresh = WhatTransform(form.kind, window)
+    for i in range(len(ys) - 1, -1, -37):
         assert transform.eval(float(ys[i])) == batch[i]
+        assert fresh.eval(float(ys[i])) == batch[i]
 
 
 def test_far_table_converged_in_panel_width(form, window, transform):
