@@ -338,10 +338,11 @@ class DualKernel:
     over the x grid, and :func:`s_c_dual` does the I_delta tau-integral as
     a weighted sum over the tau grid. None of the tables depends on the
     level. Vdag is kept on m Chebyshev x points rather than the n_x Gauss
-    nodes (see :meth:`_build_tau_tables`): its table costs
-    m * n_u * n_tau multiply-adds and about n_u * (2 sqrt(tau panels) + 16)
-    complex exponentials, since the tau grid is a factored
-    :class:`PanelGrid`. Grid densities scale with the oscillation rates
+    nodes, and over tau it is read from Chebyshev points on runs of tau
+    panels (see :meth:`_build_tau_tables`): its table costs about
+    m * (n_u * R * m_tau + m_tau * n_tau) multiply-adds, with R runs of
+    m_tau <= 60 points, where a sum at every tau node would cost
+    m * n_u * n_tau. Grid densities scale with the oscillation rates
     (~K cycles across supp V for the x-integral, O(1) cycles per unit tau).
     """
 
@@ -370,11 +371,18 @@ class DualKernel:
         omega = pi |K| (xb - xa)(vb - va)/2 on [xa, xb] = X_RANGE, so it is
         tabulated on m = chebyshev_size(omega) Chebyshev points (35 at
         K = 3) and carried to the Gauss x nodes by one barycentric matrix
-        that also puts the carrier back. The (m x n_u) x (n_u x n_tau)
-        product dominates the kernel cost, so paths that never integrate
-        over tau (istar_value, udag_row) skip it. (No conjugate shortcut in
-        tau here: the e(-Kxu) twist keeps its sign, so Vdag at -tau is not
-        the mirror of Vdag at +tau.)
+        that also puts the carrier back. Over tau, u^(-i tau/2) keeps the
+        rows band-limited to frequencies log(u)/2 in [0, log(vb/va)/2], far
+        narrower than the tau grid, which is sized for the class sums, so
+        :meth:`PanelGrid.band_sums_at_nodes` reads them from Chebyshev
+        points on runs of tau panels: one (m x n_u) x (n_u x R m_tau) GEMM
+        for the samples and one shared barycentric block to the nodes,
+        about (n_u R + n_tau) m_tau multiply-adds a row (R = 7 runs of
+        m_tau = 60 points on the 1200-panel grid of a tau_cut of 1200)
+        where a sum at every node costs n_u n_tau. Paths that never
+        integrate over tau (istar_value, udag_row) skip the table. (No
+        conjugate shortcut in tau here: the e(-Kxu) twist keeps its sign, so
+        Vdag at -tau is not the mirror of Vdag at +tau.)
         """
         cfg = self.cfg
         v_grid = _v_rule(cfg, self.tau_cut)
@@ -387,7 +395,7 @@ class DualKernel:
         xi, interp = chebyshev_interpolant(xa, xb, chebyshev_size(omega), self.x_nodes)
         demod = np.exp(-2j * np.pi * cfg.K * np.outer(xi, uv - uc)) * amp_v[None, :]
         # u^(-i tau/2) = exp(-i (log u / 2) tau)
-        self._vdag_cheb = self.tau_grid.sums_at_nodes(demod, 0.5 * np.log(uv))
+        self._vdag_cheb = self.tau_grid.band_sums_at_nodes(demod, 0.5 * np.log(uv))
         self._interp = np.exp(-2j * np.pi * cfg.K * uc * self.x_nodes)[:, None] * interp
 
     def _tau_tables(self):
@@ -560,6 +568,15 @@ def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
     exponentials (36 + 34 + 16 = 86 per m on the 1200-panel grid of a
     tau_cut of 1200, against 1216 with one exponential per panel) and
     16 * n_cut * panels multiply-adds in all.
+
+    The classes stay on `sums_at_nodes`, not `band_sums_at_nodes`: their
+    band, log(m)/2 in [0, log(n_cut)/2], is too wide for long runs. At
+    omega <= CHEB_EXTRA a run is 12 panels on that grid, so each m needs
+    a phase row of 100 runs x 60 points where sums_at_nodes builds about
+    1300 mid and offset phases. On the dual workload's 11 classes (n_cut
+    12000) the direct route took 106-123 ms and the run route 349 ms;
+    longer runs cost least at omega <= 120 (239 ms), where the
+    interpolant is only 7e-8 accurate.
     """
     logm = np.log(np.arange(1, n_cut + 1, dtype=float))
     coeffs = form.dual_lam_slice(n_cut) * np.exp(-0.5 * logm)

@@ -127,8 +127,9 @@ class WhatTransform:
           What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2),
 
       one `sums_at_freqs` at the frequencies log(y) / 2, about 30 us per y,
-      at sigma = default_sigma(kind). m_W (one `sums_at_nodes` over the
-      U_PANELS log-x rule) and the gamma factors, `kernels`, are built on
+      at sigma = default_sigma(kind). m_W (one `band_sums_at_nodes` over
+      the U_PANELS log-x rule, whose frequencies log(x)/2 span a narrow
+      band) and the gamma factors, `kernels`, are built on
       first use, on equal tau panels over [0, TAU_MAX] as wide as the phase
       tau (log(tau / 4 pi) + |log y| / 2) allows at TAU_MAX and y = y_seam
       (Y_MAX for Maass kinds), so GL-16 sees <= ~1.5 cycles per panel. The cut
@@ -188,7 +189,7 @@ class WhatTransform:
         u_grid = PanelGrid(math.log(a), math.log(b), self.U_PANELS)
         u = u_grid.nodes
         wt = self.window(np.exp(u)) * np.exp(u * (1 - self.sigma / 2)) * u_grid.weights
-        m_vals = self.tau_grid.sums_at_nodes(wt, 0.5 * u)
+        m_vals = self.tau_grid.band_sums_at_nodes(wt, 0.5 * u)
         s_nodes = self.sigma + 1j * self.tau_nodes
         # the kernel a named operand: numpy would multiply into a temporary in
         # place, and that loop rounds differently in the last bit

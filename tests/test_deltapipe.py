@@ -351,15 +351,42 @@ def _vdag_per_node(kernel):
     tau_cut 300, max |Vdag| is 8.3e-5 against O(1) summands, and the two
     differ there by 1.3e-10 of that maximum.
     """
+    uv, amp = _vdag_u_rule(kernel)
+    t1 = np.exp(-2j * np.pi * kernel.cfg.K * np.outer(kernel.x_nodes, uv)) * amp
+    return t1 @ np.exp(-0.5j * np.outer(np.log(uv), kernel.tau_nodes))
+
+
+def _vdag_u_rule(kernel):
+    """The u nodes of supp V and their amplitudes, as the kernel sizes them."""
     cfg = kernel.cfg
     v = make_window_v()
     va, vb = v.support
     v_cycles = 2 * abs(cfg.K) * (vb - va) + kernel.tau_cut * math.log(vb / va) / (4 * math.pi)
     grid = PanelGrid(va, vb, max(12, int(math.ceil(1.6 * v_cycles * cfg.grid_scale))))
     uv = grid.nodes
-    amp = grid.weights * v(uv) * uv ** (-0.5)
-    t1 = np.exp(-2j * np.pi * cfg.K * np.outer(kernel.x_nodes, uv)) * amp
-    return t1 @ np.exp(-0.5j * np.outer(np.log(uv), kernel.tau_nodes))
+    return uv, grid.weights * v(uv) * uv ** (-0.5)
+
+
+def _unit_phases_extended(phase):
+    """exp(-i phase) for an np.longdouble phase, rounded to complex128 at the end."""
+    return np.cos(phase).astype(float) - 1j * np.sin(phase).astype(float)
+
+
+def test_kernel_vdag_matches_extended_precision_phases(form):
+    # criterion 7's default grid (tau_cut 96 pi K + 100): the phases of the
+    # reference are taken in extended precision, each factor rounded once, on
+    # every 97th tau node; a sum at every node (f tau up to 350) sits at 3e-14
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
+    kernel = DualKernel(cfg, 11, form.kind)
+    uv, amp = _vdag_u_rule(kernel)
+    u = uv.astype(np.longdouble)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    x_phase = two_pi * np.longdouble(cfg.K) * np.outer(kernel.x_nodes.astype(np.longdouble), u)
+    taus = kernel.tau_nodes[::97].astype(np.longdouble)
+    tau_phase = np.outer(np.log(u) / 2, taus)
+    ref = (_unit_phases_extended(x_phase) * amp) @ _unit_phases_extended(tau_phase)
+    got = kernel.vdag[:, ::97]
+    assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
 def test_kernel_vdag_matches_per_node_table(form):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weyldelta.numerics import PanelGrid, chebyshev_interpolant, edges_rule
+from weyldelta import numerics
+from weyldelta.numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, edges_rule
 
 
 def _phase_table(freqs, nodes):
@@ -117,3 +118,73 @@ def test_chebyshev_interpolant_reproduces_polynomials():
         return (x - 1.2) ** 8 - 3 * x
 
     assert np.max(np.abs(interp @ poly(nodes) - poly(targets))) <= 1e-13
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 4.7, 10.0, 15.0, 20.0, 25.0, 30.0])
+def test_chebyshev_size_holds_1e12_up_to_cheb_extra(omega):
+    # the regime band_sums_at_nodes stays in: omega <= CHEB_EXTRA
+    assert omega <= numerics.CHEB_EXTRA
+    x = np.linspace(-1.0, 1.0, 1001)
+    nodes, interp = chebyshev_interpolant(-1.0, 1.0, chebyshev_size(omega), x)
+    w = np.linspace(-omega, omega, 201)
+    err = interp @ np.exp(1j * np.outer(nodes, w)) - np.exp(1j * np.outer(x, w))
+    assert np.max(np.abs(err)) <= 1e-12
+
+
+BANDS = {
+    "narrow": lambda rng, n: 0.5 * np.log(rng.uniform(1.0, 2.0, n)),
+    "wide": lambda rng, n: rng.uniform(0.0, 3.0, n),
+}
+
+
+@pytest.mark.parametrize("a, b, panels", RAGGED)
+@pytest.mark.parametrize("rows", [None, 1, 40])
+@pytest.mark.parametrize("band", sorted(BANDS))
+def test_band_sums_at_nodes_matches_phase_table(a, b, panels, rows, band):
+    rng = np.random.default_rng(panels)
+    grid = PanelGrid(a, b, panels, 16)
+    freqs = BANDS[band](rng, 120)
+    shape = (120,) if rows is None else (rows, 120)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = coeffs @ _phase_table(freqs, grid.nodes)
+    got = grid.band_sums_at_nodes(coeffs, freqs)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_sums_at_nodes_in_frequency_blocks(monkeypatch):
+    # the samples' phase table split into blocks of a few frequencies
+    monkeypatch.setattr(PanelGrid, "CHUNK", 5000)
+    rng = np.random.default_rng(11)
+    grid = PanelGrid(-1200.0, 1200.0, 1200, 16)
+    freqs = 0.5 * np.log(rng.uniform(1.0, 2.0, 700))
+    coeffs = rng.normal(size=(3, 700)) + 1j * rng.normal(size=(3, 700))
+    ref = coeffs @ _phase_table(freqs, grid.nodes)
+    got = grid.band_sums_at_nodes(coeffs, freqs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_sums_at_nodes_zero_width_band_is_one_run(monkeypatch):
+    targets = []
+
+    def spy(a, b, m, points):
+        targets.append(len(points))
+        return chebyshev_interpolant(a, b, m, points)
+
+    monkeypatch.setattr(numerics, "chebyshev_interpolant", spy)
+    rng = np.random.default_rng(12)
+    grid = PanelGrid(-300.0, 300.0, 37, 16)
+    freqs = np.full(50, 0.7)
+    coeffs = rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50))
+    ref = coeffs @ _phase_table(freqs, grid.nodes)
+    got = grid.band_sums_at_nodes(coeffs, freqs)
+    assert targets == [grid.nodes.size]
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0)])
+def test_band_sums_at_nodes_empty_frequency_set(shape):
+    grid = PanelGrid(-1.0, 1.0, 4, 16)
+    out = grid.band_sums_at_nodes(np.zeros(shape, dtype=complex), np.zeros(0))
+    assert out.shape == shape[:-1] + (64,)
+    assert not np.any(out)
