@@ -18,7 +18,7 @@ transform of W against the archimedean factor of the form, with
 m_W(s) = int W(x) x^(-s/2) dx and ds = i dtau. For holomorphic forms the
 contour collapses to a J_(k-1) transform of W, and every y is read from one
 Chebyshev table in omega = 4 pi sqrt(y): one Clenshaw pass of m terms per y,
-plus its panel's one-time build from m seeds. Panels below the seam
+plus a share of the one-time build of its group of panels. Panels below the seam
 :attr:`WhatTransform.y_seam` are seeded by Bessel's integral, those above it
 by the Hankel expansion. Maass forms take the contour route, which stays as
 the table's oracle: the inner x-integral is evaluated first (it decays
@@ -88,7 +88,7 @@ class WhatTransform:
     The grid sizes are the class constants Y_SPLIT, PANEL_WIDTH, SEED_U_PANELS,
     TAU_MAX, Y_MAX and U_PANELS. For holomorphic kinds every y is read from one
     Chebyshev table in omega = 4 pi sqrt(y), one Clenshaw pass of m terms per y
-    (about 0.2 us) plus its share of its panel's one-time build; with x = u^2
+    (about 0.2 us) plus its share of its group's one-time build; with x = u^2
     and n = k - 1 (odd) the contour collapses to
 
         What_plus(y) = 2 pi i^k int W(x) J_n(4 pi sqrt(x y)) dx
@@ -99,8 +99,9 @@ class WhatTransform:
     panels of m = chebyshev_size(sqrt(b) PANEL_WIDTH / 2) first-kind nodes (42
     for [1, 2]): near panels tile [0, omega_seam] in equal widths of at most
     PANEL_WIDTH (17 of 15.68 for k <= 12), far panels of width PANEL_WIDTH start
-    at omega_seam. A panel is built when eval first touches it, its rules sized
-    at the panel's top, and kept on the instance; a value depends on y alone.
+    at omega_seam. Panels p of one p // PANEL_GROUP are built together when eval
+    first touches one, by one sum on rules sized at the group's top, and kept
+    on the instance; a value depends on y alone.
 
     * Near seeds: Bessel's integral (DLMF 10.9.2) folded onto [0, pi/2],
 
@@ -109,19 +110,19 @@ class WhatTransform:
 
       by the trapezoid rule, exact to rounding once its [0, pi] point count
       passes (omega sqrt(b) + n)/2 + 40 (Trefethen & Weideman, SIAM Rev. 56
-      (2014)). S has a Chebyshev table of its own on the near panels, each one
-      `sums_at_freqs` over a u rule of 1.2 GL-16 panels per cycle at its top,
-      at least SEED_U_PANELS. For k = 12, 18 and 24 on y in [1e-6, y_seam) the
-      table is within 1.3e-14 of max|What| of Bessel's integral; 6.8e-14 at 36.
+      (2014)). S has a Chebyshev table of its own on the near panels, a group of
+      them one `sums_at_freqs` over a u rule of 1.2 GL-16 panels per cycle at
+      its top, at least SEED_U_PANELS. For k = 12, 18 and 24 on y in [1e-6, y_seam)
+      the table is within 9.4e-15 of max|What| of Bessel's integral; 3.4e-14 at 36.
     * Far seeds: the Hankel expansion J_nu(v) = Re[sqrt(2 / (pi v)) e^(i(v - phi))
       sum_(j<=5) i^j a_j(nu) v^(-j)], phi = (nu/2 + 1/4) pi, drops terms of
       relative size about (nu^2 / 2v)^j / j!, j >= 6, so it serves from
       omega_seam = max(4 pi sqrt(Y_SPLIT), 2 (k-1)^2) on (y_seam = 450 for
       k <= 12, 38011 for k = 36). Since v^(-j) = omega^(-j) u^(-j), the sums
       are six columns sum_u 2u W(u^2) w_u u^(-1/2-j) e^(i omega u) on one u
-      rule with 1.2 panels per cycle at the panel's top. On y in [450, 2e4]
-      the table is within 1.5e-14 absolute of these sums on one grid
-      (`_eval_bessel`, its oracle); halving PANEL_WIDTH moves it by 1.7e-14.
+      rule with 1.2 panels per cycle at the group's top. On y in [450, 2e4]
+      the table is within 6.1e-15 absolute of these sums on one grid
+      (`_eval_bessel`, its oracle); halving PANEL_WIDTH moves it by 3.9e-15.
     * The contour route, Maass kinds and the holomorphic oracle:
 
           What(y) = 2i front y^(-sigma/2) Re sum_tau w kernel(tau) e^(-i tau log(y) / 2),
@@ -141,6 +142,7 @@ class WhatTransform:
 
     Y_SPLIT = 450.0
     PANEL_WIDTH = 16.0  # the widest omega = 4 pi sqrt(y) panel of the Chebyshev table
+    PANEL_GROUP = 8  # consecutive panels built by one sum
     SEED_U_PANELS = 24  # least panels of the u rule behind the near seeds' S table
     TAU_MAX = 2000.0  # top of the contour's tau panels
     Y_MAX = 4000.0  # the largest y the Maass contour panels are sized for
@@ -234,29 +236,29 @@ class WhatTransform:
         oracle of the far panels, which come from the same sums."""
         return 2 * math.pi * (1j**self.kind.weight) * self._hankel_sums(ys, float(np.max(ys)))
 
-    def _panel_nodes(self, p: int):
-        """The m first-kind nodes of omega panel p and the panel's top."""
-        width = self.PANEL_WIDTH if p >= 0 else self._near_width
-        mid, half = self._omega_seam + (p + 0.5) * width, 0.5 * width
-        return mid + half * np.cos(self._cheb_theta), mid + half
+    def _panel_nodes(self, ps: np.ndarray):
+        """The m first-kind nodes of omega panels ps, one row each, and the top of the last."""
+        width = self.PANEL_WIDTH if ps[0] >= 0 else self._near_width
+        mid, half = self._omega_seam + (ps[:, None] + 0.5) * width, 0.5 * width
+        return mid + half * np.cos(self._cheb_theta), float(mid[-1, 0]) + half
 
-    def _seed_coefficients(self, p: int) -> np.ndarray:
-        """Chebyshev coefficients of S(xi) = int 2u W(u^2) sin(xi u) du on panel p,
-        the u rule sized at the panel's top."""
-        xi, top = self._panel_nodes(p)
+    def _seed_coefficients(self, ps: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients of S(xi) = int 2u W(u^2) sin(xi u) du on panels ps,
+        one row each, from one u rule sized at their top."""
+        xi, top = self._panel_nodes(ps)
         grid = self._bessel_grid((top / (4 * math.pi)) ** 2, self.SEED_U_PANELS)
         u = grid.nodes
-        sums = grid.sums_at_freqs(-xi, 2 * u * self.window(u * u) * grid.weights)
-        return self._cheb_cos @ sums.imag
+        sums = grid.sums_at_freqs(-xi.ravel(), 2 * u * self.window(u * u) * grid.weights)
+        return sums.imag.reshape(xi.shape) @ self._cheb_cos.T
 
-    def _panel_coefficients(self, p: int) -> np.ndarray:
-        """Chebyshev coefficients of What_plus / (2 pi i^k) on omega panel p: far
-        panels from the Hankel sums at their nodes, near ones from Bessel's
-        integral over the S table, each rule sized at the panel's top."""
-        omega, top = self._panel_nodes(p)
-        if p >= 0:
-            ys, y_top = (omega / (4 * math.pi)) ** 2, (top / (4 * math.pi)) ** 2
-            return self._cheb_cos @ self._hankel_sums(ys, y_top)
+    def _panel_coefficients(self, ps: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients of What_plus / (2 pi i^k) on omega panels ps, a row
+        each: far ones from one Hankel sum, near ones from one trapezoid product of
+        Bessel's integral over the S table, each rule sized at the panels' top."""
+        omega, top = self._panel_nodes(ps)
+        if ps[0] >= 0:
+            ys, y_top = (omega.ravel() / (4 * math.pi)) ** 2, (top / (4 * math.pi)) ** 2
+            return self._hankel_sums(ys, y_top).reshape(omega.shape) @ self._cheb_cos.T
         n = self.kind.weight - 1
         # the trapezoid rule of M = 2 half steps on [0, pi], folded onto [0, pi/2]:
         # weights (1/M)(1, 2, ..., 2, 1)
@@ -266,19 +268,27 @@ class WhatTransform:
         w[[0, -1]] /= 2
         xi = np.outer(omega, np.sin(theta))
         s = self._clenshaw(self._seeds, xi.ravel(), self._seed_coefficients).reshape(xi.shape)
-        return self._cheb_cos @ (s @ (w * np.sin(n * theta)))
+        return (s @ (w * np.sin(n * theta))).reshape(omega.shape) @ self._cheb_cos.T
+
+    @staticmethod
+    def _unique_inverse(keys: np.ndarray):
+        """np.unique(keys, return_inverse=True) for integer keys of a small range."""
+        hit = np.bincount(keys - keys.min()) > 0
+        return np.flatnonzero(hit) + keys.min(), (np.cumsum(hit) - 1)[keys - keys.min()]
 
     def _clenshaw(self, table: dict, omega: np.ndarray, build) -> np.ndarray:
         """The Chebyshev `table` at omega >= 0, one Clenshaw pass of m terms per
-        point on its panel; a missing panel p is built as table[p] = build(p)."""
+        point on its panel; a missing panel's group ps, the panels of one
+        p // PANEL_GROUP (p >= -_near_panels), is built as table[ps] = build(ps)."""
         shift = omega - self._omega_seam
         near = np.maximum(np.floor(shift / self._near_width), -self._near_panels)
         idx = np.where(shift >= 0, np.floor(shift / self.PANEL_WIDTH), near).astype(np.intp)
         width = np.where(idx >= 0, self.PANEL_WIDTH, self._near_width)
-        panels, inv = np.unique(idx, return_inverse=True)
-        for p in panels.tolist():
-            if p not in table:
-                table[p] = build(p)
+        panels, inv = self._unique_inverse(idx)
+        g = self.PANEL_GROUP
+        for q in {p // g for p in panels.tolist() if p not in table}:
+            ps = np.arange(max(q * g, -self._near_panels), q * g + g)
+            table.update(zip(ps.tolist(), build(ps)))
         coef = np.stack([table[p] for p in panels.tolist()], axis=1)
         # omega mapped to [-1, 1] on its panel, as _panel_nodes places the nodes
         mids = self._omega_seam + (idx + 0.5) * width

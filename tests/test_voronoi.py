@@ -227,10 +227,12 @@ def test_far_table_matches_bessel_route(form, window, transform):
     ys = np.geomspace(450.0, 2e4, 3000)
     tol = 1e-12 * _what_max(transform)
     assert np.max(np.abs(transform.eval(ys) - transform._eval_bessel(ys))) <= tol
-    # a lone deep y builds the one omega panel it falls on
+    # a lone deep y builds the one group of omega panels it falls in
     tr = WhatTransform(form.kind, window)
     assert abs(tr.eval(1e6) - tr._eval_bessel(np.array([1e6]))[0]) <= tol
-    assert len(tr._panels) == 1
+    g = tr.PANEL_GROUP
+    first = int((4 * math.pi * 1e3 - tr._omega_seam) // tr.PANEL_WIDTH) // g * g
+    assert sorted(tr._panels) == list(range(first, first + g))
 
 
 def _bessel_integral_j(n, z):
@@ -308,6 +310,53 @@ def test_table_value_does_not_depend_on_its_batch(form, window, transform):
     for i in range(len(ys) - 1, -1, -37):
         assert transform.eval(float(ys[i])) == batch[i]
         assert fresh.eval(float(ys[i])) == batch[i]
+
+
+def test_panel_coefficients_do_not_depend_on_touch_order(form, window):
+    # one batch against single far and near y in descending order: every panel
+    # both transforms hold, of either table, has the same bytes
+    ys = np.geomspace(1e-3, 3e4, 400)
+    batch, single = WhatTransform(form.kind, window), WhatTransform(form.kind, window)
+    batch.eval(ys)
+    for y in ys[::-41]:
+        single.eval(float(y))
+    for table in ("_panels", "_seeds"):
+        one, two = getattr(batch, table), getattr(single, table)
+        shared = one.keys() & two.keys()
+        assert min(shared) < 0 and (table == "_seeds" or max(shared) > 0)
+        assert all(one[p].tobytes() == two[p].tobytes() for p in shared)
+    # a far y and a near y read alone what they read as a pair
+    pair = WhatTransform(form.kind, window).eval(np.array([7.0, 9000.0]))
+    alone = WhatTransform(form.kind, window)
+    assert alone.eval(9000.0) == pair[1] and alone.eval(7.0) == pair[0]
+
+
+def test_table_builds_one_sum_per_panel_group(form, window, monkeypatch):
+    # far groups take one Hankel sum each, near groups one S-table sum per
+    # seed group; a build per panel would make 112 sums here, not 15
+    calls = []
+    sums_at_freqs = PanelGrid.sums_at_freqs
+
+    def counted(grid, freqs, values):
+        calls.append(len(freqs))
+        return sums_at_freqs(grid, freqs, values)
+
+    monkeypatch.setattr(PanelGrid, "sums_at_freqs", counted)
+    tr = WhatTransform(form.kind, window)
+    tr.eval(np.geomspace(1e-3, 2e4, 2000))
+    g = tr.PANEL_GROUP
+    far_top = int((4 * math.pi * math.sqrt(2e4) - tr._omega_seam) // tr.PANEL_WIDTH)
+    near_groups = len({p // g for p in range(-tr._near_panels, 0)})
+    assert len(calls) == far_top // g + 1 + near_groups == 15
+    assert sorted(tr._panels) == list(range(-tr._near_panels, (far_top // g + 1) * g))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_panel_positions_match_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-17, 120, size=rng.integers(1, 3000)).astype(np.intp)
+    for got, want in zip(WhatTransform._unique_inverse(keys), np.unique(keys, return_inverse=True)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_far_table_converged_in_panel_width(form, window, transform):
