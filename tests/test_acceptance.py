@@ -13,7 +13,9 @@ import pytest
 
 from weyldelta.checks import CHECKS, CheckContext
 
-ELAPSED_BOUNDS = {1: 600.0, 6: 300.0, 7: 1800.0, 10: 3600.0}  # seconds
+# seconds; criterion 7's is 10x its measured median (0.875 s over eight runs
+# on a 2-core machine), so that a tenfold slowdown of its dual sides fails
+ELAPSED_BOUNDS = {1: 600.0, 6: 300.0, 7: 8.75, 10: 3600.0}
 
 
 @pytest.fixture(scope="module")

@@ -441,6 +441,22 @@ def test_kernel_istar_consistency(form):
     assert direct == pytest.approx(row[j], abs=1e-10)
 
 
+def test_istar_value_matches_dense_vdag_column():
+    # istar-main-term's configuration; the Vdag column from one dense
+    # (n_x x n_u) table of exponentials, as istar_value built it before
+    cfg = PipelineConfig(N=100.0, t=2000.0, K=20.0, prime_set=(101,), c=101)
+    kernel = DualKernel(cfg, cfg.c, holomorphic_kind(12))
+    for tau in (-430.0, -600.0):
+        r = round(1.5 * (tau + 2 * cfg.t) * cfg.K * cfg.c / (cfg.N * tau))
+        v_grid = deltapipe._v_rule(cfg, abs(tau))
+        uv = v_grid.nodes
+        amp = v_grid.weights * deltapipe.WINDOW_V(uv) * uv ** (-0.5)
+        amp = amp * np.exp(-0.5j * tau * np.log(uv))
+        vdag_col = np.exp(-2j * np.pi * cfg.K * np.outer(kernel.x_nodes, uv)) @ amp
+        ref = np.sum(kernel.vx * vdag_col * kernel.udag_row(r))
+        assert abs(kernel.istar_value(r, tau) - ref) <= 1e-13 * abs(ref)
+
+
 def test_istar_main_against_direct():
     # fully live configuration: the x-stationary point sits mid-window AND
     # both transform arguments stay inside their supports, which requires
@@ -556,6 +572,77 @@ def test_dirichlet_class_sums_match_blocked_loop(form, c, complex_stream):
     got = deltapipe._dirichlet_class_sums(form, c, 3000, kernel.tau_grid)
     ref = _class_sums_blocked(form, c, 3000, kernel.tau_nodes)
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def _class_sums_by_class(form, c, n_cut, grid):
+    """T_b at the tau nodes, one `PanelGrid.sums_at_nodes` per residue class
+    (oracle of the gridded route)."""
+    logm = np.log(np.arange(1, n_cut + 1, dtype=float))
+    coeffs = form.dual_lam_slice(n_cut) * np.exp(-0.5 * logm)
+    t_class = np.zeros((c, len(grid.nodes)), dtype=complex)
+    for b in range(c):
+        sel = slice((b - 1) % c, n_cut, c)  # index m - 1 of the m = b mod c
+        t_class[b] = grid.sums_at_nodes(coeffs[sel], 0.5 * logm[sel])
+    return t_class
+
+
+@pytest.fixture(scope="module")
+def form60k():
+    return delta_form(60000)
+
+
+# criterion 7's tau grids (base, double_tau_cut, refine_grids), the dual
+# workload's, and the doubled n_cut on the base grid
+@pytest.mark.parametrize(
+    "n_cut, tau_cut, panels",
+    [
+        pytest.param(30000, 1500.0, 1500, id="base"),
+        pytest.param(30000, 3000.0, 3000, id="double_tau_cut"),
+        pytest.param(30000, 1500.0, 2250, id="refine_grids"),
+        pytest.param(12000, 1200.0, 1200, id="dual"),
+        pytest.param(60000, 1500.0, 1500, id="double_n_cut"),
+    ],
+)
+def test_dirichlet_class_sums_match_sums_at_nodes(form60k, n_cut, tau_cut, panels):
+    grid = PanelGrid(-tau_cut, tau_cut, panels, 16)
+    got = deltapipe._dirichlet_class_sums(form60k, 11, n_cut, grid)
+    ref = _class_sums_by_class(form60k, 11, n_cut, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "c, n_cut, complex_stream",
+    [
+        pytest.param(1, 3000, False, id="one-class"),
+        pytest.param(11, 3000, True, id="complex"),
+        pytest.param(11, 7, False, id="empty-classes"),
+    ],
+)
+def test_dirichlet_class_sums_edge_cases_match_sums_at_nodes(form, c, n_cut, complex_stream):
+    if complex_stream:  # Delta twisted by the quartic character mod 5 (psi(2) = i)
+        psi = np.array([0, 1, 1j, -1j, -1])
+        form = replace(form, lam=form.lam * psi[np.arange(1, form.n_max + 1) % 5])
+    grid = PanelGrid(-300.0, 300.0, 300, 16)
+    got = deltapipe._dirichlet_class_sums(form, c, n_cut, grid)
+    ref = _class_sums_by_class(form, c, n_cut, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert np.array_equal(got == 0, ref == 0)  # n_cut < c: classes 8, 9, 10 and 0 hold no m
+
+
+def test_dual_side_matches_per_class_sums(monkeypatch):
+    # the dual workload's configuration; a slip in the carrier, the classes
+    # or the node order of the gridded class sums fails here by name
+    form = delta_form(12000)
+    form.eta = 1.0 + 0.0j
+    cfg = PipelineConfig(
+        N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=12000, tau_cut=1200.0, r_cut=20
+    )
+    kernel = DualKernel(cfg, 11, form.kind)
+    gridded = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=12000, r_cut=20)
+    monkeypatch.setattr(deltapipe, "_dirichlet_class_sums", _class_sums_by_class)
+    per_class = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=12000, r_cut=20)
+    rel = abs(gridded - per_class) / abs(per_class)
+    assert rel <= 1e-12, f"dual side off the per-class sums_at_nodes route by {rel:.2e} (relative)"
 
 
 def test_dual_identity_desk_scale():

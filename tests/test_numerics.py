@@ -188,3 +188,64 @@ def test_band_sums_at_nodes_empty_frequency_set(shape):
     out = grid.band_sums_at_nodes(np.zeros(shape, dtype=complex), np.zeros(0))
     assert out.shape == shape[:-1] + (64,)
     assert not np.any(out)
+
+
+def _class_table(coeffs, freqs, classes, count, nodes):
+    # one phase-table product per class: the route class_sums_at_nodes replaces
+    return np.array(
+        [coeffs[classes == b] @ _phase_table(freqs[classes == b], nodes) for b in range(count)]
+    ).reshape(count, len(nodes))
+
+
+# a band of hf = 6 needs 8 uniform samples on a 2-wide panel, not 4
+CLASS_BANDS = dict(BANDS, wider=lambda rng, n: rng.uniform(0.0, 12.0, n))
+
+
+@pytest.mark.parametrize("a, b, panels", RAGGED)
+@pytest.mark.parametrize("count", [1, 11])
+@pytest.mark.parametrize("band", sorted(CLASS_BANDS))
+def test_class_sums_at_nodes_match_phase_table(a, b, panels, count, band):
+    rng = np.random.default_rng(panels)
+    grid = PanelGrid(a, b, panels, 16)
+    freqs = CLASS_BANDS[band](rng, 400)
+    coeffs = rng.normal(size=400) + 1j * rng.normal(size=400)
+    classes = rng.integers(0, count, 400)
+    ref = _class_table(coeffs, freqs, classes, count, grid.nodes)
+    got = grid.class_sums_at_nodes(coeffs, freqs, classes, count)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_class_sums_at_nodes_in_blocks(monkeypatch):
+    # the spread over blocks of 2 terms and the windows over one class row at a time
+    monkeypatch.setattr(PanelGrid, "CHUNK", 2000)
+    rng = np.random.default_rng(13)
+    grid = PanelGrid(-300.0, 300.0, 37, 16)
+    freqs = 0.5 * np.log(rng.uniform(1.0, 3e4, 300))
+    coeffs = rng.normal(size=300) + 1j * rng.normal(size=300)
+    classes = rng.integers(0, 5, 300)
+    ref = _class_table(coeffs, freqs, classes, 5, grid.nodes)
+    got = grid.class_sums_at_nodes(coeffs, freqs, classes, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_class_sums_at_nodes_empty_classes_are_zero():
+    rng = np.random.default_rng(14)
+    grid = PanelGrid(-300.0, 300.0, 37, 16)
+    freqs = np.r_[0.7, rng.uniform(0.0, 3.0, 5)]
+    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+    classes = np.array([0, 2, 2, 0, 4, 2])
+    got = grid.class_sums_at_nodes(coeffs, freqs, classes, 7)
+    ref = _class_table(coeffs, freqs, classes, 7, grid.nodes)
+    assert not np.any(got[[1, 3, 5, 6]])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    # a single frequency: a band of zero width
+    one = grid.class_sums_at_nodes(coeffs[:1], freqs[:1], classes[:1], 1)
+    assert np.max(np.abs(one - coeffs[0] * np.exp(-0.7j * grid.nodes))) <= 1e-11 * abs(coeffs[0])
+
+
+def test_class_sums_at_nodes_empty_frequency_set():
+    grid = PanelGrid(-1.0, 1.0, 4, 16)
+    out = grid.class_sums_at_nodes(np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0, int), 3)
+    assert out.shape == (3, 64)
+    assert not np.any(out)
