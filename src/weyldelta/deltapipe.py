@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .forms import CuspForm
-from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size
+from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, unit_phases
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
@@ -251,6 +251,28 @@ def _v_rule(cfg: PipelineConfig, tau_max: float) -> PanelGrid:
     return PanelGrid(va, vb, max(12, int(math.ceil(1.6 * cycles * cfg.grid_scale))))
 
 
+U_PANELS_MIN = 80  # the u rule's floor, which U's ramps need at small |rho| (see _u_rule)
+
+
+def _u_rule(cfg: PipelineConfig, rho_max: float):
+    """The u rule over supp U of Udag(rho, 1 - it), |rho| <= rho_max, and its
+    amplitudes weight * U(u) u^(-it): 1.6 panels per cycle of e(-rho u) u^(-it),
+    and at least U_PANELS_MIN.
+
+    U's ramps are bumps squeezed onto half a unit each, so a rule that counts
+    oscillation only is short at small |rho|: at (N, t, K, c) = (20, 5, 3, 11),
+    with a floor of 16 panels, it gave the rows r = 1 ... 7 16 to 34 panels,
+    and r = 5 (22 panels) sat 6.7e-8 of its own maximum (2.8e-10 of the
+    largest row's) off a 1280-panel rule. A floor of 60 panels or more puts
+    every one of them at rounding, 1.9e-15 of the largest row's maximum.
+    """
+    ua, ub = WINDOW_U.support
+    cycles = rho_max * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
+    panels = max(U_PANELS_MIN, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
+    grid = PanelGrid(ua, ub, panels, 16)
+    return grid, grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
+
+
 def _amplitudes(form: CuspForm, cfg: PipelineConfig):
     """(ns, lambda(n) V(n/N), rs, r^(-it) U(r/N)) over the windows' index ranges."""
     ns, rs = WINDOW_V.indices(cfg.N), WINDOW_U.indices(cfg.N)
@@ -280,8 +302,9 @@ class _Strata:
         self.vx = WINDOW_V(xs) * x_grid.weights
 
     def __call__(self, alphas, modulus: int) -> complex:
-        er = np.exp(2j * np.pi * np.outer(alphas, self.rs % modulus) / modulus)  # (alpha, r)
-        en = np.exp(-2j * np.pi * np.outer(alphas, self.ns % modulus) / modulus)  # (alpha, n)
+        # alpha r is reduced mod the modulus in integers, so no angle passes 2 pi
+        er = unit_phases(np.outer(alphas, self.rs), modulus)  # (alpha, r)
+        en = unit_phases(-np.outer(alphas, self.ns), modulus)  # (alpha, n)
         return complex(np.sum(self.vx[None, :] * (er @ self.ar) * (en @ self.bn)))
 
 
@@ -333,17 +356,19 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
 class DualKernel:
     """Precomputed quadrature tables for Istar at fixed (cfg, c).
 
-    Udag values depend on (r, x) but not on s, Vdag values on (x, tau) but
-    not on r, so both are tabulated once; each Istar row is then a product
-    over the x grid, and :func:`s_c_dual` does the I_delta tau-integral as
-    a weighted sum over the tau grid. None of the tables depends on the
-    level. Vdag is kept on m Chebyshev x points rather than the n_x Gauss
-    nodes, and over tau it is read from Chebyshev points on runs of tau
-    panels (see :meth:`_build_tau_tables`): its table costs about
-    m * (n_u * R * m_tau + m_tau * n_tau) multiply-adds, with R runs of
-    m_tau <= 60 points, where a sum at every tau node would cost
-    m * n_u * n_tau. Grid densities scale with the oscillation rates
-    (~K cycles across supp V for the x-integral, O(1) cycles per unit tau).
+    Istar(r, c, 1 + i tau) = a_r @ vdag_cheb: Vdag depends on (x, tau) but
+    not on r, and is kept as m Chebyshev rows over tau (m = 35 at K = 3; see
+    :meth:`_build_tau_tables`); Udag depends on (r, x) but not on tau, and
+    the x-integral of V Udag against the Chebyshev basis is the m-long row
+    a_r of :meth:`x_rows`, all r from one u rule. So :func:`s_c_dual` never
+    forms an Istar row over tau: it contracts tau once per dual term into
+    an (m x c) matrix and r once into the (R x m) rows. The Vdag table
+    costs about m * (n_u * R' * m_tau + m_tau * n_tau) multiply-adds, with
+    R' runs of m_tau <= 60 points, where a sum at every tau node would cost
+    m * n_u * n_tau. Grid densities scale with the oscillation rates (~K
+    cycles across supp V for the x-integral, O(1) cycles per unit tau).
+    :meth:`istar_row` and :meth:`istar_value` (per-row u rules, Istar over
+    tau or at one tau) are the oracles.
     """
 
     def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind):
@@ -359,7 +384,6 @@ class DualKernel:
         self._vdag_cheb = None
         self._interp = None
         self._gamma_cache: Dict[GammaFactorKind, np.ndarray] = {}
-        self._istar_cache: Dict[int, np.ndarray] = {}
         self.vx = WINDOW_V(self.x_nodes) * x_grid.weights
 
     def _build_tau_tables(self):
@@ -411,22 +435,49 @@ class DualKernel:
         return interp @ vdag_cheb
 
     def udag_row(self, r: int) -> np.ndarray:
-        """Udag(N r / c - K x_i, 1 - it) over the x grid.
+        """Udag(N r / c - K x_i, 1 - it) over the x grid, for :meth:`istar_value`
+        and the oracles of :meth:`x_rows`.
 
-        Each row carries its own u quadrature sized by that row's maximal
-        twist frequency, so large t or large |r| only inflate the rows that
-        need it. A row is one `PanelGrid.sums_at_freqs` at the frequencies
-        2 pi rho, i.e. about 2 sqrt(panels) + 16 complex exponentials per
-        x node. Not cached: :meth:`istar_row` keeps its product per r.
+        The row carries its own u rule (:func:`_u_rule`), sized by its
+        maximal twist frequency, so large t or large |r| only inflate the
+        rows that need it; the rule's floor keeps the small-|r| rows of
+        (N, t, K, c) = (20, 5, 3, 11) within 1.9e-15 of the largest row's
+        maximum off a converged rule (2.8e-10 with a 16-panel floor). A row
+        is one `PanelGrid.sums_at_freqs` at the frequencies 2 pi rho, about
+        2 sqrt(panels) + 16 complex exponentials per x node.
         """
         cfg = self.cfg
-        ua, ub = WINDOW_U.support
         rho = cfg.N * r / self.c - cfg.K * self.x_nodes
-        cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / TWO_PI
-        panels = max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
-        grid = PanelGrid(ua, ub, panels, 16)
-        amp = grid.weights * WINDOW_U(grid.nodes) * np.exp(-1j * cfg.t * np.log(grid.nodes))
+        grid, amp = _u_rule(cfg, float(np.max(np.abs(rho))))
         return grid.sums_at_freqs(TWO_PI * rho, amp)
+
+    def x_rows(self, rs) -> np.ndarray:
+        """The rows a_r = (vx * Udag_r) @ interp for every r in `rs`, shape (len(rs), m):
+        Istar(r, c, 1 + i tau) = a_r @ vdag_cheb.
+
+        Udag_r(x) = sum_u amp(u) e(-N r u / c) e(K x u), so a_r is
+        sum_u amp(u) e(-N r u / c) B[u], with B[u] = sum_x e(K x u) vx(x)
+        interp[x] the same for every r, on one u rule (:func:`_u_rule`)
+        sized at max |rho| over rs and the x nodes. B's band in u is
+        2 pi K X_RANGE, narrow next to the rule's panels, so B is one
+        :meth:`PanelGrid.band_sums_at_nodes` (n_x frequencies, m rows, one
+        run of about 40 Chebyshev points at K = 3), and the rows are one
+        `sums_at_freqs` at the frequencies 2 pi N r / c over m columns:
+        R (2 sqrt(panels) + 16) exponentials and R n_u m multiply-adds, where
+        a row per r cost its own rule and n_x n_u multiply-adds. The
+        small-|r| rows ride on the large-|r| rule: the dual side sits within
+        4.2e-13 of a 4x finer rule on the dual workload's grid and 1.9e-13
+        on criterion 7's base grid, where per-row rules read 3.8e-9 on both.
+        """
+        cfg = self.cfg
+        interp, _ = self._tau_tables()
+        rs = np.asarray(rs, dtype=float)
+        rho = cfg.N * rs[:, None] / self.c - cfg.K * self.x_nodes[None, :]
+        grid, amp = _u_rule(cfg, float(np.max(np.abs(rho), initial=0.0)))
+        # B[u] as m rows over the u nodes; e(K x u) = exp(-i (-2 pi K x) u)
+        weighted = (self.vx[:, None] * interp).T
+        band = grid.band_sums_at_nodes(weighted, -TWO_PI * cfg.K * self.x_nodes)
+        return grid.sums_at_freqs(TWO_PI * cfg.N * rs / self.c, amp[:, None] * band.T)
 
     def gamma_on_grid(self, kind: GammaFactorKind) -> np.ndarray:
         """gamma_factor(kind, 1 + i tau) over the tau grid, cached by kind."""
@@ -439,15 +490,14 @@ class DualKernel:
         return self._gamma_cache[kind]
 
     def istar_row(self, r: int) -> np.ndarray:
-        """Istar(r, c, 1 + i tau) over the tau grid (x-integral done).
+        """Istar(r, c, 1 + i tau) over the tau grid, from the row's own u rule
+        (:meth:`udag_row`): the per-row oracle of :func:`s_c_dual`'s contraction.
 
         The x-integral runs on the Gauss nodes and is then mapped to the
-        Chebyshev rows: (n_x) @ (n_x x m), then (m) @ (m x n_tau).
+        Chebyshev rows: (n_x) @ (n_x x m), then (m) @ (m x n_tau). Not cached.
         """
-        if r not in self._istar_cache:
-            interp, vdag_cheb = self._tau_tables()
-            self._istar_cache[r] = ((self.vx * self.udag_row(r)) @ interp) @ vdag_cheb
-        return self._istar_cache[r]
+        interp, vdag_cheb = self._tau_tables()
+        return ((self.vx * self.udag_row(r)) @ interp) @ vdag_cheb
 
     def istar_value(self, r: int, tau: float) -> complex:
         """Istar(r, c, 1 + i tau) at a single tau, by direct nested quadrature.
@@ -585,15 +635,22 @@ def s_c_dual(
 ) -> complex:
     """S_c(N) through the dual (Voronoi + Poisson) representation.
 
-    One pass over r sums every row of :func:`weyldelta.voronoi.dual_terms`, each
-    with the outer factor 2i front and the form's weight, :func:`weyldelta.voronoi.term_weight`
-    at the twist r/c on the residues b mod c. The m-sum is folded into the tau-integral
-    through residue-class Dirichlet partial sums (:func:`_dirichlet_class_sums`),
-    so the cost is about 28 n_cut spread products, c FFTs of about n_tau / 2
-    points and 2 c n_tau (4 + 2n) real multiply-adds (n about 30) for the class
-    sums, plus O(r_cut * (n_x * m + m * n_tau)) for the Istar rows, m the
-    kernel's Chebyshev x points, rather than per-(m, r) quadratures. The class
-    sums read within 1.5e-12 of max|T| of a `sums_at_nodes` per class.
+    One pass sums every row of :func:`weyldelta.voronoi.dual_terms`, each
+    with the outer factor 2i front and the form's weight,
+    :func:`weyldelta.voronoi.term_weight` at the twist r/c on the residues
+    b mod c. The m-sum is folded into the tau-integral through residue-class
+    Dirichlet partial sums T (:func:`_dirichlet_class_sums`), and neither r
+    nor tau is iterated over the other's long axis: with Istar(r, 1 + i tau)
+    = a_r @ vdag_cheb (:meth:`DualKernel.x_rows`), a term's tau-integral
+    sum_tau pref gamma Istar(r) (w_r @ T) is a_r @ M @ w_r, where the
+    (m x c) matrix M = vdag_cheb @ (T pref gamma)^t is one GEMM per term.
+    The cost is the class sums (about 28 n_cut spread products, c FFTs of
+    about n_tau / 2 points and 2 c n_tau (4 + 2n) real multiply-adds, n
+    about 30), m c n_tau complex multiply-adds a term for M and one u rule
+    for all R rows a_r, where an Istar row over tau per r cost R m n_tau
+    and R u rules. The class sums read within 1.5e-12 of max|T| of a
+    `sums_at_nodes` per class, and the dual side within 1e-12 of per-row
+    :meth:`DualKernel.istar_row` tau-sums.
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
@@ -612,16 +669,17 @@ def s_c_dual(
     base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / TWO_PI
 
+    rows = kernel.x_rows(rs)  # (R, m)
+    _, vdag_cheb = kernel._tau_tables()
     # a row's front and ds = i dtau give 2i front, times the pi above (i^k pi for weight k)
     terms = dual_terms(kernel.kind, kernel.gamma_on_grid)
     bs = np.arange(c)
 
     total = 0.0 + 0.0j
-    for r in rs:
-        istar = kernel.istar_row(r)
-        for sign, term_front, gam in terms:
-            d_r = term_weight(form, sign, r, c, bs) @ t_class
-            total += 2j * term_front * np.sum(pref * gam * istar * d_r)
+    for sign, term_front, gam in terms:
+        tau_matrix = vdag_cheb @ (t_class * (pref * gam)).T  # (m, c)
+        weights = np.reshape([term_weight(form, sign, r, c, bs) for r in rs], (len(rs), c))
+        total += 2j * term_front * np.sum((rows @ tau_matrix) * weights)
     # S_star stratum weight: the single prime contributes 1/(p c) = 1/c^2
     total /= c * c
     return complex(front * total)

@@ -13,9 +13,11 @@ import pytest
 
 from weyldelta.checks import CHECKS, CheckContext
 
-# seconds; criterion 7's is 10x its measured median (0.875 s over eight runs
-# on a 2-core machine), so that a tenfold slowdown of its dual sides fails
-ELAPSED_BOUNDS = {1: 600.0, 6: 300.0, 7: 8.75, 10: 3600.0}
+# seconds; criteria 6 and 7 are held to 10x their measured medians, and at
+# least 5 s for a host that runs up to 2x slower in phases: medians 0.018 s
+# and 0.39 s over ten in-process runs on a 2-core machine (0.45 s and 0.92 s
+# cold), so the floor binds both and a 13x slowdown of criterion 7 fails
+ELAPSED_BOUNDS = {1: 600.0, 6: 5.0, 7: 5.0, 10: 3600.0}
 
 
 @pytest.fixture(scope="module")

@@ -33,6 +33,7 @@ from weyldelta.deltapipe import (
 from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
 from weyldelta.statphase import u_dagger_direct
 from weyldelta.testfn import make_window_u, make_window_v
+from weyldelta.voronoi import dual_terms, term_weight
 
 
 def i_star_direct(r, c, tau, cfg):
@@ -306,6 +307,29 @@ def test_s_split_budget_guard(form, cfg_split, monkeypatch):
         s_split(form, tiny)
 
 
+def _unit_phases_exact(numerators, p):
+    """e(k / p) for integers k, the angle taken in extended precision and each
+    factor rounded once."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    phase = two_pi * (numerators % p).astype(np.longdouble) / p
+    return np.cos(phase).astype(float) + 1j * np.sin(phase).astype(float)
+
+
+def test_strata_phases_are_reduced_before_exponentiation(form, cfg_split):
+    # alpha r reaches about p^2 at s_split's primes; exponentiating alpha (r mod p) / p
+    # put every stratum 5.8e-14 to 5.6e-13 off one with exact roots, the reduced
+    # angle 1.6e-15 to 1.1e-14
+    strata = deltapipe._Strata(cfg_split, *deltapipe._amplitudes(form, cfg_split))
+    worst = 0.0
+    for p in cfg_split.prime_set:
+        alphas = np.arange(1, p)
+        er = _unit_phases_exact(np.outer(alphas, strata.rs), p)
+        en = _unit_phases_exact(-np.outer(alphas, strata.ns), p)
+        ref = np.sum(strata.vx[None, :] * (er @ strata.ar) * (en @ strata.bn))
+        worst = max(worst, abs(strata(alphas, p) - ref) / abs(ref))
+    assert worst <= 5e-14
+
+
 # --- dagger kernels ----------------------------------------------------------
 
 
@@ -329,7 +353,8 @@ def _udag_per_row(kernel, r):
     ua, ub = u.support
     rho = cfg.N * r / kernel.c - cfg.K * kernel.x_nodes
     cycles = np.max(np.abs(rho)) * (ub - ua) + abs(cfg.t) * math.log(ub / ua) / (2 * math.pi)
-    grid = PanelGrid(ua, ub, max(16, int(math.ceil(1.6 * cycles * cfg.grid_scale))))
+    panels = max(deltapipe.U_PANELS_MIN, int(math.ceil(1.6 * cycles * cfg.grid_scale)))
+    grid = PanelGrid(ua, ub, panels)
     uu = grid.nodes
     amp = grid.weights * u(uu) * np.exp(-1j * cfg.t * np.log(uu))
     return np.exp(-2j * np.pi * np.outer(rho, uu)) @ amp
@@ -341,6 +366,33 @@ def test_kernel_udag_row_matches_per_row_table(form, r):
     kernel = DualKernel(cfg, 11, form.kind)
     ref = _udag_per_row(kernel, r)
     assert np.max(np.abs(kernel.udag_row(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _u_panels(cfg, panels):
+    """A u rule of `panels` panels over supp U and its amplitudes weight * U(u) u^(-it)."""
+    grid = PanelGrid(*deltapipe.WINDOW_U.support, panels, 16)
+    uu = grid.nodes
+    return grid, grid.weights * deltapipe.WINDOW_U(uu) * np.exp(-1j * cfg.t * np.log(uu))
+
+
+def _udag_on_panels(kernel, r, panels):
+    """One Udag row on a u rule of `panels` panels."""
+    cfg = kernel.cfg
+    grid, amp = _u_panels(cfg, panels)
+    rho = cfg.N * r / kernel.c - cfg.K * kernel.x_nodes
+    return grid.sums_at_freqs(2 * np.pi * rho, amp)
+
+
+def test_kernel_udag_rows_at_small_r_are_converged(form):
+    # U's ramps need the rule's floor: sized by oscillation over a floor of 16
+    # panels (16 to 34 here), the rows r = 1 ... 7 sat up to 2.8e-10 of the
+    # largest row off a 1280-panel rule; with 80 panels at least they read 1.9e-15
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
+    kernel = DualKernel(cfg, 11, form.kind)
+    refs = {r: _udag_on_panels(kernel, r, 1280) for r in range(1, 8)}
+    scale = max(np.max(np.abs(ref)) for ref in refs.values())
+    worst = max(np.max(np.abs(kernel.udag_row(r) - ref)) for r, ref in refs.items())
+    assert worst <= 1e-13 * scale
 
 
 def _vdag_per_node(kernel):
@@ -645,6 +697,133 @@ def test_dual_side_matches_per_class_sums(monkeypatch):
     assert rel <= 1e-12, f"dual side off the per-class sums_at_nodes route by {rel:.2e} (relative)"
 
 
+def _coprime_rs(r_cut, c):
+    return [r for r in range(-r_cut, r_cut + 1) if r != 0 and math.gcd(r, c) == 1]
+
+
+def _x_rows_per_r(kernel, rs, rule):
+    """The rows a_r of `DualKernel.x_rows`, one `sums_at_freqs` per r on the u
+    rule (grid, amplitudes) `rule` (oracle)."""
+    cfg = kernel.cfg
+    grid, amp = rule
+    interp, _ = kernel._tau_tables()
+    rows = []
+    for r in rs:
+        rho = cfg.N * r / kernel.c - cfg.K * kernel.x_nodes
+        rows.append((kernel.vx * grid.sums_at_freqs(2 * np.pi * rho, amp)) @ interp)
+    return np.array(rows)
+
+
+def _finer_u_rule(monkeypatch, factor):
+    """Make every u rule `factor` times finer than `deltapipe._u_rule` sizes it."""
+    sized = deltapipe._u_rule
+
+    def finer(cfg, rho_max):
+        grid, _ = sized(cfg, rho_max)
+        return _u_panels(cfg, factor * len(grid.mids))
+
+    monkeypatch.setattr(deltapipe, "_u_rule", finer)
+
+
+# the dual workload's configuration and criterion 7's base and double_r_cut ones
+@pytest.mark.parametrize(
+    "settings, r_cut",
+    [
+        pytest.param(dict(tau_cut=1200.0), 20, id="dual"),
+        pytest.param(dict(tau_cut=1500.0), 24, id="base"),
+        pytest.param(dict(tau_cut=1500.0), 48, id="double_r_cut"),
+    ],
+)
+def test_x_rows_match_per_r_sums_on_one_rule_and_a_finer_one(form, settings, r_cut, monkeypatch):
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
+    kernel = DualKernel(cfg, 11, form.kind)
+    rs = _coprime_rs(r_cut, 11)
+    rows = kernel.x_rows(rs)
+    rho_max = max(np.max(np.abs(cfg.N * r / 11 - cfg.K * kernel.x_nodes)) for r in rs)
+    ref = _x_rows_per_r(kernel, rs, deltapipe._u_rule(cfg, rho_max))
+    assert np.max(np.abs(rows - ref)) <= 1e-13 * np.max(np.abs(ref))
+    _finer_u_rule(monkeypatch, 4)
+    fine = kernel.x_rows(rs)
+    assert np.max(np.abs(rows - fine)) <= 1e-13 * np.max(np.abs(fine))
+
+
+def s_c_dual_per_row(form, cfg, c, kernel, n_cut, r_cut):
+    """The dual side with an Istar row over tau per r, each from its own u rule
+    (`DualKernel.istar_row`), summed against pref gamma (w_r @ T) over the tau
+    nodes: the route `s_c_dual`'s two contractions replace (oracle)."""
+    front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
+        len(cfg.prime_set) * math.sqrt(form.level)
+    )
+    t_class = deltapipe._dirichlet_class_sums(form, c, n_cut, kernel.tau_grid)
+    base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
+    taus = kernel.tau_nodes
+    pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / (2 * math.pi)
+    terms = dual_terms(kernel.kind, kernel.gamma_on_grid)
+    total = 0.0 + 0.0j
+    for r in _coprime_rs(r_cut, c):
+        istar = kernel.istar_row(r)
+        for sign, term_front, gam in terms:
+            d_r = term_weight(form, sign, r, c, np.arange(c)) @ t_class
+            total += 2j * term_front * np.sum(pref * gam * istar * d_r)
+    return complex(front * total / (c * c))
+
+
+def _maass_form(ell, chi, n_max):
+    """A synthetic Hecke stream of a Maass kind with eps_g = -1 and eta = 1."""
+    rng = np.random.default_rng(18)
+    level = len(chi)
+    lam = multiplicative_extension(
+        {p: float(rng.uniform(-1.5, 1.5)) for p in primes_in(2, n_max)}, chi, level, n_max
+    )
+    return CuspForm(
+        kind=maass_kind(ell, 0), level=level, chi=chi.astype(complex), lam=lam, epsilon_g=-1.0,
+        eta=1.0 + 0.0j,
+    )
+
+
+# the dual workload's grid and criterion 7's four (base, double_r_cut,
+# double_tau_cut, refine_grids) on Delta, and a Maass kind
+@pytest.mark.parametrize(
+    "settings, n_cut, r_cut, maass",
+    [
+        pytest.param(dict(tau_cut=1200.0), 12000, 20, False, id="dual"),
+        pytest.param(dict(tau_cut=1500.0), 30000, 24, False, id="base"),
+        pytest.param(dict(tau_cut=1500.0), 30000, 48, False, id="double_r_cut"),
+        pytest.param(dict(tau_cut=3000.0), 30000, 24, False, id="double_tau_cut"),
+        pytest.param(dict(tau_cut=1500.0, grid_scale=1.5), 30000, 24, False, id="refine_grids"),
+        pytest.param(dict(tau_cut=300.0), 3000, 6, True, id="maass"),
+    ],
+)
+def test_s_c_dual_matches_per_row_istar_loop(form60k, settings, n_cut, r_cut, maass):
+    if maass:
+        form = _maass_form(9.5, trivial_character(1), 3000)
+    else:
+        form = replace(form60k, eta=1.0 + 0.0j)
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
+    kernel = DualKernel(cfg, 11, form.kind)
+    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    ref = s_c_dual_per_row(form, cfg, 11, kernel, n_cut, r_cut)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "settings, n_cut, r_cut",
+    [
+        pytest.param(dict(tau_cut=1200.0), 12000, 20, id="dual"),
+        pytest.param(dict(tau_cut=1500.0), 30000, 24, id="base"),
+    ],
+)
+def test_dual_side_is_converged_in_the_u_rule(form60k, settings, n_cut, r_cut, monkeypatch):
+    # per-row u rules left this 3.8e-9 off a 4x finer rule; one rule for all r reads 4.2e-13
+    form = replace(form60k, eta=1.0 + 0.0j)
+    cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
+    kernel = DualKernel(cfg, 11, form.kind)
+    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    _finer_u_rule(monkeypatch, 4)
+    fine = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    assert abs(got - fine) <= 1e-12 * abs(fine)
+
+
 def test_dual_identity_desk_scale():
     form = delta_form(24000)
     form.eta = 1.0 + 0.0j  # calibrated value for the built-in form
@@ -666,27 +845,33 @@ def _mirrored_gamma(kind, taus):
 
 def s_c_dual_two_branch(form, cfg, c, kernel, n_cut, r_cut):
     """The Maass dual side as its chi(-c) (I_0 - I_1) and chi(c) eps_g (I_0 + I_1)
-    branches, written out term by term (oracle of `s_c_dual` on Maass forms)."""
+    branches, written out term by term (oracle of `s_c_dual` on Maass forms).
+
+    Each branch's tau-integral is contracted to sum_(r, b) (a_r @ M) e(-+ conj(rM) b / c),
+    with the x-integrated rows a_r of `DualKernel.x_rows` and M = vdag_cheb @ (T pref
+    gamma)^t, the same arithmetic as `s_c_dual`'s; the branches' characters,
+    reflection sign and twists are this function's own."""
     pstar = max(len(cfg.prime_set), 1)
     front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
         pstar * math.sqrt(form.level)
     )
-    rs = [r for r in range(-r_cut, r_cut + 1) if r != 0 and math.gcd(r, c) == 1]
-    inv_rm = {r: numerics.modular_inverse(r * form.level, c) for r in rs}
+    rs = _coprime_rs(r_cut, c)
+    inv_rm = [numerics.modular_inverse(r * form.level, c) for r in rs]
     taus = kernel.tau_nodes
     t_class = deltapipe._dirichlet_class_sums(form, c, n_cut, kernel.tau_grid)
     base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / (2 * math.pi)
     ell = form.kind.ell
     gam0, gam1 = (_mirrored_gamma(maass_kind(ell, d), taus) for d in (0, 1))
+    rows = kernel.x_rows(rs)
+    _, vdag_cheb = kernel._tau_tables()
     bs = np.arange(c)
-    total = 0.0 + 0.0j
-    for r in rs:
-        istar = kernel.istar_row(r)
-        d_minus = numerics.unit_phases(-inv_rm[r] * bs, c) @ t_class
-        d_plus = numerics.unit_phases(+inv_rm[r] * bs, c) @ t_class
-        total += form.chi_at(-c) * np.sum(pref * (gam0 - gam1) * istar * d_minus)
-        total += form.chi_at(c) * form.epsilon_g * np.sum(pref * (gam0 + gam1) * istar * d_plus)
+    m_minus = vdag_cheb @ (t_class * (pref * (gam0 - gam1))).T
+    m_plus = vdag_cheb @ (t_class * (pref * (gam0 + gam1))).T
+    twist_minus = np.array([numerics.unit_phases(-inv * bs, c) for inv in inv_rm])
+    twist_plus = np.array([numerics.unit_phases(+inv * bs, c) for inv in inv_rm])
+    total = form.chi_at(-c) * np.sum((rows @ m_minus) * twist_minus)
+    total += form.chi_at(c) * form.epsilon_g * np.sum((rows @ m_plus) * twist_plus)
     total /= c * c
     return complex(front * total)
 
@@ -700,15 +885,7 @@ def test_maass_dual_side_matches_two_branch_formula(ell, chi):
     # synthetic Hecke streams with a real and an exceptional spectral value;
     # eps_g = -1 so that a dropped or misplaced reflection sign shows, and an
     # odd character mod 4 (chi(-11) = 1, chi(11) = -1) so that a swapped chi does
-    rng = np.random.default_rng(18)
-    level = len(chi)
-    lam = multiplicative_extension(
-        {p: float(rng.uniform(-1.5, 1.5)) for p in primes_in(2, 3000)}, chi, level, 3000
-    )
-    form = CuspForm(
-        kind=maass_kind(ell, 0), level=level, chi=chi.astype(complex), lam=lam, epsilon_g=-1.0,
-        eta=1.0 + 0.0j,
-    )
+    form = _maass_form(ell, chi, 3000)
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0, r_cut=6)
     kernel = DualKernel(cfg, 11, form.kind)
     got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=3000, r_cut=6)

@@ -131,6 +131,7 @@ def test_only_the_term_weight_reads_the_form_rules():
 ORACLES = {
     "ramanujan_tau_naive": "tests/test_forms.py::test_tau_against_naive_eta_product_expansion",
     "DualKernel.vdag": "tests/test_deltapipe.py::test_kernel_vdag_matches_per_node_table",
+    "DualKernel.istar_row": "tests/test_deltapipe.py::test_s_c_dual_matches_per_row_istar_loop",
     "edges_rule": "tests/test_voronoi.py::test_transform_matches_adaptive_edge_routes",
     "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",
     "afe_weight": "tests/test_lfunc.py::test_interpolated_weights_match_the_direct_route",
