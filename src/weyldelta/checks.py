@@ -40,7 +40,6 @@ from .lfunc import AfeConfig, afe_value, growth_scan, nominal_length, scan_lengt
 from .numerics import PanelGrid, loglog_fit, loglog_slope, primes_in
 from .specialfn import (
     gamma_factor,
-    holomorphic_kind,
     maass_kind,
     residual_derivative,
     stirling_profile,
@@ -114,14 +113,15 @@ class CheckContext:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    def transform(self, form: CuspForm) -> WhatTransform:
-        return self.shared("transform", lambda: WhatTransform(form.kind, WINDOW_V))
+    def transform(self) -> WhatTransform:
+        return self.shared("transform", lambda: WhatTransform(self.form().kind, WINDOW_V))
 
-    def calibrate(self, form: CuspForm) -> complex:
-        """eta for `form`, fitted once on the two ETA_PROBES instances."""
+    def calibrate(self) -> complex:
+        """eta for the context's form, fitted once on the two ETA_PROBES instances."""
+        form = self.form()
         if self.cache.get("calibrated") is not form:
             form.eta = form.eta_modulus_raw = form.eta_probe_spread = None
-            calibrate_eta(form, _eta_probes(form), transform=self.transform(form))
+            calibrate_eta(form, _eta_probes(form), transform=self.transform())
             self.cache["calibrated"] = form
         return form.eta
 
@@ -304,12 +304,12 @@ def _istar_main_term(ctx):
     # (N, t, K, c) = (100, 2000, 20, 101): K < t^(1-eps), and each r puts the
     # x-stationary point at 1.5 with both dagger arguments inside their supports
     cfg = PipelineConfig(N=100.0, t=2000.0, K=20.0, prime_set=(101,), c=101)
-    kernel = DualKernel(cfg, cfg.c, holomorphic_kind(12))
+    kernel = DualKernel(cfg)
     taus, rel_errors = (-430.0, -500.0, -600.0), []
     for tau in taus:
         r = round(1.5 * (tau + 2 * cfg.t) * cfg.K * cfg.c / (cfg.N * tau))
         direct = kernel.istar_value(r, tau)
-        rel_errors.append(abs(i_star_main(r, cfg.c, tau, cfg).value - direct) / abs(direct))
+        rel_errors.append(abs(i_star_main(r, tau, cfg).value - direct) / abs(direct))
     slope = loglog_slope([abs(tau) for tau in taus], rel_errors)
     return slope, -0.4, {"slope": slope, "rel_errors": rel_errors}
 
@@ -360,7 +360,7 @@ def _gamma_growth(ctx):
 )
 def _eta_calibration(ctx):
     form = ctx.form()
-    eta = ctx.calibrate(form)
+    eta = ctx.calibrate()
     ctx.calibration.update(eta=fmt_complex(eta), eta_modulus_raw=form.eta_modulus_raw)
     values = {
         "eta": fmt_complex(eta),
@@ -371,9 +371,8 @@ def _eta_calibration(ctx):
 
 
 def _voronoi_cell(ctx, scale, a, c):
-    form = ctx.form()
-    inst = VoronoiInstance(form, a=a, c=c, window=WINDOW_V, scale=scale)
-    chk = voronoi_check(inst, transform=ctx.transform(form))
+    inst = VoronoiInstance(ctx.form(), a=a, c=c, window=WINDOW_V, scale=scale)
+    chk = voronoi_check(inst, transform=ctx.transform())
     values = {
         "lhs": fmt_complex(chk.lhs),
         "rhs": fmt_complex(chk.rhs),
@@ -420,12 +419,11 @@ def _dual_identity(ctx: CheckContext):
     """S_c both ways at (N, t, K, p) = (20, 5, 3, 11) with the doubling sweep."""
 
     def build():
-        form = ctx.form()
-        ctx.calibrate(form)
+        ctx.calibrate()
         cfg = PipelineConfig(
             N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=DUAL_N_CUT, tau_cut=1500.0, r_cut=24
         )
-        return dual_identity_check(form, cfg, sweep=True)
+        return dual_identity_check(ctx.form(), cfg, sweep=True)
 
     return ctx.shared("dual", build)
 

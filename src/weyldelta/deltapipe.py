@@ -49,23 +49,23 @@ from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, unit_pha
 from .oscillate import integrate_1d
 from .specialfn import GammaFactorKind, gamma_factor
 from .statphase import sharp_weight
-from .testfn import WINDOW_U, WINDOW_V, SmoothWindow
+from .testfn import WINDOW_U, WINDOW_V
 from .voronoi import dual_terms, term_weight
 
 EPS_RANGE = 0.1  # every t^eps / N^eps range condition is instantiated at 0.1
 
 TWO_PI = 2.0 * math.pi
 
-X_RANGE = (1.0, 2.0)  # the x-integral's interval, supp V
+X_RANGE = WINDOW_V.support  # the x-integral's interval
 
 
-def _window_fourier(window: SmoothWindow, theta: float, budget: Optional[int] = None) -> complex:
-    """int e(theta x) window(x) dx over the support, in at most `budget` cells.
+def _window_fourier(theta: float, budget: Optional[int] = None) -> complex:
+    """int e(theta x) V(x) dx over supp V, in at most `budget` cells.
 
     An unconverged value raises (see OscillatoryResult.converged), so no
     caller (or cache) keeps it.
     """
-    res = integrate_1d(window, lambda x: theta * x, *window.support, tol=1e-13, budget=budget)
+    res = integrate_1d(WINDOW_V, lambda x: theta * x, *X_RANGE, tol=1e-13, budget=budget)
     return complex(res.converged(f"window Fourier integral at theta = {theta:.6g}"))
 
 
@@ -75,7 +75,7 @@ def _fourier_v(theta: float, budget: Optional[int] = None) -> complex:
     V is real, so a negative theta reads its positive twin's conjugate, bit for bit."""
     if theta < 0:
         return _fourier_v(-theta, budget).conjugate()
-    return _window_fourier(WINDOW_V, theta, budget)
+    return _window_fourier(theta, budget)
 
 
 @dataclass
@@ -107,18 +107,18 @@ class PipelineConfig:
         # several band-widths past the edge (verified by doubling sweeps)
         return self.tau_cut if self.tau_cut is not None else 96 * math.pi * abs(self.K) + 100.0
 
-    def resolved_r_cut(self, c: int) -> int:
+    def resolved_r_cut(self) -> int:
         if self.r_cut is not None:
             return self.r_cut
-        return int(math.ceil(c * (2 * self.K + self.t) / self.N)) + 8
+        return int(math.ceil(self.c * (2 * self.K + self.t) / self.N)) + 8
 
-    def resolved_n_cut(self, c: int, level: int = 1) -> int:
+    def resolved_n_cut(self, level: int = 1) -> int:
         if self.n_cut is not None:
             return self.n_cut
         # the dual mass peaks at m ~ (2K)^2 M c^2 / N where the transform
         # kernel is stationary; the tail past the band decays only like
         # m^(-3.5) at desk scale, so the cut sits far beyond the peak
-        return int(math.ceil(160 * level * c * c * self.K * self.K / self.N)) + 200
+        return int(math.ceil(160 * level * self.c * self.c * self.K * self.K / self.N)) + 200
 
     def validate(self, level: int = 1):
         if self.t <= 2:
@@ -155,7 +155,7 @@ def trivial_delta(n: int, q: int, X: float, budget: Optional[int] = None) -> com
         raise PreconditionError(f"q = {q} must exceed X^(1+eps) = {X ** (1 + EPS_RANGE):.2f}")
     if n % q != 0:
         return 0.0 + 0.0j
-    return _window_fourier(WINDOW_V, n / X, budget)
+    return _window_fourier(n / X, budget)
 
 
 @functools.lru_cache(maxsize=16)
@@ -183,7 +183,7 @@ def _character_gates(d: int, moduli) -> np.ndarray:
 
 def trivial_delta_alpha_sum(n: int, q: int, X: float, budget: Optional[int] = None) -> complex:
     """Same quantity with the character sum evaluated numerically (oracle)."""
-    return complex(_character_gates(n, (q,))[0] * _window_fourier(WINDOW_V, n / X, budget))
+    return complex(_character_gates(n, (q,))[0] * _window_fourier(n / X, budget))
 
 
 def averaged_delta(r: int, n: int, cfg: PipelineConfig, budget: Optional[int] = None) -> complex:
@@ -354,7 +354,7 @@ def s_split(form: CuspForm, cfg: PipelineConfig, budget: Optional[int] = None) -
 
 
 class DualKernel:
-    """Precomputed quadrature tables for Istar at fixed (cfg, c).
+    """Precomputed quadrature tables for Istar at fixed cfg, whose c is the modulus.
 
     Istar(r, c, 1 + i tau) = a_r @ vdag_cheb: Vdag depends on (x, tau) but
     not on r, and is kept as m Chebyshev rows over tau (m = 35 at K = 3; see
@@ -364,17 +364,15 @@ class DualKernel:
     forms an Istar row over tau: it contracts tau once per dual term into
     an (m x c) matrix and r once into the (R x m) rows. The Vdag table
     costs about m * (n_u * R' * m_tau + m_tau * n_tau) multiply-adds, with
-    R' runs of m_tau <= 60 points, where a sum at every tau node would cost
-    m * n_u * n_tau. Grid densities scale with the oscillation rates (~K
-    cycles across supp V for the x-integral, O(1) cycles per unit tau).
+    R' runs of m_tau <= 60 points. Grid densities scale with the oscillation
+    rates (~K cycles across supp V for the x-integral, O(1) cycles per unit tau).
     :meth:`istar_row` and :meth:`istar_value` (per-row u rules, Istar over
     tau or at one tau) are the oracles.
     """
 
-    def __init__(self, cfg: PipelineConfig, c: int, kind: GammaFactorKind):
+    def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.c = int(c)
-        self.kind = kind
+        self.c = int(cfg.c)
         self.tau_cut = cfg.resolved_tau_cut()
         x_grid = _x_rule(cfg)
         self.x_nodes = x_grid.nodes
@@ -402,11 +400,10 @@ class DualKernel:
         points on runs of tau panels: one (m x n_u) x (n_u x R m_tau) GEMM
         for the samples and one shared barycentric block to the nodes,
         about (n_u R + n_tau) m_tau multiply-adds a row (R = 7 runs of
-        m_tau = 60 points on the 1200-panel grid of a tau_cut of 1200)
-        where a sum at every node costs n_u n_tau. Paths that never
-        integrate over tau (istar_value, udag_row) skip the table. (No
-        conjugate shortcut in tau here: the e(-Kxu) twist keeps its sign, so
-        Vdag at -tau is not the mirror of Vdag at +tau.)
+        m_tau = 60 points on the 1200-panel grid of a tau_cut of 1200).
+        Paths that never integrate over tau (istar_value, udag_row) skip the
+        table. (No conjugate shortcut in tau here: the e(-Kxu) twist keeps its
+        sign, so Vdag at -tau is not the mirror of Vdag at +tau.)
         """
         cfg = self.cfg
         v_grid = _v_rule(cfg, self.tau_cut)
@@ -427,12 +424,6 @@ class DualKernel:
         if self._vdag_cheb is None:
             self._build_tau_tables()
         return self._interp, self._vdag_cheb
-
-    @property
-    def vdag(self) -> np.ndarray:
-        """The full Vdag table over (x, tau), formed from the Chebyshev rows on each access."""
-        interp, vdag_cheb = self._tau_tables()
-        return interp @ vdag_cheb
 
     def udag_row(self, r: int) -> np.ndarray:
         """Udag(N r / c - K x_i, 1 - it) over the x grid, for :meth:`istar_value`
@@ -463,11 +454,10 @@ class DualKernel:
         :meth:`PanelGrid.band_sums_at_nodes` (n_x frequencies, m rows, one
         run of about 40 Chebyshev points at K = 3), and the rows are one
         `sums_at_freqs` at the frequencies 2 pi N r / c over m columns:
-        R (2 sqrt(panels) + 16) exponentials and R n_u m multiply-adds, where
-        a row per r cost its own rule and n_x n_u multiply-adds. The
+        R (2 sqrt(panels) + 16) exponentials and R n_u m multiply-adds. The
         small-|r| rows ride on the large-|r| rule: the dual side sits within
         4.2e-13 of a 4x finer rule on the dual workload's grid and 1.9e-13
-        on criterion 7's base grid, where per-row rules read 3.8e-9 on both.
+        on criterion 7's base grid.
         """
         cfg = self.cfg
         interp, _ = self._tau_tables()
@@ -525,7 +515,7 @@ class StarMainTerm:
     stationary: bool
 
 
-def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm:
+def i_star_main(r: int, tau: float, cfg: PipelineConfig) -> StarMainTerm:
     """Explicit stationary-phase main term of Istar(r, c, 1 + i tau).
 
     Written with every constant explicit: inserting the two dagger
@@ -542,7 +532,7 @@ def i_star_main(r: int, c: int, tau: float, cfg: PipelineConfig) -> StarMainTerm
     amplitudes vanish there. Requires K < t^(1-eps) and |tau| inside the
     stationary band (K^(1-eps), K t^eps).
     """
-    t, big_k, big_n = cfg.t, cfg.K, cfg.N
+    t, big_k, big_n, c = cfg.t, cfg.K, cfg.N, cfg.c
     if big_k >= t ** (1 - EPS_RANGE):
         raise PreconditionError("stationary analysis requires K < t^(1-eps)")
     # stationary band (K^(1-eps), 16 pi K): the upper edge is where the
@@ -604,11 +594,11 @@ class DualCheckResult:
     n_cut_capped: bool = False  # that doubling stopped at the stored coefficients
 
 
-def s_c_direct(form: CuspForm, cfg: PipelineConfig, c: int) -> complex:
-    """S_c(N) from its definition at a prime c of the prime set: the nonzero
-    residues alpha mod c, both sums and the coupling x-integral directly."""
+def s_c_direct(form: CuspForm, cfg: PipelineConfig) -> complex:
+    """S_c(N) from its definition at the prime c = cfg.c of the prime set: the
+    nonzero residues alpha mod c, both sums and the coupling x-integral directly."""
     strata = _Strata(cfg, *_amplitudes(form, cfg))
-    return strata(np.arange(1, c), c) / (len(cfg.prime_set) * c)
+    return strata(np.arange(1, cfg.c), cfg.c) / (len(cfg.prime_set) * cfg.c)
 
 
 def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
@@ -620,20 +610,17 @@ def _dirichlet_class_sums(form: CuspForm, c: int, n_cut: int, grid: PanelGrid):
     once for all r. All c classes are one `PanelGrid.class_sums_at_nodes`:
     a type-1 NUFFT of the n_cut terms onto uniform tau points, four a
     panel, and one shared sinc block from those points to the Gauss nodes.
-    On criterion 7's base grid (n_cut 30000, 1500 panels, c = 11) that took
-    24-28 ms where a `sums_at_nodes` per class took 0.35-0.62 s, and it
-    reads within 5e-13 of max|T| of that route (1.5e-12 on the refined
-    grid).
+    On criterion 7's base grid (n_cut 30000, 1500 panels, c = 11) the sums
+    read within 5e-13 of max|T| of a `sums_at_nodes` per class (1.5e-12 on
+    the refined grid).
     """
     logm = np.log(np.arange(1, n_cut + 1, dtype=float))
     coeffs = form.dual_lam_slice(n_cut) * np.exp(-0.5 * logm)
     return grid.class_sums_at_nodes(coeffs, 0.5 * logm, np.arange(1, n_cut + 1) % c, c)
 
 
-def s_c_dual(
-    form: CuspForm, cfg: PipelineConfig, c: int, kernel: DualKernel, n_cut: int, r_cut: int
-) -> complex:
-    """S_c(N) through the dual (Voronoi + Poisson) representation.
+def s_c_dual(form: CuspForm, cfg: PipelineConfig, kernel: DualKernel, n_cut: int, r_cut: int) -> complex:
+    """S_c(N) through the dual (Voronoi + Poisson) representation, at c = cfg.c.
 
     One pass sums every row of :func:`weyldelta.voronoi.dual_terms`, each
     with the outer factor 2i front and the form's weight,
@@ -647,14 +634,13 @@ def s_c_dual(
     The cost is the class sums (about 28 n_cut spread products, c FFTs of
     about n_tau / 2 points and 2 c n_tau (4 + 2n) real multiply-adds, n
     about 30), m c n_tau complex multiply-adds a term for M and one u rule
-    for all R rows a_r, where an Istar row over tau per r cost R m n_tau
-    and R u rules. The class sums read within 1.5e-12 of max|T| of a
+    for all R rows a_r. The class sums read within 1.5e-12 of max|T| of a
     `sums_at_nodes` per class, and the dual side within 1e-12 of per-row
     :meth:`DualKernel.istar_row` tau-sums.
     """
     if form.eta is None:
         raise PreconditionError("form needs a calibrated eta (see voronoi.calibrate_eta)")
-    pstar = max(len(cfg.prime_set), 1)
+    pstar, c = max(len(cfg.prime_set), 1), cfg.c
 
     # N^(2-it) = N^2 e^{-it log N}
     front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
@@ -672,7 +658,7 @@ def s_c_dual(
     rows = kernel.x_rows(rs)  # (R, m)
     _, vdag_cheb = kernel._tau_tables()
     # a row's front and ds = i dtau give 2i front, times the pi above (i^k pi for weight k)
-    terms = dual_terms(kernel.kind, kernel.gamma_on_grid)
+    terms = dual_terms(form.kind, kernel.gamma_on_grid)
     bs = np.arange(c)
 
     total = 0.0 + 0.0j
@@ -699,12 +685,11 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
     if cfg.prime_set and cfg.c not in cfg.prime_set:
         raise PreconditionError("c must belong to the prime set")
     cfg.validate(level=form.level)
-    c = cfg.c
-    kernel = DualKernel(cfg, c, form.kind)
-    direct = s_c_direct(form, cfg, c)
-    n_cut = cfg.resolved_n_cut(c, form.level)
-    r_cut = cfg.resolved_r_cut(c)
-    dual = s_c_dual(form, cfg, c, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    kernel = DualKernel(cfg)
+    direct = s_c_direct(form, cfg)
+    n_cut = cfg.resolved_n_cut(form.level)
+    r_cut = cfg.resolved_r_cut()
+    dual = s_c_dual(form, cfg, kernel, n_cut=n_cut, r_cut=r_cut)
     scale = max(abs(direct), 1e-30)
     residual = abs(direct - dual) / scale
     stability = {}
@@ -716,11 +701,11 @@ def dual_identity_check(form: CuspForm, cfg: PipelineConfig, sweep: bool = True)
         variants = {  # key: (config, kernel, n_cut, r_cut) of the dual side it compares
             "double_n_cut": (cfg, kernel, n_double, r_cut),
             "double_r_cut": (cfg, kernel, n_cut, 2 * r_cut),
-            "double_tau_cut": (tau_cfg, DualKernel(tau_cfg, c, form.kind), n_cut, r_cut),
-            "refine_grids": (fine_cfg, DualKernel(fine_cfg, c, form.kind), n_cut, r_cut),
+            "double_tau_cut": (tau_cfg, DualKernel(tau_cfg), n_cut, r_cut),
+            "refine_grids": (fine_cfg, DualKernel(fine_cfg), n_cut, r_cut),
         }
         for key, (v_cfg, v_kernel, v_n_cut, v_r_cut) in variants.items():
-            moved = s_c_dual(form, v_cfg, c, kernel=v_kernel, n_cut=v_n_cut, r_cut=v_r_cut)
+            moved = s_c_dual(form, v_cfg, v_kernel, n_cut=v_n_cut, r_cut=v_r_cut)
             stability[key] = abs(dual - moved) / scale
     return DualCheckResult(
         s_c_direct=direct,

@@ -115,12 +115,12 @@ class CuspForm:
 
     lam[i] is lambda(i+1); the dual form's are conj lambda (:meth:`dual_lam_slice`).
     The nebentypus is stored as the full value table chi(0), ..., chi(M-1)
-    with chi(a) = 0 whenever gcd(a, M) > 1; it and eps_g reach the dual side
-    only through :func:`weyldelta.voronoi.term_weight`. eta is the modulus-one
-    constant of the dual summation formula; it is measured by calibration,
-    not assumed, so fresh forms carry None. The fit also records its
-    unnormalized modulus and its probe spread (None until
-    :func:`weyldelta.voronoi.calibrate_eta` runs).
+    with chi(a) = 0 whenever gcd(a, M) > 1; it and epsilon_g (the sign of the dual
+    formula's -1 term, 1 where there is none) reach the dual side only through
+    :func:`weyldelta.voronoi.term_weight`. eta is the modulus-one constant of the
+    dual summation formula; it is measured by calibration, not assumed, so fresh
+    forms carry None. The fit also records its unnormalized modulus and its probe
+    spread (None until :func:`weyldelta.voronoi.calibrate_eta` runs).
     """
 
     kind: GammaFactorKind
@@ -129,7 +129,7 @@ class CuspForm:
     lam: np.ndarray
     epsilon_f: Optional[complex] = None
     eta: Optional[complex] = None
-    epsilon_g: Optional[float] = None
+    epsilon_g: float = 1
     tol: float = 1e-9
     eta_modulus_raw: Optional[float] = field(default=None, init=False)
     eta_probe_spread: Optional[float] = field(default=None, init=False)
@@ -137,12 +137,6 @@ class CuspForm:
     @property
     def n_max(self) -> int:
         return len(self.lam)
-
-    @property
-    def eps_g(self) -> float:
-        """The epsilon_g of the dual formula's -1 term: the stored value, or 1
-        when none is stored (holomorphic forms have no -1 term)."""
-        return 1 if self.epsilon_g is None else self.epsilon_g
 
     def lam_slice(self, n_hi: int) -> np.ndarray:
         """lambda(1), ..., lambda(n_hi); the one guard of the coefficient sums:
@@ -183,7 +177,6 @@ def delta_form(n_max: int = 10000) -> CuspForm:
         chi=trivial_character(1),
         lam=lam.astype(complex),
         epsilon_f=1.0 + 0.0j,
-        epsilon_g=None,
     )
 
 
@@ -292,7 +285,7 @@ HEADER = {
     "delta": HeaderKey("maass", lambda t: maass_kind(0, int(t)).parity, lambda f: str(f.kind.parity)),
     "eps_g": HeaderKey(  # kept as written, 1 or 1.0, so that a file re-exports byte for byte
         "maass", _checked(lambda t: int(t) if t.lstrip("+-").isdigit() else float(t),
-                          {1, -1}.__contains__), lambda f: str(f.eps_g)),
+                          {1, -1}.__contains__), lambda f: str(f.epsilon_g)),
     "M": HeaderKey(None, _checked(int, lambda v: v >= 1), lambda f: str(f.level)),
     "chi": HeaderKey(None, lambda t: np.array([complex(v) for v in t.split(",")]),
                      lambda f: ",".join(map(_format_complex, f.chi))),
@@ -389,7 +382,7 @@ def load_form(path: str) -> CuspForm:
         chi=chi,
         lam=np.array(coeffs, dtype=complex),
         epsilon_f=values.get("eps_f"),
-        epsilon_g=values.get("eps_g"),
+        epsilon_g=values.get("eps_g", 1),
         tol=tol,
     )
     report = hecke_verify(form)

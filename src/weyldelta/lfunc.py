@@ -45,7 +45,7 @@ import numpy as np
 from .errors import PreconditionError
 from .forms import CuspForm
 from .numerics import PanelGrid, chebyshev_interpolant, chebyshev_size, loglog_fit
-from .specialfn import log_gamma
+from .specialfn import gamma_args, log_gamma
 
 TWO_PI = 2.0 * math.pi
 # the weight's contour: u = ABSCISSA + iv, v in [-V_CUT, V_CUT], V_PANELS panels
@@ -78,16 +78,8 @@ def weight_quartic(u):
 
 def log_gamma_quotient_factor(form: CuspForm, s: complex) -> complex:
     """log gamma(f, s) up to an s-independent constant; s may be an array."""
-    kind = form.kind
-    if kind.family == "holomorphic":
-        return -s * math.log(TWO_PI) + log_gamma(s + (kind.weight - 1) / 2.0)
-    ell = complex(kind.ell)
-    d = kind.parity
-    return (
-        -s * math.log(math.pi)
-        + log_gamma((s + d + 1j * ell) / 2.0)
-        + log_gamma((s + d - 1j * ell) / 2.0)
-    )
+    base = TWO_PI if form.kind.family == "holomorphic" else math.pi
+    return sum(map(log_gamma, gamma_args(form.kind, s)), -s * math.log(base))
 
 
 def nominal_length(form: CuspForm, t: float) -> float:

@@ -209,16 +209,18 @@ def maass_kind(ell: Union[float, complex], parity: int) -> GammaFactorKind:
     return GammaFactorKind("maass", ell=complex(ell), parity=parity)
 
 
+def gamma_args(kind: GammaFactorKind, z):
+    """The Gamma arguments of the kind's archimedean factor at z (a scalar or an
+    array): z + (k - 1)/2 for weight k, (z + d +- i ell)/2 for Maass (ell, d)."""
+    if kind.family == "holomorphic":
+        return [z + (kind.weight - 1) / 2.0]
+    ell = complex(kind.ell)
+    return [(z + kind.parity + 1j * ell) / 2, (z + kind.parity - 1j * ell) / 2]
+
+
 def _gamma_args(kind: GammaFactorKind, s: complex):
     """(numerator, denominator) gamma arguments of the factor at s."""
-    if kind.family == "holomorphic":
-        h = (kind.weight - 1) / 2.0
-        return [s / 2 + h], [1 - s / 2 + h]
-    ell = complex(kind.ell)
-    d = kind.parity
-    num = [(d + s / 2 + 1j * ell) / 2, (d + s / 2 - 1j * ell) / 2]
-    den = [(1 + d - s / 2 + 1j * ell) / 2, (1 + d - s / 2 - 1j * ell) / 2]
-    return num, den
+    return gamma_args(kind, s / 2), gamma_args(kind, 1 - s / 2)
 
 
 def gamma_factor(kind: GammaFactorKind, s: complex) -> complex:

@@ -66,7 +66,7 @@ def term_weight(form: CuspForm, sign: int, a: int, c: int, ns: np.ndarray) -> np
     """The form's weight on the `sign` term of :func:`dual_terms` for the twist a/c
     at the integers ns: chi(-sign c), times eps_g on the -1 term, times
     e(-sign conj(aM) n / c). Raises ValueError unless gcd(aM, c) = 1."""
-    unit = form.chi_at(-sign * c) * (form.eps_g if sign == -1 else 1)
+    unit = form.chi_at(-sign * c) * (form.epsilon_g if sign == -1 else 1)
     return unit * unit_phases(-sign * modular_inverse(a * form.level, c) * ns, c)
 
 
@@ -376,9 +376,12 @@ def dual_side(inst: VoronoiInstance, transform: WhatTransform) -> Tuple[complex,
 
     The tail estimate is the l2 size of the last tenth of the included
     terms times the rhs prefactor (N/c)/sqrt(M): a proxy, on the rhs's own
-    scale, for the (sign-cancelling) remainder beyond the cut.
+    scale, for the (sign-cancelling) remainder beyond the cut. The transform
+    must be of the form's kind and of the instance's window object.
     """
     form = inst.form
+    if transform.kind != form.kind or transform.window is not inst.window:
+        raise PreconditionError("the transform's kind or window is not the instance's")
     n_cut = inst.resolved_n_cut()
     ns = np.arange(1, n_cut + 1)
     ys = ns * inst.scale / (form.level * inst.c**2)

@@ -30,15 +30,15 @@ from weyldelta.deltapipe import (
     trivial_delta,
     trivial_delta_alpha_sum,
 )
-from weyldelta.specialfn import gamma_factor, holomorphic_kind, maass_kind
+from weyldelta.specialfn import gamma_factor, maass_kind
 from weyldelta.statphase import u_dagger_direct
 from weyldelta.testfn import make_window_u, make_window_v
 from weyldelta.voronoi import dual_terms, term_weight
 
 
-def i_star_direct(r, c, tau, cfg):
+def i_star_direct(r, tau, cfg):
     """Istar(r, c, 1 + i tau) by direct nested quadrature."""
-    return DualKernel(cfg, c, holomorphic_kind(12)).istar_value(r, tau)
+    return DualKernel(cfg).istar_value(r, tau)
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_negative_theta_reads_the_conjugate_of_its_twin():
     # V is real: the same cell tree as the direct integral at -theta, with sin odd
     deltapipe._fourier_v.cache_clear()
     for d in range(1, 159):
-        direct = deltapipe._window_fourier(deltapipe.WINDOW_V, -0.1 * d)
+        direct = deltapipe._window_fourier(-0.1 * d)
         cached = deltapipe._fourier_v(-0.1 * d)
         assert (cached.real, cached.imag) == (direct.real, direct.imag), d
     assert deltapipe._fourier_v.cache_info().currsize == 2 * 158
@@ -228,10 +228,10 @@ def test_default_n_cut_follows_its_rule_and_a_short_form_raises():
     # 160 M c^2 K^2 / N + 200 at (N, t, K) = (20, 5, 3), level 11, c = 13,
     # with no silent cap below what the rule asks for
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(17,), c=17)
-    assert cfg.resolved_n_cut(13, level=11) == 134048
+    assert replace(cfg, c=13).resolved_n_cut(level=11) == 134048
     # at c = 17 the rule asks for 21008: a form of 20500 coefficients is too
     # short and raises from lam_slice, as every other coefficient sum does
-    assert cfg.resolved_n_cut(17) == 21008
+    assert cfg.resolved_n_cut() == 21008
     short = replace(delta_form(20500), eta=1.0)
     with pytest.raises(CoefficientRangeError):
         dual_identity_check(short, cfg, sweep=False)
@@ -333,9 +333,9 @@ def test_strata_phases_are_reduced_before_exponentiation(form, cfg_split):
 # --- dagger kernels ----------------------------------------------------------
 
 
-def test_kernel_udag_row_matches_pointwise(form):
+def test_kernel_udag_row_matches_pointwise():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     u = make_window_u()
     r = -2
     row = kernel.udag_row(r)
@@ -361,9 +361,9 @@ def _udag_per_row(kernel, r):
 
 
 @pytest.mark.parametrize("r", [0, 2, 3])
-def test_kernel_udag_row_matches_per_row_table(form, r):
+def test_kernel_udag_row_matches_per_row_table(r):
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     ref = _udag_per_row(kernel, r)
     assert np.max(np.abs(kernel.udag_row(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -383,12 +383,12 @@ def _udag_on_panels(kernel, r, panels):
     return grid.sums_at_freqs(2 * np.pi * rho, amp)
 
 
-def test_kernel_udag_rows_at_small_r_are_converged(form):
+def test_kernel_udag_rows_at_small_r_are_converged():
     # U's ramps need the rule's floor: sized by oscillation over a floor of 16
     # panels (16 to 34 here), the rows r = 1 ... 7 sat up to 2.8e-10 of the
     # largest row off a 1280-panel rule; with 80 panels at least they read 1.9e-15
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     refs = {r: _udag_on_panels(kernel, r, 1280) for r in range(1, 8)}
     scale = max(np.max(np.abs(ref)) for ref in refs.values())
     worst = max(np.max(np.abs(kernel.udag_row(r) - ref)) for r, ref in refs.items())
@@ -419,17 +419,23 @@ def _vdag_u_rule(kernel):
     return uv, grid.weights * v(uv) * uv ** (-0.5)
 
 
+def _vdag(kernel):
+    """The full Vdag table over (x, tau) from the kernel's Chebyshev rows."""
+    interp, vdag_cheb = kernel._tau_tables()
+    return interp @ vdag_cheb
+
+
 def _unit_phases_extended(phase):
     """exp(-i phase) for an np.longdouble phase, rounded to complex128 at the end."""
     return np.cos(phase).astype(float) - 1j * np.sin(phase).astype(float)
 
 
-def test_kernel_vdag_matches_extended_precision_phases(form):
+def test_kernel_vdag_matches_extended_precision_phases():
     # criterion 7's default grid (tau_cut 96 pi K + 100): the phases of the
     # reference are taken in extended precision, each factor rounded once, on
     # every 97th tau node; a sum at every node (f tau up to 350) sits at 3e-14
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     uv, amp = _vdag_u_rule(kernel)
     u = uv.astype(np.longdouble)
     two_pi = 8 * np.arctan(np.longdouble(1))
@@ -437,15 +443,15 @@ def test_kernel_vdag_matches_extended_precision_phases(form):
     taus = kernel.tau_nodes[::97].astype(np.longdouble)
     tau_phase = np.outer(np.log(u) / 2, taus)
     ref = (_unit_phases_extended(x_phase) * amp) @ _unit_phases_extended(tau_phase)
-    got = kernel.vdag[:, ::97]
+    got = _vdag(kernel)[:, ::97]
     assert np.max(np.abs(got - ref)) <= 2e-14 * np.max(np.abs(ref))
 
 
-def test_kernel_vdag_matches_per_node_table(form):
+def test_kernel_vdag_matches_per_node_table():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     ref = _vdag_per_node(kernel)
-    assert np.max(np.abs(kernel.vdag - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(_vdag(kernel) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
@@ -456,35 +462,35 @@ def test_kernel_vdag_matches_per_node_table(form):
     ],
     ids=["K3-fine-grid", "K20"],
 )
-def test_kernel_chebyshev_vdag_matches_per_node_table(form, settings, c, tol):
+def test_kernel_chebyshev_vdag_matches_per_node_table(settings, c, tol):
     cfg = PipelineConfig(prime_set=(c,), c=c, tau_cut=300.0, **settings)
-    kernel = DualKernel(cfg, c, form.kind)
+    kernel = DualKernel(cfg)
     ref = _vdag_per_node(kernel)
-    assert np.max(np.abs(kernel.vdag - ref)) <= tol * np.max(np.abs(ref))
+    assert np.max(np.abs(_vdag(kernel) - ref)) <= tol * np.max(np.abs(ref))
 
 
-def test_kernel_chebyshev_rows_are_converged(form, monkeypatch):
+def test_kernel_chebyshev_rows_are_converged(monkeypatch):
     # ten more Chebyshev x points than the kernel uses change nothing
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
-    base = DualKernel(cfg, 11, form.kind)
+    base = DualKernel(cfg)
     assert base._tau_tables()[1].shape[0] == math.ceil(math.pi * cfg.K / 2) + 30 == 35
     monkeypatch.setattr(numerics, "CHEB_EXTRA", numerics.CHEB_EXTRA + 10)
-    finer = DualKernel(cfg, 11, form.kind)
+    finer = DualKernel(cfg)
     assert finer._tau_tables()[1].shape[0] == 45
-    assert np.max(np.abs(finer.vdag - base.vdag)) <= 1e-13 * np.max(np.abs(base.vdag))
+    assert np.max(np.abs(_vdag(finer) - _vdag(base))) <= 1e-13 * np.max(np.abs(_vdag(base)))
 
 
-def test_kernel_istar_row_matches_per_node_table(form):
+def test_kernel_istar_row_matches_per_node_table():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     for r in (-2, 1):
         ref = (kernel.vx * kernel.udag_row(r)) @ _vdag_per_node(kernel)
         assert np.max(np.abs(kernel.istar_row(r) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_kernel_istar_consistency(form):
+def test_kernel_istar_consistency():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=200.0)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     # istar_value (fresh column) against the tabulated row at a grid point
     row = kernel.istar_row(-1)
     j = len(kernel.tau_nodes) // 3
@@ -497,7 +503,7 @@ def test_istar_value_matches_dense_vdag_column():
     # istar-main-term's configuration; the Vdag column from one dense
     # (n_x x n_u) table of exponentials, as istar_value built it before
     cfg = PipelineConfig(N=100.0, t=2000.0, K=20.0, prime_set=(101,), c=101)
-    kernel = DualKernel(cfg, cfg.c, holomorphic_kind(12))
+    kernel = DualKernel(cfg)
     for tau in (-430.0, -600.0):
         r = round(1.5 * (tau + 2 * cfg.t) * cfg.K * cfg.c / (cfg.N * tau))
         v_grid = deltapipe._v_rule(cfg, abs(tau))
@@ -518,10 +524,10 @@ def test_istar_main_against_direct():
     tau = -500.0
     cfg = PipelineConfig(N=100.0, t=t, K=K, prime_set=(101,), c=101)
     r = round(1.5 * (tau + 2 * t) * K * cfg.c / (cfg.N * tau))
-    main = i_star_main(r, cfg.c, tau, cfg)
+    main = i_star_main(r, tau, cfg)
     assert main.stationary
     assert 1.0 < main.x0 < 2.0
-    direct = i_star_direct(r, cfg.c, tau, cfg)
+    direct = i_star_direct(r, tau, cfg)
     rel = abs(main.value - direct) / abs(direct)
     assert rel <= 0.1
 
@@ -532,11 +538,11 @@ def test_istar_main_no_stationary_point():
     cfg = PipelineConfig(N=100.0, t=t, K=K, prime_set=(101,), c=101)
     r_live = round(1.5 * (tau + 2 * t) * K * cfg.c / (cfg.N * tau))
     r_dead = round(0.3 * (tau + 2 * t) * K * cfg.c / (cfg.N * tau))
-    main = i_star_main(r_dead, cfg.c, tau, cfg)
+    main = i_star_main(r_dead, tau, cfg)
     assert not main.stationary
     assert main.value == 0
-    dead = abs(i_star_direct(r_dead, cfg.c, tau, cfg))
-    live = abs(i_star_direct(r_live, cfg.c, tau, cfg))
+    dead = abs(i_star_direct(r_dead, tau, cfg))
+    live = abs(i_star_direct(r_live, tau, cfg))
     assert dead <= 1e-3 * live
 
 
@@ -551,20 +557,20 @@ def test_istar_conjugate_symmetry():
     cfg = PipelineConfig(N=100.0, t=t, K=K, prime_set=(101,), c=101)
     cfg_neg = dataclasses.replace(cfg, t=-t, K=-K)
     r = round(1.5 * (tau + 2 * t) * K * cfg.c / (cfg.N * tau))
-    plus = i_star_direct(r, cfg.c, tau, cfg)
-    minus = i_star_direct(-r, cfg.c, -tau, cfg_neg)
+    plus = i_star_direct(r, tau, cfg)
+    minus = i_star_direct(-r, -tau, cfg_neg)
     assert minus == pytest.approx(np.conj(plus), rel=1e-12)
 
 
 def test_istar_main_band_guard():
     cfg = PipelineConfig(N=100.0, t=2000.0, K=20.0, prime_set=(101,), c=101)
     with pytest.raises(PreconditionError):
-        i_star_main(-10, 101, -1.0, cfg)  # |tau| below K^(1-eps)
+        i_star_main(-10, -1.0, cfg)  # |tau| below K^(1-eps)
     with pytest.raises(PreconditionError):
-        i_star_main(-10, 101, -1e5, cfg)  # above the 16 pi K cap
+        i_star_main(-10, -1e5, cfg)  # above the 16 pi K cap
     slow = PipelineConfig(N=100.0, t=5.0, K=4.9, prime_set=(101,), c=101)
     with pytest.raises(PreconditionError):
-        i_star_main(-10, 101, -4.0, slow)  # K >= t^(1-eps)
+        i_star_main(-10, -4.0, slow)  # K >= t^(1-eps)
 
 
 def test_istar_main_accuracy_improves_with_tau():
@@ -574,10 +580,10 @@ def test_istar_main_accuracy_improves_with_tau():
     rels = []
     for tau in taus:
         r = round(1.5 * (tau + 2 * t) * K * cfg.c / (cfg.N * tau))
-        main = i_star_main(r, cfg.c, tau, cfg)
+        main = i_star_main(r, tau, cfg)
         if not main.stationary:
             continue
-        direct = i_star_direct(r, cfg.c, tau, cfg)
+        direct = i_star_direct(r, tau, cfg)
         rels.append(abs(main.value - direct) / abs(direct))
     assert len(rels) >= 2
     slope = loglog_slope([abs(t) for t in taus[: len(rels)]], rels)
@@ -589,7 +595,7 @@ def test_istar_main_accuracy_improves_with_tau():
 
 def test_s_c_direct_zero_form():
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11)
-    val = s_c_direct(constant_form(400, 0.0), cfg, 11)
+    val = s_c_direct(constant_form(400, 0.0), cfg)
     assert val == 0
 
 
@@ -620,7 +626,7 @@ def test_dirichlet_class_sums_match_blocked_loop(form, c, complex_stream):
         psi = np.array([0, 1, 1j, -1j, -1])
         form = replace(form, lam=form.lam * psi[np.arange(1, form.n_max + 1) % 5])
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0)
-    kernel = DualKernel(cfg, c, form.kind)
+    kernel = DualKernel(cfg)
     got = deltapipe._dirichlet_class_sums(form, c, 3000, kernel.tau_grid)
     ref = _class_sums_blocked(form, c, 3000, kernel.tau_nodes)
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -689,10 +695,10 @@ def test_dual_side_matches_per_class_sums(monkeypatch):
     cfg = PipelineConfig(
         N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, n_cut=12000, tau_cut=1200.0, r_cut=20
     )
-    kernel = DualKernel(cfg, 11, form.kind)
-    gridded = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=12000, r_cut=20)
+    kernel = DualKernel(cfg)
+    gridded = deltapipe.s_c_dual(form, cfg, kernel, n_cut=12000, r_cut=20)
     monkeypatch.setattr(deltapipe, "_dirichlet_class_sums", _class_sums_by_class)
-    per_class = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=12000, r_cut=20)
+    per_class = deltapipe.s_c_dual(form, cfg, kernel, n_cut=12000, r_cut=20)
     rel = abs(gridded - per_class) / abs(per_class)
     assert rel <= 1e-12, f"dual side off the per-class sums_at_nodes route by {rel:.2e} (relative)"
 
@@ -734,9 +740,9 @@ def _finer_u_rule(monkeypatch, factor):
         pytest.param(dict(tau_cut=1500.0), 48, id="double_r_cut"),
     ],
 )
-def test_x_rows_match_per_r_sums_on_one_rule_and_a_finer_one(form, settings, r_cut, monkeypatch):
+def test_x_rows_match_per_r_sums_on_one_rule_and_a_finer_one(settings, r_cut, monkeypatch):
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
-    kernel = DualKernel(cfg, 11, form.kind)
+    kernel = DualKernel(cfg)
     rs = _coprime_rs(r_cut, 11)
     rows = kernel.x_rows(rs)
     rho_max = max(np.max(np.abs(cfg.N * r / 11 - cfg.K * kernel.x_nodes)) for r in rs)
@@ -747,10 +753,11 @@ def test_x_rows_match_per_r_sums_on_one_rule_and_a_finer_one(form, settings, r_c
     assert np.max(np.abs(rows - fine)) <= 1e-13 * np.max(np.abs(fine))
 
 
-def s_c_dual_per_row(form, cfg, c, kernel, n_cut, r_cut):
+def s_c_dual_per_row(form, cfg, kernel, n_cut, r_cut):
     """The dual side with an Istar row over tau per r, each from its own u rule
     (`DualKernel.istar_row`), summed against pref gamma (w_r @ T) over the tau
     nodes: the route `s_c_dual`'s two contractions replace (oracle)."""
+    c = cfg.c
     front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
         len(cfg.prime_set) * math.sqrt(form.level)
     )
@@ -758,7 +765,7 @@ def s_c_dual_per_row(form, cfg, c, kernel, n_cut, r_cut):
     base = math.sqrt(cfg.N) / (c * math.sqrt(form.level))
     taus = kernel.tau_nodes
     pref = kernel.tau_weights * np.exp(-(1.0 + 1j * taus) * math.log(base)) / (2 * math.pi)
-    terms = dual_terms(kernel.kind, kernel.gamma_on_grid)
+    terms = dual_terms(form.kind, kernel.gamma_on_grid)
     total = 0.0 + 0.0j
     for r in _coprime_rs(r_cut, c):
         istar = kernel.istar_row(r)
@@ -800,9 +807,9 @@ def test_s_c_dual_matches_per_row_istar_loop(form60k, settings, n_cut, r_cut, ma
     else:
         form = replace(form60k, eta=1.0 + 0.0j)
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
-    kernel = DualKernel(cfg, 11, form.kind)
-    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
-    ref = s_c_dual_per_row(form, cfg, 11, kernel, n_cut, r_cut)
+    kernel = DualKernel(cfg)
+    got = deltapipe.s_c_dual(form, cfg, kernel, n_cut=n_cut, r_cut=r_cut)
+    ref = s_c_dual_per_row(form, cfg, kernel, n_cut, r_cut)
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
@@ -817,10 +824,10 @@ def test_dual_side_is_converged_in_the_u_rule(form60k, settings, n_cut, r_cut, m
     # per-row u rules left this 3.8e-9 off a 4x finer rule; one rule for all r reads 4.2e-13
     form = replace(form60k, eta=1.0 + 0.0j)
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, **settings)
-    kernel = DualKernel(cfg, 11, form.kind)
-    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    kernel = DualKernel(cfg)
+    got = deltapipe.s_c_dual(form, cfg, kernel, n_cut=n_cut, r_cut=r_cut)
     _finer_u_rule(monkeypatch, 4)
-    fine = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=n_cut, r_cut=r_cut)
+    fine = deltapipe.s_c_dual(form, cfg, kernel, n_cut=n_cut, r_cut=r_cut)
     assert abs(got - fine) <= 1e-12 * abs(fine)
 
 
@@ -843,7 +850,7 @@ def _mirrored_gamma(kind, taus):
     return vals
 
 
-def s_c_dual_two_branch(form, cfg, c, kernel, n_cut, r_cut):
+def s_c_dual_two_branch(form, cfg, kernel, n_cut, r_cut):
     """The Maass dual side as its chi(-c) (I_0 - I_1) and chi(c) eps_g (I_0 + I_1)
     branches, written out term by term (oracle of `s_c_dual` on Maass forms).
 
@@ -851,7 +858,7 @@ def s_c_dual_two_branch(form, cfg, c, kernel, n_cut, r_cut):
     with the x-integrated rows a_r of `DualKernel.x_rows` and M = vdag_cheb @ (T pref
     gamma)^t, the same arithmetic as `s_c_dual`'s; the branches' characters,
     reflection sign and twists are this function's own."""
-    pstar = max(len(cfg.prime_set), 1)
+    pstar, c = max(len(cfg.prime_set), 1), cfg.c
     front = math.pi * form.eta * cfg.N**2 * np.exp(-1j * cfg.t * math.log(cfg.N)) / (
         pstar * math.sqrt(form.level)
     )
@@ -887,9 +894,9 @@ def test_maass_dual_side_matches_two_branch_formula(ell, chi):
     # odd character mod 4 (chi(-11) = 1, chi(11) = -1) so that a swapped chi does
     form = _maass_form(ell, chi, 3000)
     cfg = PipelineConfig(N=20.0, t=5.0, K=3.0, prime_set=(11,), c=11, tau_cut=300.0, r_cut=6)
-    kernel = DualKernel(cfg, 11, form.kind)
-    got = deltapipe.s_c_dual(form, cfg, 11, kernel=kernel, n_cut=3000, r_cut=6)
-    assert got == s_c_dual_two_branch(form, cfg, 11, kernel, 3000, 6)
+    kernel = DualKernel(cfg)
+    got = deltapipe.s_c_dual(form, cfg, kernel, n_cut=3000, r_cut=6)
+    assert got == s_c_dual_two_branch(form, cfg, kernel, 3000, 6)
 
 
 def test_dual_identity_requires_eta(form):

@@ -332,7 +332,7 @@ def test_stored_files_load_to_their_forms():
     exceptional = load_form(str(DATA / "maass_exceptional.coef"))
     assert exceptional.kind == maass_kind(0.2j, 0) and exceptional.epsilon_g == -1.0
     unset = load_form(str(DATA / "maass_unset_eps.coef"))
-    assert unset.eps_g == 1 and unset.epsilon_f is None and unset.tol == 1e-9
+    assert unset.epsilon_g == 1 and unset.epsilon_f is None and unset.tol == 1e-9
     level7 = load_form(str(DATA / "level7_cubic_chi.coef"))
     w = complex(-0.5, math.sqrt(3) / 2)
     assert np.array_equal(level7.chi, [0, 1, w.conjugate(), w, w, w.conjugate(), 1])

@@ -85,7 +85,7 @@ def test_the_dual_pipeline_reads_no_form_family():
     assert attribute_reads(source, ("family",)) == []
 
 
-FORM_RULES = ("chi_at", "eps_g", "epsilon_g")  # the form's data behind the dual term weight
+FORM_RULES = ("chi_at", "epsilon_g")  # the form's data behind the dual term weight
 
 
 def rule_reads(source: str):
@@ -102,26 +102,29 @@ def rule_reads(source: str):
 def test_the_guard_names_the_function_of_a_rule_read():
     source = (
         "def weight(form, c):\n"
-        "    return form.chi_at(-c) * form.eps_g\n\n\n"
+        "    return form.chi_at(-c) * form.epsilon_g\n\n\n"
         "class Form:\n"
         "    def flip(self):\n"
         "        self.epsilon_g = -self.epsilon_g\n\n\n"
         "unit = form.chi_at(1)\n"
     )
     assert rule_reads(source) == [
-        ("<module>", "chi_at"), ("Form.flip", "epsilon_g"), ("weight", "chi_at"), ("weight", "eps_g")
+        ("<module>", "chi_at"), ("Form.flip", "epsilon_g"),
+        ("weight", "chi_at"), ("weight", "epsilon_g"),
     ]
 
 
 def test_only_the_term_weight_reads_the_form_rules():
-    # chi(-sign c), eps_g and the twist of each dual term have one home, voronoi.term_weight
+    # chi(-sign c), epsilon_g and the twist of each dual term have one home, voronoi.term_weight
     reads = {
         (path.name, scope, attr)
         for path in MODULES
         if path.name != "forms.py"
         for scope, attr in rule_reads(path.read_text(encoding="utf-8"))
     }
-    assert reads == {("voronoi.py", "term_weight", "chi_at"), ("voronoi.py", "term_weight", "eps_g")}
+    assert reads == {
+        ("voronoi.py", "term_weight", "chi_at"), ("voronoi.py", "term_weight", "epsilon_g")
+    }
 
 
 # Library names that no library module and no perfbench script reaches: each
@@ -130,7 +133,6 @@ def test_only_the_term_weight_reads_the_form_rules():
 # build on).
 ORACLES = {
     "ramanujan_tau_naive": "tests/test_forms.py::test_tau_against_naive_eta_product_expansion",
-    "DualKernel.vdag": "tests/test_deltapipe.py::test_kernel_vdag_matches_per_node_table",
     "DualKernel.istar_row": "tests/test_deltapipe.py::test_s_c_dual_matches_per_row_istar_loop",
     "edges_rule": "tests/test_voronoi.py::test_transform_matches_adaptive_edge_routes",
     "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",

@@ -534,3 +534,13 @@ def test_complex_coefficient_form_calibrates_and_passes_its_cells(window, transf
     for scale, a, c in ((20.0, 1, 1), (50.0, 1, 2), (50.0, 2, 3)):
         inst = VoronoiInstance(twist, a=a, c=c, window=window, scale=scale)
         assert voronoi_check(inst, transform=transform).residual <= 1e-6
+
+
+def test_dual_side_refuses_a_transform_of_another_kind_or_window(form, window, transform):
+    # either mismatch would give a wrong dual side without a word
+    inst = VoronoiInstance(form, a=1, c=3, window=window, scale=20.0)
+    twin = type(window)(support=window.support, evaluator=window.evaluator)
+    for other in (WhatTransform(holomorphic_kind(24), window), WhatTransform(form.kind, twin)):
+        with pytest.raises(PreconditionError):
+            dual_side(inst, transform=other)
+    dual_side(inst, transform=transform)
