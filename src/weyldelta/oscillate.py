@@ -13,6 +13,20 @@ that decides which cells of a depth split is one f call on all their ends
 and midpoints. Its value, error estimate and cell count equal those of a
 depth-first loop over single cells bit for bit (tests/test_oscillate.py
 keeps that loop as the oracle).
+
+Where the amplitudes come from: when g is a `SmoothWindow` and [a, b] is
+its support, g is not called at the nodes. Its values there are read from
+the window's node table (`SmoothWindow.node_table`): the window at the 24
+nodes of each cell (depth, key) of the dyadic tree over its support, down to
+TABLE_DEPTH, filled the first time any integral reaches the cell, by one
+window call per EVAL_CELLS new cells. Every integral over the support bisects
+it the same way, so a row depends only on the window, the depth and the key,
+whatever integrals filled the table and in whatever order: the table memoises
+a fixed function and no result depends on what ran before. Values, error
+estimates and cell counts are those of the callable route bit for bit
+(tests/test_oscillate.py). Any other g, and every cell deeper than
+TABLE_DEPTH, calls g.
+
 A cell reaching MAX_DEPTH is accepted and counted in `depth_capped`; an
 exhausted cell budget sets `budget_exhausted` and returns the partial sum.
 `OscillatoryResult.converged` turns either into a BudgetExceededError.
@@ -28,12 +42,17 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .numerics import gauss_legendre
+from .testfn import SmoothWindow
 
 DEFAULT_CELL_BUDGET = 10**6
 MAX_DEPTH = 60  # a cell this deep is accepted whatever its error indicator
 # cells per g call in integrate_1d: 128 x 24 nodes spreads a window's per-call
 # cost (its ramps are a table lookup); 512 gains nothing and grows peak memory
 EVAL_CELLS = 128
+# the deepest level of a window's node table, at most 2^11 - 1 rows of 24
+# values (0.37 MiB): the Fourier-Mellin checks' integrals of U, |Im s| <= 1000,
+# reach depth 10, the window Fourier integrals of V depth 7
+TABLE_DEPTH = 10
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,26 +93,55 @@ def _phase_span(f, lo, mid, hi):
     return abs(fhi - fmid) + abs(fmid - flo), fmid
 
 
-def _cell_rules(g, f, lo, hi):
+def _cell_nodes(lo, hi):
+    """The 24 nodes of each cell, (cells, 24), and each cell's half width."""
+    h = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    return mid[:, None] + h[:, None] * _NODES, h
+
+
+def _window_rows(window, depth, key, lo, hi):
+    """The window at the 24 nodes of each cell of `depth` with index `key` and
+    ends lo, hi, read from its node table. The cells the table lacks are filled
+    first, by one window call per EVAL_CELLS cells (keys of one depth are
+    distinct, so no cell is filled twice)."""
+    table = window.node_table.get(depth)
+    if table is None:
+        table = window.node_table[depth] = (
+            np.zeros((1 << depth, _NODES.size)), np.zeros(1 << depth, dtype=bool)
+        )
+    rows, filled = table
+    new = np.flatnonzero(~filled[key])
+    for start in range(0, new.size, EVAL_CELLS):
+        part = new[start:start + EVAL_CELLS]
+        xs, _ = _cell_nodes(lo[part], hi[part])
+        rows[key[part]] = np.asarray(window(xs.ravel())).reshape(xs.shape)
+    filled[key[new]] = True
+    return rows[key]
+
+
+def _cell_rules(g, f, lo, hi, cell):
     """GL16 value, |GL16 - GL8| and GL16 mass of sum |w g e(f)| for each cell.
 
     g and f see the 24 nodes of at most EVAL_CELLS cells per call, as one
-    flat array.
+    flat array. With `cell` = (depth, key) of the cells (None: call g), g is
+    a window integrated over its support and is read from its node table.
     """
+    rows = None if cell is None else _window_rows(g, *cell, lo, hi)
     fine, err, mass = (np.empty(lo.size, dtype) for dtype in (complex, float, float))
     for start in range(0, lo.size, EVAL_CELLS):
         part = slice(start, start + EVAL_CELLS)
-        h = (hi[part] - lo[part]) / 2.0
-        mid = (hi[part] + lo[part]) / 2.0
-        xs = (mid[:, None] + h[:, None] * _NODES).ravel()
-        vals = np.asarray(g(xs)) * np.exp(2j * np.pi * np.asarray(f(xs)))
+        xs, h = _cell_nodes(lo[part], hi[part])
+        xs = xs.ravel()
+        amp = np.asarray(g(xs)) if rows is None else rows[part].ravel()
+        vals = amp * np.exp(2j * np.pi * np.asarray(f(xs)))
         if vals.shape != xs.shape:
             vals = np.broadcast_to(vals, xs.shape)
         vals = vals.reshape(h.size, _NODES.size)
         w_vals = _W16 * vals[:, :16]
-        fine[part] = h * np.sum(w_vals, axis=1)
-        mass[part] = h * np.sum(np.abs(w_vals), axis=1)
-        coarse = h * np.sum(_W8 * vals[:, 16:], axis=1)
+        fine[part] = h * w_vals.sum(axis=1)
+        mass[part] = h * np.abs(w_vals).sum(axis=1)
+        coarse = h * (_W8 * vals[:, 16:]).sum(axis=1)
         diff = fine[part] - coarse
         # hypot, as abs() of one complex scalar computes it (np.abs of a
         # complex array may differ in the last bit)
@@ -118,7 +166,8 @@ def integrate_1d(
         on all ends and midpoints;
       - evaluates every other cell with a GL16/GL8 pair: one g call and one
         f call per EVAL_CELLS cells (24 nodes each), always on flat 1-d
-        node arrays, so g and f need only accept numpy arrays;
+        node arrays, so g and f need only accept numpy arrays (a window
+        over its support, g is read from its node table instead);
       - accepts a cell whose error indicator meets its share of `tol` or the
         roundoff floor of evaluating e(f), and bisects the rest.
     A cell at depth MAX_DEPTH is accepted whatever its indicator; the result
@@ -143,6 +192,7 @@ def integrate_1d(
     # a cell's key is its index among the cells of its depth, left to right;
     # scaled to depth MAX_DEPTH, descending keys give the depth-first (right
     # child first) order of the per-cell loop
+    tabled = isinstance(g, SmoothWindow) and (float(a), float(b)) == tuple(g.support)
     lo, hi = np.array([float(a)]), np.array([float(b)])
     key = np.zeros(1, dtype=np.int64)
     done_key, done_fine, done_err = [], [], []
@@ -160,18 +210,20 @@ def integrate_1d(
             split[:free] = (osc > 1.0) & (depth < MAX_DEPTH)
             phase_mag[:free] = np.abs(fmid)
         rest = np.flatnonzero(~split)
-        fine, err, mass = _cell_rules(g, f, lo[rest], hi[rest])
-        # stop subdividing once the indicator reaches the roundoff level of
-        # the cell: evaluating e(f) costs ~ 2 pi |f| eps in amplitude
-        floor = 4e-16 * (1.0 + TWO_PI * phase_mag[rest]) * mass
-        met = err <= np.maximum(tol * (hi[rest] - lo[rest]) / span, floor)
-        if depth == MAX_DEPTH:
-            capped = int(np.count_nonzero(~met & (rest < free)))
-        keep = met | (depth == MAX_DEPTH) | (rest >= free)
-        split[rest[~keep]] = True
-        done_key.append(key[rest[keep]] << (MAX_DEPTH - depth))
-        done_fine.append(fine[keep])
-        done_err.append(err[keep])
+        if rest.size:
+            cell = (depth, key[rest]) if tabled and depth <= TABLE_DEPTH else None
+            fine, err, mass = _cell_rules(g, f, lo[rest], hi[rest], cell)
+            # stop subdividing once the indicator reaches the roundoff level of
+            # the cell: evaluating e(f) costs ~ 2 pi |f| eps in amplitude
+            floor = 4e-16 * (1.0 + TWO_PI * phase_mag[rest]) * mass
+            met = err <= np.maximum(tol * (hi[rest] - lo[rest]) / span, floor)
+            if depth == MAX_DEPTH:
+                capped = int(np.count_nonzero(~met & (rest < free)))
+            keep = met | (depth == MAX_DEPTH) | (rest >= free)
+            split[rest[~keep]] = True
+            done_key.append(key[rest[keep]] << (MAX_DEPTH - depth))
+            done_fine.append(fine[keep])
+            done_err.append(err[keep])
         # the children of each split cell, left then right
         lo_s, mid_s, hi_s, key_s = lo[split], mid[split], hi[split], 2 * key[split]
         n = 2 * key_s.size

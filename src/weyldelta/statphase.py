@@ -52,7 +52,9 @@ def u_dagger_direct(
     def f(x):
         return -r * x + beta * np.log(x) / (2 * math.pi)
 
-    res = integrate_1d(g, f, a, b, tol=tol, budget=budget)
+    # x^0 = 1.0 exactly, so at sigma = 1 the window itself is g, and
+    # integrate_1d reads it from the window's node table
+    res = integrate_1d(window if sigma == 1.0 else g, f, a, b, tol=tol, budget=budget)
     return DaggerValue(res.converged(f"W_dagger at r = {r:.6g}, s = {s}"), res.abs_error_estimate)
 
 
@@ -60,6 +62,16 @@ def sharp_weight_0(window: SmoothWindow, sigma: float, x):
     """W0(sigma, x) = x^sigma W(x)."""
     x = np.asarray(x, dtype=float)
     return np.power(x, sigma) * window(x)
+
+
+def _w1_bracket(window: SmoothWindow, sigma: float, x):
+    """W(x) and c0 W + c1 x W' + x^2 W''/2 (W1 = x^sigma times the latter)."""
+    c0 = 1.0 / 12.0 + (sigma - 1.0) / 4.0 + (sigma - 1.0) * (sigma - 2.0) / 2.0
+    c1 = 0.25 + (sigma - 1.0)
+    w0 = window(x)
+    w1 = window.derivative(x, 1)
+    w2 = window.derivative(x, 2)
+    return w0, c0 * w0 + c1 * x * w1 + 0.5 * x * x * w2
 
 
 def sharp_weight_1(window: SmoothWindow, sigma: float, x):
@@ -70,17 +82,19 @@ def sharp_weight_1(window: SmoothWindow, sigma: float, x):
     c0 = 1/12 + (sigma-1)/4 + (sigma-1)(sigma-2)/2 and c1 = sigma - 3/4.
     """
     x = np.asarray(x, dtype=float)
-    c0 = 1.0 / 12.0 + (sigma - 1.0) / 4.0 + (sigma - 1.0) * (sigma - 2.0) / 2.0
-    c1 = 0.25 + (sigma - 1.0)
-    w0 = window(x)
-    w1 = window.derivative(x, 1)
-    w2 = window.derivative(x, 2)
-    return np.power(x, sigma) * (c0 * w0 + c1 * x * w1 + 0.5 * x * x * w2)
+    return np.power(x, sigma) * _w1_bracket(window, sigma, x)[1]
 
 
 def sharp_weight(window: SmoothWindow, sigma: float, x, beta: float):
-    """W_sharp = W0 - (i/beta) W1, the two-term asymptotic weight."""
-    return sharp_weight_0(window, sigma, x) - 1j / beta * sharp_weight_1(window, sigma, x)
+    """W_sharp = W0 - (i/beta) W1, the two-term asymptotic weight.
+
+    W and x^sigma are evaluated once for both terms; the value is bit for bit
+    sharp_weight_0 - (i/beta) sharp_weight_1.
+    """
+    x = np.asarray(x, dtype=float)
+    x_sigma = np.power(x, sigma)
+    w0, bracket = _w1_bracket(window, sigma, x)
+    return x_sigma * w0 - 1j / beta * (x_sigma * bracket)
 
 
 MIN_ASYMPTOTIC_BETA = 20.0

@@ -24,8 +24,8 @@ ramps onto the step's (-1, 1) and reads them in one table lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -155,12 +155,20 @@ def smooth_step(s, order: int = 0):
 class SmoothWindow:
     """A smooth compactly supported window with exact-recurrence derivatives.
 
-    support   : closed interval [a, b] outside which the window vanishes
-    evaluator : (x, order) -> the order-th derivative at x, for order <= _J_MAX
+    support    : closed interval [a, b] outside which the window vanishes
+    evaluator  : (x, order) -> the order-th derivative at x, for order <= _J_MAX
+    node_table : depth -> (rows, filled), the window at the 24 quadrature
+                 nodes of each cell of that depth of the dyadic tree over its
+                 support, kept by oscillate.integrate_1d; filled[k] marks the
+                 rows filled so far. A row depends only on the window, the
+                 depth and the cell, never on which integral filled it or when.
     """
 
     support: Tuple[float, float]
     evaluator: Callable[[np.ndarray, int], np.ndarray]
+    node_table: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __call__(self, x):
         out = self.evaluator(np.asarray(x, dtype=float), 0)

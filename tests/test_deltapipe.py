@@ -139,12 +139,36 @@ def test_quadrature_check_sees_an_off_quadrature(monkeypatch):
     assert _run_check("trivial-delta-quadrature").residual < 1e-14
     real = oscillate._cell_rules
 
-    def off(g, f, lo, hi):
-        fine, err, mass = real(g, f, lo, hi)
+    def off(g, f, lo, hi, cell):
+        fine, err, mass = real(g, f, lo, hi, cell)
         return fine * (1 + 1e-6), err, mass
 
     monkeypatch.setattr(oscillate, "_cell_rules", off)
     assert not _run_check("trivial-delta-quadrature").passed
+
+
+@pytest.fixture
+def fresh_fourier_cache():
+    deltapipe._fourier_v.cache_clear()
+    yield
+    deltapipe._fourier_v.cache_clear()  # drop what a mutant left there
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_checks_see_a_node_table_row_of_the_neighbouring_cell(monkeypatch, fresh_fourier_cache, shift):
+    real = oscillate._window_rows
+
+    def neighbour(window, depth, key, lo, hi):
+        rows = real(window, depth, key, lo, hi)  # fills the table as it should
+        table, _ = window.node_table[depth]
+        return table[(key + shift) % len(table)] if len(table) > 1 else rows
+
+    monkeypatch.setattr(oscillate, "_window_rows", neighbour)
+    # V's Fourier integral, and U's twisted Mellin transform off its stationary band
+    for name in ("trivial-delta-quadrature", "fourier-mellin-no-stationary"):
+        result = _run_check(name)
+        assert not result.passed, name
+        assert result.line().startswith(f"[FAIL] {name}: residual")
 
 
 def test_character_sum_check_sees_a_gate_stuck_at_one(monkeypatch):

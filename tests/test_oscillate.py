@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weyldelta
 from weyldelta import oscillate
 from weyldelta.errors import BudgetExceededError, PreconditionError
 from weyldelta.numerics import gauss_legendre
 from weyldelta.oscillate import OscillatoryResult, integrate_1d
-from weyldelta.testfn import make_window_u, make_window_v
+from weyldelta.testfn import SmoothWindow, make_window_u, make_window_v
 
 # int_0^1 e(x^2) dx at 40 digits
 FRESNEL_REF = complex(0.2441267030376703772501117516786, 0.1717078391818491210976504079790)
@@ -122,6 +127,139 @@ def test_budget_flag_matches_the_per_cell_oracle():
             old = integrate_1d_per_cell(g, f, a, b, tol=tol, budget=budget)
             assert new.budget_exhausted == old.budget_exhausted == (full > budget), (label, budget)
             assert new.cells >= min(full, budget)
+
+
+def _table_cases(window_u, window_v):
+    """(label, window, f, tol): U at sigma = 1 on perfbench's 240 stratified
+    Fourier-Mellin draws (seed 1) and at its no-stationary point, and V at
+    +-theta, as statphase.u_dagger_direct and deltapipe._window_fourier pose them."""
+    rng = np.random.default_rng(1)
+    draws = 240
+    cell = np.arange(draws) * 97 % draws
+    beta_edges, x0_edges = np.linspace(50.0, 800.0, draws + 1), np.linspace(1.0, 2.0, draws + 1)
+    betas = rng.uniform(beta_edges[:-1], beta_edges[1:])
+    x0s = rng.uniform(x0_edges[cell], x0_edges[cell + 1])
+    points = [(beta, beta / (2 * math.pi * x0)) for beta, x0 in zip(betas, x0s)]
+    points.append((1000.0, -1000.0 / (2 * math.pi * 1.5)))
+    cases = []
+    for beta, r in points:
+        f = lambda x, b=beta, r=r: -r * x + b * np.log(x) / (2 * math.pi)
+        cases.append((f"fm-{beta:.1f}-{r:.2f}", window_u, f, 1e-12))
+    for theta in (0.0, 1.3, 6.1, 17.3, 59.7):
+        for sign in (1.0, -1.0):
+            cases.append((f"theta-{sign * theta}", window_v, lambda x, t=sign * theta: t * x, 1e-13))
+    return cases
+
+
+def _same_result(new, old, label):
+    assert new.value == old.value, label
+    assert new.abs_error_estimate == old.abs_error_estimate, label
+    assert new.cells == old.cells, label
+    assert new.depth_capped == old.depth_capped, label
+    assert new.budget_exhausted == old.budget_exhausted, label
+
+
+def _table_bytes(window):
+    return {depth: (rows.tobytes(), filled.tobytes()) for depth, (rows, filled) in window.node_table.items()}
+
+
+def test_window_table_matches_the_callable_route():
+    window_u, window_v = make_window_u(), make_window_v()
+    for label, w, f, tol in _table_cases(window_u, window_v):
+        table = integrate_1d(w, f, *w.support, tol=tol)
+        called = integrate_1d(lambda x, w=w: w(x), f, *w.support, tol=tol)
+        _same_result(table, called, label)
+    assert max(window_u.node_table) == oscillate.TABLE_DEPTH  # the draws reach the deepest row
+    # a table row holds what the window returns at that cell's nodes
+    depth, (rows, filled) = max(window_u.node_table.items())
+    key = np.flatnonzero(filled)
+    lo, hi = np.array([0.5]), np.array([2.5])
+    for _ in range(depth):
+        mid = (lo + hi) / 2.0
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+    xs, _ = oscillate._cell_nodes(lo[key], hi[key])
+    assert rows[key].tobytes() == window_u(xs.ravel()).tobytes()
+    assert not rows[~filled].any()
+
+
+def test_window_table_matches_under_budget_depth_cap_and_a_shallow_table(monkeypatch):
+    beta, x0 = 300.0, 1.4
+    r = beta / (2 * math.pi * x0)
+    cases = [
+        ("fm", make_window_u(), lambda x: -r * x + beta * np.log(x) / (2 * math.pi), 1e-12),
+        ("theta", make_window_v(), lambda x: 17.3 * x, 1e-13),
+    ]
+    for label, w, f, tol in cases:
+        full = integrate_1d(w, f, *w.support, tol=tol).cells
+        for budget in [*range(40), full - 1, full, full + 1]:
+            table = integrate_1d(w, f, *w.support, tol=tol, budget=budget)
+            called = integrate_1d(lambda x: w(x), f, *w.support, tol=tol, budget=budget)
+            _same_result(table, called, (label, budget))
+    for attr, value in (("MAX_DEPTH", 3), ("TABLE_DEPTH", 3)):
+        with monkeypatch.context() as patch:
+            patch.setattr(oscillate, attr, value)
+            for label, w, f, tol in cases:
+                table = integrate_1d(w, f, *w.support, tol=tol)
+                called = integrate_1d(lambda x: w(x), f, *w.support, tol=tol)
+                _same_result(table, called, (label, attr))
+                assert (table.depth_capped > 0) == (attr == "MAX_DEPTH")
+
+
+def test_window_table_is_the_same_in_any_fill_order():
+    forward = _table_cases(make_window_u(), make_window_v())
+    backward = _table_cases(make_window_u(), make_window_v())[::-1]
+    results = {label: integrate_1d(w, f, *w.support, tol=tol) for label, w, f, tol in forward}
+    for label, w, f, tol in backward:
+        _same_result(integrate_1d(w, f, *w.support, tol=tol), results[label], label)
+    for index in (0, -1):  # the U and V windows of each order
+        assert _table_bytes(forward[index][1]) == _table_bytes(backward[-1 - index][1])
+    # a window used only once fills only what its one integral reached
+    fresh = make_window_u()
+    label, _, f, tol = forward[7]
+    _same_result(integrate_1d(fresh, f, *fresh.support, tol=tol), results[label], label)
+    for depth, (rows, filled) in fresh.node_table.items():
+        full_rows, full_filled = forward[0][1].node_table[depth]
+        assert not (filled & ~full_filled).any()
+        assert rows[filled].tobytes() == full_rows[filled].tobytes()
+
+
+def test_repeated_window_integral_makes_no_window_call():
+    base = make_window_u()
+    calls = []
+
+    def evaluate(x, order):
+        calls.append(x.size)
+        return base.evaluator(x, order)
+
+    w = SmoothWindow(support=base.support, evaluator=evaluate)
+    f = lambda x: -60.0 * x + 500.0 * np.log(x) / (2 * math.pi)
+    first = integrate_1d(w, f, *w.support, tol=1e-12)
+    filled = sum(int(filled.sum()) for _, filled in w.node_table.values())
+    assert calls and sum(calls) == 24 * filled
+    assert max(calls) <= 24 * oscillate.EVAL_CELLS
+    calls.clear()
+    again = integrate_1d(w, f, *w.support, tol=1e-12)
+    assert calls == []
+    _same_result(again, first, "repeat")
+    # off its support the window is an ordinary integrand
+    integrate_1d(w, f, 0.75, 2.5, tol=1e-12)
+    assert calls
+
+
+def test_window_table_fill_leaves_numpy_ma_unimported():
+    code = (
+        "import math, sys\n"
+        "from weyldelta import deltapipe, statphase, testfn\n"
+        "statphase.u_dagger_direct(testfn.WINDOW_U, 300 / (2 * math.pi * 1.4), complex(1, 300), tol=1e-12)\n"
+        "deltapipe._fourier_v(1.3)\n"
+        "assert testfn.WINDOW_U.node_table and testfn.WINDOW_V.node_table\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(weyldelta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_integrand_sees_flat_capped_node_arrays():

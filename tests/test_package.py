@@ -138,6 +138,8 @@ ORACLES = {
     "multiplicative_extension": "tests/test_forms.py::test_maass_fixture_roundtrip",
     "afe_weight": "tests/test_lfunc.py::test_interpolated_weights_match_the_direct_route",
     "WhatTransform._eval_bessel": "tests/test_voronoi.py::test_bessel_route_matches_per_y_loop",
+    "sharp_weight_0": "tests/test_statphase.py::test_sharp_weight_is_the_two_weight_composition_from_three_window_calls",
+    "sharp_weight_1": "tests/test_statphase.py::test_sharp_weight_is_the_two_weight_composition_from_three_window_calls",
 }
 
 REPO = Path(weyldelta.__file__).resolve().parents[2]

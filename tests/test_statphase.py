@@ -130,6 +130,27 @@ def test_sharp_weight_structure():
     )
 
 
+def test_sharp_weight_is_the_two_weight_composition_from_three_window_calls():
+    calls = []
+    base = make_window_u()
+
+    def evaluate(x, order):
+        calls.append(order)
+        return base.evaluator(x, order)
+
+    counted = type(base)(support=base.support, evaluator=evaluate)
+    for window in (U, V, counted):
+        for sigma in (0.5, 1.0, 1.7):
+            for beta in (-200.0, 35.0):
+                xs = np.linspace(window.support[0] / 2, 2 * window.support[1], 61)
+                for x in (xs, xs[13], xs[30]):
+                    old = sharp_weight_0(window, sigma, x) - 1j / beta * sharp_weight_1(window, sigma, x)
+                    calls.clear()
+                    new = sharp_weight(window, sigma, x, beta)
+                    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+                    assert calls == ([0, 1, 2] if window is counted else [])
+
+
 def test_two_method_error_within_calibrated_envelope():
     # |direct - asymptotic| <= 25 |beta|^(-5/2) * C with C measured once on
     # this grid (seed-fixed); the recorded constant guards against drift
